@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSignalError
 from .sessions import DeviceTrace
-from .trace import ACK, PSH, Proto
+from .trace import ACK, PROTO_TCP, PROTO_UDP, PSH
 
 
 class Verdict(str, Enum):
@@ -65,35 +65,28 @@ class PeriodicityResult:
     reason: str = ""
 
 
-def filter_cnc_candidates(device_trace: DeviceTrace, payload_cutoff: int = 10) -> list[float]:
+def filter_cnc_candidates(device_trace: DeviceTrace, payload_cutoff: int = 10) -> np.ndarray:
     """Arrival times of likely command-channel packets, sorted ascending.
 
     Keeps UDP packets and TCP packets with both PSH and ACK set, excluding
     anything whose transport payload exceeds the cutoff (application data)."""
-    times = []
-    for pkt in device_trace.packets:
-        if pkt.payload_len > payload_cutoff:
-            continue
-        if pkt.proto is Proto.UDP or (
-            pkt.proto is Proto.TCP and pkt.tcp_flags & PSH and pkt.tcp_flags & ACK
-        ):
-            times.append(pkt.ts)
-    times.sort()
-    return times
+    p = device_trace.packets
+    psh_ack = (p.flags & (PSH | ACK)) == (PSH | ACK)
+    keep = (p.payload_len <= payload_cutoff) & (
+        (p.proto == PROTO_UDP) | ((p.proto == PROTO_TCP) & psh_ack))
+    return np.sort(p.ts[keep])
 
 
-def encode(arrivals: list[float], T: float, duration: float) -> EncodedSequence:
+def encode(arrivals, T: float, duration: float) -> EncodedSequence:
     """Bin arrival times into K = floor(duration/T) half-open [iT, (i+1)T) bins."""
     if T <= 0:
         raise ConfigError(f"sampling interval must be positive, got {T}")
     K = int(math.floor(duration / T))
     if K == 0:
         raise ConfigError(f"duration {duration} shorter than sampling interval {T}")
+    bins = np.asarray(arrivals, dtype=np.float64) // T
     e = np.zeros(K, dtype=np.int8)
-    for t in arrivals:
-        i = int(t // T)
-        if 0 <= i < K:
-            e[i] = 1
+    e[bins[(bins >= 0) & (bins < K)].astype(np.intp)] = 1
     return EncodedSequence(e=e, T=T, K=K)
 
 

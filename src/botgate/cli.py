@@ -21,7 +21,7 @@ from .classifiers import (
 )
 from .errors import BotgateError, PolicyError
 from .features import (
-    BENIGN, FEATURE_NAMES, MALICIOUS, extract_features, read_feature_csv,
+    BENIGN, FEATURE_NAMES, MALICIOUS, FeatureVector, extract_features, read_feature_csv,
     write_feature_csv,
 )
 from .pipeline import DetectionReport, PipelineConfig, detect_iot_bots, run_pipeline
@@ -29,7 +29,7 @@ from .policy import (
     PolicyStore, apply_policies, load_store, parse_policy_command, save_store,
 )
 from .preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best
-from .sessions import TrafficSession, split_by_device
+from .sessions import sessionize, split_by_device
 from .stats import BdcsParams, bdcs, period_detection_prob
 from .acf import encode, filter_cnc_candidates
 from .synth import BeaconProfile, SynthConfig, gen_dataset
@@ -68,8 +68,13 @@ def _read_manifest(corpus_dir: Path) -> list[dict]:
     return entries
 
 
-def _trace_as_session(trace, duration: float) -> TrafficSession:
-    return TrafficSession(index=0, t_start=0.0, t_end=duration, packets=trace.packets)
+def _corpus_features(corpus: Path, session_secs: float) -> list[FeatureVector]:
+    """Labeled feature rows for every session window of every corpus trace."""
+    vectors = []
+    for entry in _read_manifest(corpus):
+        sessions = sessionize(load_trace(entry["file"]), session_secs)
+        vectors.extend(extract_features(s, label=entry["label"]) for s in sessions)
+    return vectors
 
 
 def cmd_simulate(args) -> int:
@@ -84,13 +89,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    corpus = Path(args.corpus)
-    entries = _read_manifest(corpus)
-    vectors = []
-    for entry in entries:
-        trace = load_trace(entry["file"])
-        session = _trace_as_session(trace, args.session_secs)
-        vectors.append(extract_features(session, label=entry["label"]))
+    vectors = _corpus_features(Path(args.corpus), args.session_secs)
     write_feature_csv(vectors, args.out)
     print(f"wrote {len(vectors)} feature rows to {args.out}")
     return 0
@@ -244,13 +243,8 @@ def cmd_run_pipeline(args) -> int:
     config = SynthConfig(seed=args.seed, duration_s=args.session_secs)
     _write_corpus(corpus, config, args.n_benign, args.n_malicious)
 
-    vectors = []
-    for entry in _read_manifest(corpus):
-        trace = load_trace(entry["file"])
-        vectors.append(extract_features(
-            _trace_as_session(trace, args.session_secs), label=entry["label"]))
     features_csv = workdir / "features.csv"
-    write_feature_csv(vectors, features_csv)
+    write_feature_csv(_corpus_features(corpus, args.session_secs), features_csv)
 
     train_args = argparse.Namespace(
         features=features_csv, model=args.model, seed=args.seed,

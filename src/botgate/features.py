@@ -10,8 +10,10 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .sessions import TrafficSession, filter_tcp
-from .trace import ACK, SYN
+from .trace import ACK, SYN, PacketTable
 
 BENIGN = "BENIGN"
 MALICIOUS = "MALICIOUS"
@@ -55,8 +57,27 @@ class FeatureVector:
         ]
 
 
-def _is_syn_only(flags: int) -> bool:
-    return bool(flags & SYN) and not flags & ACK
+def _syn_only(flags: np.ndarray) -> np.ndarray:
+    return (flags & SYN != 0) & (flags & ACK == 0)
+
+
+def _half_open(packets: PacketTable) -> int:
+    """Connection keys whose first SYN-only packet no later initiator packet
+    carrying ACK follows."""
+    n = len(packets)
+    initiator = np.unique((packets.src.astype(np.uint64) << 16) | packets.sport,
+                          return_inverse=True)[1]
+    responder = np.unique((packets.dst.astype(np.uint64) << 16) | packets.dport,
+                          return_inverse=True)[1]
+    key = np.unique(initiator * n + responder, return_inverse=True)[1]
+    rows = np.arange(n)
+    first_syn = np.full(n, n)
+    last_ack = np.full(n, -1)
+    syn = _syn_only(packets.flags)
+    ack = packets.flags & ACK != 0
+    np.minimum.at(first_syn, key[syn], rows[syn])
+    np.maximum.at(last_ack, key[ack], rows[ack])
+    return int(np.count_nonzero((first_syn < n) & (last_ack < first_syn)))
 
 
 def count_half_open(session: TrafficSession) -> int:
@@ -64,44 +85,29 @@ def count_half_open(session: TrafficSession) -> int:
 
     A connection key is (initiator_ip, initiator_port, responder_ip,
     responder_port), established by the first SYN-only packet on it;
-    retransmitted SYNs on the same key count once.
+    retransmitted SYNs on the same key count once, and an ACK sent before
+    that first SYN does not complete it.
     """
-    half_open: dict[tuple, bool] = {}
-    for pkt in session.packets:
-        fwd = (pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port)
-        if _is_syn_only(pkt.tcp_flags):
-            half_open.setdefault(fwd, True)
-        elif pkt.tcp_flags & ACK and fwd in half_open:
-            # later packet from the initiator carrying ACK completes the handshake
-            half_open[fwd] = False
-    return sum(half_open.values())
+    return _half_open(session.packets)
 
 
 def extract_features(session: TrafficSession, label: Optional[str] = None) -> FeatureVector:
     """Compute the 8 scanning features; an empty session maps to all zeros."""
-    session = filter_tcp(session)  # defensive; idempotent
-    if not session.packets:
+    packets = filter_tcp(session).packets
+    n = len(packets)
+    if not n:
         return FeatureVector(0, 0, 0, 0.0, 0, 0, 0, 0.0, label=label)
-
-    syn_dsts: set[str] = set()
-    per_dst: dict[str, int] = {}
-    lengths = []
-    for pkt in session.packets:
-        if _is_syn_only(pkt.tcp_flags):
-            syn_dsts.add(pkt.dst_ip)
-        per_dst[pkt.dst_ip] = per_dst.get(pkt.dst_ip, 0) + 1
-        lengths.append(pkt.ip_len)
-
-    counts = list(per_dst.values())
+    per_dst = np.unique(packets.dst, return_counts=True)[1]
     return FeatureVector(
-        n_uniq_syn_dst=len(syn_dsts),
-        pkts_per_dst_max=max(counts),
-        pkts_per_dst_min=min(counts),
-        pkts_per_dst_mean=sum(counts) / len(counts),
-        n_half_open=count_half_open(session),
-        tcp_len_max=max(lengths),
-        tcp_len_min=min(lengths),
-        tcp_len_mean=sum(lengths) / len(lengths),
+        n_uniq_syn_dst=len(np.unique(packets.dst[_syn_only(packets.flags)])),
+        pkts_per_dst_max=int(per_dst.max()),
+        pkts_per_dst_min=int(per_dst.min()),
+        # means are Python int / int, not np.mean: the CSV bytes depend on it
+        pkts_per_dst_mean=n / len(per_dst),
+        n_half_open=_half_open(packets),
+        tcp_len_max=int(packets.ip_len.max()),
+        tcp_len_min=int(packets.ip_len.min()),
+        tcp_len_mean=int(packets.ip_len.sum(dtype=np.int64)) / n,
         label=label,
     )
 

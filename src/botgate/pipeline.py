@@ -105,10 +105,7 @@ def run_pipeline(trace: Trace, model: TrainedModel,
     only when the averaged stage-1 verdict is malicious."""
     config = config or PipelineConfig()
     session_secs = config.session_secs or model.session_secs
-    # guarantee at least one full window so short captures are analyzable
-    span = config.trace_span_s if config.trace_span_s is not None \
-        else max(trace.span(), session_secs)
-    sessions = sessionize(trace, session_secs, span_s=span)
+    sessions = sessionize(trace, session_secs, span_s=config.trace_span_s)
     classified = classify_sessions(sessions, model)
     verdicts = [v for v, _ in classified]
 

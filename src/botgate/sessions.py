@@ -5,8 +5,10 @@ import ipaddress
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ConfigError
-from .trace import PacketRecord, Proto, Trace
+from .trace import PROTO_TCP, PacketTable, Trace, as_table, format_ip
 
 
 @dataclass(slots=True)
@@ -14,64 +16,65 @@ class TrafficSession:
     index: int
     t_start: float
     t_end: float
-    packets: list[PacketRecord]
+    packets: PacketTable
+
+    def __post_init__(self):
+        self.packets = as_table(self.packets)
 
 
 @dataclass(slots=True)
 class DeviceTrace:
     device_ip: str
-    packets: list[PacketRecord]
+    packets: PacketTable
+
+    def __post_init__(self):
+        self.packets = as_table(self.packets)
 
 
 def sessionize(trace: Trace, duration_s: float, span_s: float | None = None) -> list[TrafficSession]:
     """Split a trace into consecutive [i*d, (i+1)*d) windows aligned to t=0.
 
     A trailing partial window is dropped. ``span_s`` is the nominal capture
-    duration; it defaults to the last packet timestamp when the caller does
-    not know it.
+    duration; when the caller does not know it, it is the last packet
+    timestamp, but at least one window, so that a short capture is still
+    analyzed. Each session's packets are a view of the trace's columns.
     """
     if duration_s <= 0:
         raise ConfigError(f"session duration must be positive, got {duration_s}")
-    span = trace.span() if span_s is None else span_s
+    span = max(trace.span(), duration_s) if span_s is None else span_s
     n_sessions = int(math.floor(span / duration_s))
-    sessions = [
-        TrafficSession(index=i, t_start=i * duration_s, t_end=(i + 1) * duration_s, packets=[])
+    packets = trace.packets
+    # window numbers rise with ts, since a trace is in timestamp order
+    bounds = np.searchsorted(packets.ts // duration_s, np.arange(n_sessions + 1))
+    return [
+        TrafficSession(index=i, t_start=i * duration_s, t_end=(i + 1) * duration_s,
+                       packets=packets[bounds[i]:bounds[i + 1]])
         for i in range(n_sessions)
     ]
-    for pkt in trace.packets:
-        i = int(pkt.ts // duration_s)
-        if i < n_sessions:
-            sessions[i].packets.append(pkt)
-    return sessions
 
 
 def filter_tcp(session: TrafficSession) -> TrafficSession:
-    return replace(session, packets=[p for p in session.packets if p.proto is Proto.TCP])
+    return replace(session, packets=session.packets[session.packets.proto == PROTO_TCP])
 
 
 def split_by_device(trace: Trace) -> dict[str, DeviceTrace]:
-    """One DeviceTrace per internal IP seen in the trace.
+    """One DeviceTrace per internal IP seen in the trace, in order of first
+    appearance.
 
     A packet between two internal IPs shows up in both device traces.
     """
     net = ipaddress.IPv4Network(trace.internal_subnet)
-    cache: dict[str, bool] = {}
-
-    def internal(ip: str) -> bool:
-        hit = cache.get(ip)
-        if hit is None:
-            hit = cache[ip] = ipaddress.IPv4Address(ip) in net
-        return hit
-
-    devices: dict[str, DeviceTrace] = {}
-    for pkt in trace.packets:
-        for ip in (pkt.src_ip, pkt.dst_ip):
-            if internal(ip):
-                dev = devices.get(ip)
-                if dev is None:
-                    dev = devices[ip] = DeviceTrace(device_ip=ip, packets=[])
-                dev.packets.append(pkt)
-    return devices
+    prefix, mask = int(net.network_address), int(net.netmask)
+    packets = trace.packets
+    # one (device, row) entry per internal endpoint, src before dst in each row
+    ends = np.column_stack((packets.src, packets.dst)).ravel()
+    internal = np.flatnonzero((ends & mask) == prefix)
+    internal = internal[np.argsort(ends[internal], kind="stable")]  # by device, then row
+    devices, starts = np.unique(ends[internal], return_index=True)
+    rows = np.split(internal // 2, starts[1:])
+    names = list(map(format_ip, devices.tolist()))
+    first_seen = np.argsort(internal[starts])
+    return {names[d]: DeviceTrace(names[d], packets[rows[d]]) for d in first_seen.tolist()}
 
 
 def subsample(session: TrafficSession, rate: float) -> TrafficSession:
@@ -79,9 +82,6 @@ def subsample(session: TrafficSession, rate: float) -> TrafficSession:
     floor(j*rate) > floor((j-1)*rate). Keeps exactly floor(n*rate) packets."""
     if not 0 < rate <= 1:
         raise ConfigError(f"sub-sampling rate must be in (0, 1], got {rate}")
-    kept = [
-        pkt
-        for j, pkt in enumerate(session.packets, start=1)
-        if math.floor(j * rate) > math.floor((j - 1) * rate)
-    ]
-    return replace(session, packets=kept)
+    j = np.arange(1, len(session.packets) + 1)
+    kept = np.floor(j * rate) > np.floor((j - 1) * rate)
+    return replace(session, packets=session.packets[kept])

@@ -10,13 +10,14 @@ given (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .features import BENIGN, MALICIOUS
-from .trace import ACK, FIN, PSH, SYN, PacketRecord, Proto, Trace, quantize_ts
+from .trace import ACK, FIN, PSH, SYN, PacketRecord, PacketTable, Proto, Trace, quantize_ts
 
 IP_HEADER_TCP = 40  # IPv4 + TCP headers, no options
 IP_HEADER_UDP = 28
@@ -144,7 +145,6 @@ def gen_benign(config: SynthConfig, seed) -> Trace:
             for j in range(int(rng.integers(2, 6))):
                 packets.append(_tcp(float(t) + 0.2 + 0.02 * j, srv, pc, 443, sport,
                                     ACK, int(rng.integers(500, 1500))))
-    packets.sort(key=lambda pk: pk.ts)
     return Trace(packets=packets, internal_subnet=config.subnet, epoch=0)
 
 
@@ -220,10 +220,9 @@ def gen_memoryless_noise(rate_pps: float, duration_s: float, seed,
 
 
 def _overlay(base: Trace, *extra: list[PacketRecord]) -> Trace:
-    packets = list(base.packets)
-    for pkts in extra:
-        packets.extend(pkts)
-    packets.sort(key=lambda pk: pk.ts)
+    """``base`` plus the extra packets; the Trace restores timestamp order,
+    base packets first among equal timestamps."""
+    packets = PacketTable.concat([base.packets, PacketTable.from_records(chain(*extra))])
     return Trace(packets=packets, internal_subnet=base.internal_subnet, epoch=base.epoch)
 
 

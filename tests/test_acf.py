@@ -34,7 +34,7 @@ def test_filter_cnc_candidates():
         PacketRecord(4.0, "192.168.1.10", "9.9.9.9", 1111, 80, Proto.TCP, ACK, 40, 0),
     ])
     # small PSH+ACK and small UDP survive; app data, lone SYN and bare ACK do not
-    assert filter_cnc_candidates(dev, 10) == [0.5, 1.0]
+    assert list(filter_cnc_candidates(dev, 10)) == [0.5, 1.0]
 
 
 def test_encode_example():

@@ -107,6 +107,24 @@ def test_data_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+GOOD_ROW = "1.000 192.168.1.10 8.8.8.8 40000 80 TCP 0x02 40 0\n"
+
+
+@pytest.mark.parametrize("body", [
+    b"nan 192.168.1.10 8.8.8.8 40000 80 TCP 0x02 40 0\n",
+    b"inf 192.168.1.10 8.8.8.8 40000 80 TCP 0x02 40 0\n",
+    b"2.000 192.168.1.10 8.8.8.\xe9 40000 80 TCP 0x02 40 0\n",
+    b"2.000 192.168.1.10 8.8.8.8 40000 80 TCP 0x02 40\n"
+    b"3.000 192.168.1.10 8.8.8.8 40000 80 TCP 0x02 40 0 0\n",
+], ids=["nan", "inf", "non-ascii", "misaligned-rows"])
+def test_malformed_trace_exits_2(workspace, tmp_path, capsys, body):
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(b"#trace v1 subnet=192.168.1.0/24 epoch=0\n" + GOOD_ROW.encode() + body)
+    assert main(["detect", "--trace", str(trace),
+                 "--model-file", str(workspace / "model.json")]) == 2
+    assert "data error: line 3:" in capsys.readouterr().err
+
+
 def test_simulate_deterministic(tmp_path):
     for sub in ("a", "b"):
         assert main(["simulate", "--out", str(tmp_path / sub), "--seed", "9",

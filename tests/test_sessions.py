@@ -36,6 +36,8 @@ def test_sessionize_window_assignment():
 def test_sessionize_span_defaults_to_last_packet():
     trace = make_trace([tcp(1.0), tcp(29.0)])
     assert len(sessionize(trace, 10.0)) == 2  # floor(29/10); partial window dropped
+    # but a capture shorter than one window is still one window
+    assert [len(s.packets) for s in sessionize(make_trace([tcp(1.0)]), 10.0)] == [1]
 
 
 def test_sessionize_rejects_bad_duration():
@@ -62,6 +64,16 @@ def test_split_by_device():
     assert set(devices) == {"192.168.1.10", "192.168.1.11"}
     assert len(devices["192.168.1.10"].packets) == 2
     assert len(devices["192.168.1.11"].packets) == 2
+
+
+def test_split_by_device_subnet_mask():
+    # the first and last addresses of a /8 are internal, their neighbours are not
+    trace = make_trace([
+        tcp(1.0, src="10.0.0.0", dst="9.255.255.255"),
+        tcp(2.0, src="11.0.0.0", dst="10.255.255.255"),
+        tcp(3.0, src="10.1.2.3", dst="11.1.2.3"),
+    ], subnet="10.0.0.0/8")
+    assert list(split_by_device(trace)) == ["10.0.0.0", "10.255.255.255", "10.1.2.3"]
 
 
 def test_subsample_examples():

@@ -22,7 +22,7 @@ def test_benign_trace_deterministic_bytes():
 
 def test_benign_handshakes_complete():
     trace = gen_benign(SynthConfig(seed=1, n_pc_devices=0), [1, 0])
-    assert trace.packets == sorted(trace.packets, key=lambda p: p.ts)
+    assert list(trace.packets) == sorted(trace.packets, key=lambda p: p.ts)
     syns = [p for p in trace.packets if p.tcp_flags == SYN]
     acks = {(p.src_ip, p.src_port, p.dst_ip, p.dst_port)
             for p in trace.packets if p.tcp_flags & ACK and not p.tcp_flags & SYN}

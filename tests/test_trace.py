@@ -1,12 +1,14 @@
 """Trace model and text-format tests."""
+import ipaddress
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botgate.errors import ConfigError, TraceParseError
 from botgate.trace import (
-    ACK, PSH, SYN, PacketRecord, Proto, Trace, parse_trace, quantize_ts,
-    write_trace,
+    ACK, PSH, SYN, PacketRecord, Proto, Trace, load_trace, parse_trace, quantize_ts,
+    save_trace, write_trace,
 )
 
 HEADER = "#trace v1 subnet=192.168.1.0/24 epoch=0"
@@ -64,6 +66,84 @@ def test_body_errors_carry_line_numbers():
         parse_trace(HEADER + "\n1.0 192.168.1.10 8.8.8.8 1 2 SCTP 0x00 40 0\n")
 
 
+def test_write_trace_golden():
+    trace = Trace(
+        packets=[
+            PacketRecord(0.0005, "192.168.1.10", "255.255.255.255", 40000, 80, Proto.TCP,
+                         0xC2, 40, 0),
+            PacketRecord(1.5, "0.0.0.0", "192.168.1.11", 5353, 53, Proto.UDP, 0, 60, 32),
+            PacketRecord(3600.25, "192.168.1.12", "10.0.0.1", 0, 0, Proto.OTHER, 0, 20, 0),
+        ],
+        internal_subnet="192.168.1.0/24",
+        epoch=1700000000,
+    )
+    assert write_trace(trace) == (
+        "#trace v1 subnet=192.168.1.0/24 epoch=1700000000\n"
+        "0.001 192.168.1.10 255.255.255.255 40000 80 TCP 0xC2 40 0\n"
+        "1.500 0.0.0.0 192.168.1.11 5353 53 UDP 0x00 60 32\n"
+        "3600.250 192.168.1.12 10.0.0.1 0 0 OTHER 0x00 20 0\n"
+    )
+
+
+def test_large_trace_round_trip_and_save(tmp_path):
+    # more rows than one write block and more bytes than one parse block
+    n = 30000
+    pkts = [tcp(i * 0.25, dst=f"10.{i % 7}.{i % 251}.{i % 13}", sport=1024 + i % 50000)
+            for i in range(n)]
+    trace = Trace(packets=pkts, internal_subnet="192.168.1.0/24")
+    text = write_trace(trace)
+    save_trace(trace, tmp_path / "big.trace")
+    assert (tmp_path / "big.trace").read_text() == text
+    back = load_trace(tmp_path / "big.trace")
+    assert back.packets == trace.packets
+    # a bad row far past the first parse block is named by its own line number
+    lines = text.splitlines()
+    lines[n - 5] = lines[n - 5].replace(" 40 0", " 40 41")
+    with pytest.raises(TraceParseError, match=f"line {n - 4}: payload_len 41 > ip_len 40"):
+        parse_trace("\n".join(lines))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("nan 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0", "line 3: non-finite timestamp nan"),
+    ("inf 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0", "line 3: non-finite timestamp inf"),
+    ("-inf 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0", "line 3: non-finite timestamp -inf"),
+    # an 8-field row then a 10-field row: 18 tokens, but not two packets
+    ("2.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40\n"
+     "3.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0 0", "line 3: expected 9 fields, got 8"),
+    ("2.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0 0\n"
+     "3.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40", "line 3: expected 9 fields, got 10"),
+    # the first bad line wins, whatever is wrong with it
+    ("2.0 192.168.1.10 8.8.8.8 1 99999 TCP 0x02 40 0\n"
+     "3.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40", "line 3: port out of range"),
+    ("2.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0\n"
+     "3.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40\n"
+     "x 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0", "line 4: expected 9 fields, got 8"),
+    ("1.0 192.168.1.010 8.8.8.8 1 2 TCP 0x02 40 0", "line 3: bad IPv4 address"),
+    ("1.0 192.168.1.10 8.8.8.8 1 2 TCP 0x2G 40 0", "line 3: flags must be hex"),
+    ("1.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 99999999999999999999 0", "line 3: bad length"),
+])
+def test_body_boundary_errors(body, message):
+    text = HEADER + "\n1.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0\n" + body + "\n"
+    with pytest.raises(TraceParseError, match=message):
+        parse_trace(text)
+
+
+def test_non_ascii_byte_names_its_line():
+    data = (HEADER + "\n1.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0"
+            "\n2.0 192.168.1.10 8.8.8.\u00e9 1 2 TCP 0x02 40 0\n")
+    for text in (data, data.encode("utf-8"), data.encode("latin-1")):
+        with pytest.raises(TraceParseError, match="line 3: non-ASCII"):
+            parse_trace(text)
+
+
+def test_line_endings():
+    crlf = (HEADER + "\r\n1.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0\r\n\r"
+            "2.0\t192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0\n")
+    assert [p.ts for p in parse_trace(crlf).packets] == [1.0, 2.0]
+    with pytest.raises(TraceParseError, match="line 5"):  # the lone CR ends line 3
+        parse_trace(crlf + "x\n")
+
+
 def test_blank_lines_skipped_and_out_of_order_sorted():
     text = HEADER + (
         "\n5.000 192.168.1.10 8.8.8.8 40000 80 TCP 0x02 40 0"
@@ -91,8 +171,6 @@ def test_trace_subnet_validation_and_span():
         Trace(packets=[], internal_subnet="not-a-cidr")
     t = Trace(packets=[], internal_subnet="10.0.0.0/8")
     assert t.span() == 0.0
-    assert t.is_internal("10.1.2.3")
-    assert not t.is_internal("11.1.2.3")
 
 
 _ips = st.sampled_from(["192.168.1.10", "192.168.1.100", "8.8.8.8", "203.0.113.9"])
@@ -122,5 +200,46 @@ def test_round_trip_property(pkts, epoch):
     pkts = sorted(pkts, key=lambda p: p.ts)
     trace = Trace(packets=pkts, internal_subnet="192.168.1.0/24", epoch=epoch)
     back = parse_trace(write_trace(trace))
-    assert back.packets == pkts
+    assert list(back.packets) == pkts
     assert back.epoch == epoch
+
+
+_wide_ints = st.integers(-2, 2**32 + 2) | st.sampled_from([0, 40, 65535, 65536, 2**32 - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.001]),
+       _wide_ints, _wide_ints, st.sampled_from(list(Proto)), st.integers(-1, 0x101),
+       _wide_ints, _wide_ints)
+def test_parser_rules_match_packet_record(ts, sport, dport, proto, flags, ip_len, payload):
+    """A row parses exactly when PacketRecord accepts its values."""
+    try:
+        PacketRecord(ts, "192.168.1.10", "8.8.8.8", sport, dport, proto, flags, ip_len, payload)
+        valid = True
+    except ValueError:
+        valid = False
+    flags_hex = f"0x{flags:02X}" if flags >= 0 else f"-0x{-flags:02X}"
+    text = (f"{HEADER}\n{ts!r} 192.168.1.10 8.8.8.8 {sport} {dport} {proto.value} "
+            f"{flags_hex} {ip_len} {payload}\n")
+    if valid:
+        assert len(parse_trace(text).packets) == 1
+    else:
+        with pytest.raises(TraceParseError, match="line 2"):
+            parse_trace(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789.+-_x", min_size=1, max_size=17)
+       | st.builds("{}.{}.{}.{}".format, *[st.integers(0, 300)] * 4))
+def test_address_validation_matches_ipaddress(address):
+    try:
+        ipaddress.IPv4Address(address)
+        valid = True
+    except ValueError:
+        valid = False
+    text = f"{HEADER}\n1.0 {address} 8.8.8.8 1 2 TCP 0x02 40 0\n"
+    if valid:
+        assert parse_trace(text).packets[0].src_ip == address
+    else:
+        with pytest.raises(TraceParseError, match="line 2: bad IPv4 address"):
+            parse_trace(text)
