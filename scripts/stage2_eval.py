@@ -8,9 +8,8 @@ Usage:
 """
 import argparse
 
-from botgate.acf import (
-    PeriodicityParams, Verdict, detect_periodicity, encode, filter_cnc_candidates,
-)
+from botgate.acf import PeriodicityParams, Verdict, analyze_sequence, detect_periodicity, \
+    encode_device
 from botgate.baselines import WalkerVerdict, walker_test
 from botgate.sessions import DeviceTrace
 from botgate.synth import gen_cnc_beacon, gen_memoryless_noise
@@ -23,10 +22,8 @@ def rates(params, period, jitter, duration, n, seed, gamma):
     for i in range(n):
         dev = DeviceTrace(DEV, gen_cnc_beacon(period, jitter, duration,
                                               [seed, int(period), int(jitter * 10), i]))
-        res = detect_periodicity(dev, params, duration)
-        acf_hits += res.verdict is Verdict.PERIOD_DETECTED
-        seq = encode(filter_cnc_candidates(dev, params.payload_cutoff_bytes),
-                     params.sample_t, duration)
+        seq = encode_device(dev, params, duration)
+        acf_hits += analyze_sequence(seq, params).verdict is Verdict.PERIOD_DETECTED
         walker_hits += walker_test(seq.e, gamma=gamma).verdict is WalkerVerdict.DETECTED
     return acf_hits / n, walker_hits / n
 

@@ -17,6 +17,9 @@ from .errors import ConfigError, DegenerateSignalError
 from .sessions import DeviceTrace
 from .trace import ACK, PROTO_TCP, PROTO_UDP, PSH
 
+# Longest encoded sequence: up to it, the exact ACF's integers stay below 2^53.
+MAX_BINS = 2 ** 17
+
 
 class Verdict(str, Enum):
     PERIOD_DETECTED = "PERIOD_DETECTED"
@@ -48,6 +51,7 @@ class EncodedSequence:
     e: np.ndarray  # K binary values
     T: float
     K: int
+    n_arrivals: int = 0  # arrival times given to encode, inside [0, K*T) or not
 
 
 @dataclass
@@ -63,6 +67,7 @@ class PeriodicityResult:
     gap_variance: float | None = None
     n_candidates: int = 0
     reason: str = ""
+    sequence: EncodedSequence | None = field(default=None, repr=False, compare=False)
 
 
 def filter_cnc_candidates(device_trace: DeviceTrace, payload_cutoff: int = 10) -> np.ndarray:
@@ -81,61 +86,72 @@ def encode(arrivals, T: float, duration: float) -> EncodedSequence:
     """Bin arrival times into K = floor(duration/T) half-open [iT, (i+1)T) bins."""
     if T <= 0:
         raise ConfigError(f"sampling interval must be positive, got {T}")
-    K = int(math.floor(duration / T))
-    if K == 0:
+    n_bins = duration / T
+    if not n_bins < MAX_BINS + 1:  # also rejects inf and nan before any allocation
+        raise ConfigError(f"duration {duration} s at sampling interval {T} s needs more "
+                          f"than {MAX_BINS} bins")
+    K = int(math.floor(n_bins))
+    if K < 1:
         raise ConfigError(f"duration {duration} shorter than sampling interval {T}")
     bins = np.asarray(arrivals, dtype=np.float64) // T
     e = np.zeros(K, dtype=np.int8)
     e[bins[(bins >= 0) & (bins < K)].astype(np.intp)] = 1
-    return EncodedSequence(e=e, T=T, K=K)
+    return EncodedSequence(e=e, T=T, K=K, n_arrivals=len(arrivals))
+
+
+def encode_device(device_trace: DeviceTrace, params: PeriodicityParams,
+                  duration: float) -> EncodedSequence:
+    """Stage 2's one per-device encoding, shared by every stage-2 caller: the
+    device's command-channel candidates binned at ``params.sample_t``."""
+    arrivals = filter_cnc_candidates(device_trace, params.payload_cutoff_bytes)
+    return encode(arrivals, params.sample_t, duration)
 
 
 def acf(sequence: EncodedSequence, max_lag: int) -> AcfSeries:
-    """Unbiased autocorrelation at lags 0..max_lag:
+    """Unbiased autocorrelation of a 0/1 sequence at lags 0..max_lag:
     R(l) = K/(K-l) * sum_{i}(e_i - mean)(e_{i+l} - mean) / sum_i (e_i - mean)^2
+
+    Exact: with S = sum e, lag products C_l from one zero-padded FFT rounded
+    to integers, and sums A_l, B_l of e over [0, K-l) and [l, K),
+    R(l) = (K^2 C_l - K S (A_l + B_l) + (K-l) S^2) / ((K-l) S (K-S)), one
+    division of integers below 2^53 (for K <= MAX_BINS): correctly rounded.
     """
-    e = np.asarray(sequence.e, dtype=float)
+    e = np.asarray(sequence.e)
     K = len(e)
     if max_lag >= K:
         raise ConfigError(f"max_lag {max_lag} must be below sequence length {K}")
-    d = e - e.mean()
-    denom = float(d @ d)
-    if denom == 0.0:
+    if ((e != 0) & (e != 1)).any():
+        raise ConfigError("autocorrelation needs a 0/1 sequence")
+    e = e.astype(np.int64)
+    S = int(e.sum())
+    if S == 0 or S == K:
         raise DegenerateSignalError("constant sequence has no autocorrelation")
-    r = np.empty(max_lag + 1)
-    for l in range(max_lag + 1):
-        r[l] = (K / (K - l)) * float(d[: K - l] @ d[l:]) / denom
+    spectrum = np.fft.rfft(e, 2 * K)
+    lags = np.arange(max_lag + 1)
+    C = np.rint(np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, 2 * K)[: max_lag + 1])
+    cum = np.concatenate(([0], np.cumsum(e)))
+    A, B = cum[K - lags], S - cum[lags]
+    num = K * K * C.astype(np.int64) - K * S * (A + B) + (K - lags) * S * S
+    r = num / ((K - lags) * S * (K - S))
     return AcfSeries(r=r, max_lag=max_lag)
 
 
 def find_peaks(series: AcfSeries, height_frac: float) -> list[int]:
     """Strict local maxima at lags >= 1 whose height reaches ``height_frac``
     times the tallest local maximum (boundary lag tested one-sided)."""
-    r = series.r
-    L = series.max_lag
-    maxima = []
-    for l in range(1, L + 1):
-        left_ok = r[l] > r[l - 1]
-        right_ok = r[l] > r[l + 1] if l < L else True
-        if left_ok and right_ok:
-            maxima.append(l)
-    if not maxima:
+    r = np.append(series.r[: series.max_lag + 1], -np.inf)  # sentinel below every lag
+    maxima = np.flatnonzero((r[1:-1] > r[:-2]) & (r[1:-1] > r[2:])) + 1
+    if not maxima.size:
         return []
-    thresh = height_frac * max(r[l] for l in maxima)
-    return [l for l in maxima if r[l] >= thresh]
+    heights = r[maxima]
+    return maxima[heights >= height_frac * heights.max()].tolist()
 
 
-def detect_periodicity(device_trace: DeviceTrace, params: PeriodicityParams,
-                       duration: float) -> PeriodicityResult:
-    """Full per-device check; degenerate traffic yields PERIOD_NOT_DETECTED
-    with a diagnostic reason rather than an error."""
-    arrivals = filter_cnc_candidates(device_trace, params.payload_cutoff_bytes)
-    result = PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED, n_candidates=len(arrivals))
-    try:
-        seq = encode(arrivals, params.sample_t, duration)
-    except ConfigError as exc:
-        result.reason = str(exc)
-        return result
+def analyze_sequence(seq: EncodedSequence, params: PeriodicityParams) -> PeriodicityResult:
+    """The ACF peak and gap-variance test on one device's encoded sequence.
+    The result keeps the sequence, for the confidence score."""
+    result = PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED,
+                               n_candidates=seq.n_arrivals, sequence=seq)
     max_lag = int(math.floor(seq.K * params.max_lag_frac))
     if max_lag < 2:
         result.reason = "sequence too short for peak analysis"
@@ -150,11 +166,23 @@ def detect_periodicity(device_trace: DeviceTrace, params: PeriodicityParams,
     if len(peaks) < params.min_peaks:
         result.reason = f"only {len(peaks)} qualifying peaks (need {params.min_peaks})"
         return result
-    gaps = np.diff(peaks)
-    gap_var = float(np.var(gaps))  # population variance, lag units
+    gap_var = float(np.var(np.diff(peaks)))  # population variance, lag units
     result.gap_variance = gap_var
     if gap_var < params.gap_variance_thresh:
         result.verdict = Verdict.PERIOD_DETECTED
     else:
         result.reason = f"inter-peak gap variance {gap_var:.4f} above threshold"
     return result
+
+
+def detect_periodicity(device_trace: DeviceTrace, params: PeriodicityParams,
+                       duration: float) -> PeriodicityResult:
+    """Full per-device check; degenerate traffic yields PERIOD_NOT_DETECTED
+    with a diagnostic reason rather than an error."""
+    try:
+        seq = encode_device(device_trace, params, duration)
+    except ConfigError as exc:
+        n = len(filter_cnc_candidates(device_trace, params.payload_cutoff_bytes))
+        return PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED, n_candidates=n,
+                                 reason=str(exc))
+    return analyze_sequence(seq, params)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acf import PeriodicityParams
+from .acf import PeriodicityParams, encode_device
 from .baselines import walker_test
 from .classifiers import (
     TrainedModel, cross_validate, forest_fit, gnb_fit, load_model, save_model,
@@ -31,7 +31,6 @@ from .policy import (
 from .preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best
 from .sessions import sessionize, split_by_device
 from .stats import BdcsParams, bdcs, period_detection_prob
-from .acf import encode, filter_cnc_candidates
 from .synth import BeaconProfile, SynthConfig, gen_dataset
 from .trace import load_trace, save_trace
 
@@ -187,27 +186,28 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_bdcs(args) -> int:
+def _device_sequences(args):
+    """(ip, encoded sequence) per device of ``args.trace``, in string order,
+    over the whole capture and at least one bin."""
     trace = load_trace(args.trace)
-    params = BdcsParams(alpha=args.alpha, h=args.lags)
+    params = PeriodicityParams(sample_t=args.sample_t, payload_cutoff_bytes=args.payload_cutoff)
     duration = max(trace.span(), args.sample_t)
-    probs = {}
     for ip, dev in sorted(split_by_device(trace).items()):
-        arrivals = filter_cnc_candidates(dev, args.payload_cutoff)
-        seq = encode(arrivals, args.sample_t, duration)
-        probs[ip] = period_detection_prob(seq.e, params).prob
+        yield ip, encode_device(dev, params, duration)
+
+
+def cmd_bdcs(args) -> int:
+    params = BdcsParams(alpha=args.alpha, h=args.lags)
+    probs = {ip: period_detection_prob(seq.e, params).prob
+             for ip, seq in _device_sequences(args)}
     out = {"per_device": probs, "bdcs": bdcs(list(probs.values()))}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_baseline(args) -> int:
-    trace = load_trace(args.trace)
-    duration = max(trace.span(), args.sample_t)
     out = {}
-    for ip, dev in sorted(split_by_device(trace).items()):
-        arrivals = filter_cnc_candidates(dev, args.payload_cutoff)
-        seq = encode(arrivals, args.sample_t, duration)
+    for ip, seq in _device_sequences(args):
         res = walker_test(seq.e, gamma=args.gamma)
         out[ip] = {"verdict": res.verdict.value, "statistic": res.statistic,
                    "threshold": res.threshold}

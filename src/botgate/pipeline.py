@@ -1,22 +1,20 @@
 """Two-stage detection pipeline: session classification, verdict averaging,
-the parallel per-device sweep and report assembly."""
+the per-device stage-2 pass and report assembly."""
 from __future__ import annotations
 
 import ipaddress
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .acf import PeriodicityParams, PeriodicityResult, Verdict, detect_periodicity, \
-    encode, filter_cnc_candidates
+from .acf import PeriodicityParams, PeriodicityResult, Verdict, detect_periodicity
 from .classifiers import LABEL_MALICIOUS, TrainedModel
 from .errors import ConfigError, DataError
 from .features import BENIGN, MALICIOUS, extract_features
 from .sessions import DeviceTrace, TrafficSession, sessionize, split_by_device
-from .stats import BdcsParams, bdcs, period_detection_prob
+from .stats import BdcsParams, PeriodProbResult, bdcs, period_detection_prob
 from .trace import Trace
 
 
@@ -26,8 +24,10 @@ class PipelineConfig:
     window: int = 5                        # verdict-averaging window
     periodicity: PeriodicityParams = field(default_factory=PeriodicityParams)
     bdcs: BdcsParams = field(default_factory=BdcsParams)
-    trace_span_s: Optional[float] = None
-    n_parallel_halves: int = 2
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ConfigError(f"verdict window must be at least 1, got {self.window}")
 
 
 @dataclass
@@ -75,27 +75,12 @@ def _sorted_ips(ips) -> list[str]:
 
 
 def detect_iot_bots(device_traces: dict[str, DeviceTrace], params: PeriodicityParams,
-                    duration: float, n_halves: int = 2) -> tuple[list[str], dict[str, PeriodicityResult]]:
-    """Per-device periodicity sweep over IP-sorted devices.
-
-    The sorted device list is chunked into ``n_halves`` parts processed
-    concurrently; devices share no state, so the merged result is identical
-    to a sequential sweep."""
-    ips = _sorted_ips(device_traces)
-    if not ips:
-        return [], {}
-
-    def sweep(chunk: list[str]) -> list[tuple[str, PeriodicityResult]]:
-        return [(ip, detect_periodicity(device_traces[ip], params, duration)) for ip in chunk]
-
-    n_halves = max(1, min(n_halves, len(ips)))
-    bounds = np.linspace(0, len(ips), n_halves + 1).astype(int)
-    chunks = [ips[bounds[i]:bounds[i + 1]] for i in range(n_halves)]
-    results: dict[str, PeriodicityResult] = {}
-    with ThreadPoolExecutor(max_workers=n_halves) as pool:
-        for part in pool.map(sweep, chunks):
-            results.update(part)
-    infected = [ip for ip in ips if results[ip].verdict is Verdict.PERIOD_DETECTED]
+                    duration: float) -> tuple[list[str], dict[str, PeriodicityResult]]:
+    """Stage 2: one periodicity test per device, in IP order. Each device is
+    filtered and encoded once; its result keeps the encoded sequence."""
+    results = {ip: detect_periodicity(device_traces[ip], params, duration)
+               for ip in _sorted_ips(device_traces)}
+    infected = [ip for ip, res in results.items() if res.verdict is Verdict.PERIOD_DETECTED]
     return infected, results
 
 
@@ -105,13 +90,13 @@ def run_pipeline(trace: Trace, model: TrainedModel,
     only when the averaged stage-1 verdict is malicious."""
     config = config or PipelineConfig()
     session_secs = config.session_secs or model.session_secs
-    sessions = sessionize(trace, session_secs, span_s=config.trace_span_s)
+    sessions = sessionize(trace, session_secs)
     classified = classify_sessions(sessions, model)
     verdicts = [v for v, _ in classified]
 
     # consecutive windows of size W; the trace is flagged when any window
     # averages malicious (the last, possibly shorter window uses what it has)
-    w = max(1, config.window)
+    w = config.window
     window_verdicts = [
         averaged_verdict(verdicts[i:i + w]) for i in range(0, len(verdicts), w)
     ] if verdicts else []
@@ -136,11 +121,9 @@ def run_pipeline(trace: Trace, model: TrainedModel,
     report.stage2_ran = True
     analyzed = len(sessions) * session_secs
     devices = split_by_device(trace)
-    infected, results = detect_iot_bots(devices, config.periodicity, analyzed,
-                                        n_halves=config.n_parallel_halves)
+    infected, results = detect_iot_bots(devices, config.periodicity, analyzed)
     infected_probs = []
-    for ip in _sorted_ips(devices):
-        res = results[ip]
+    for ip, res in results.items():
         diag = {
             "verdict": res.verdict.value,
             "peak_lags": [int(l) for l in res.peak_lags],
@@ -148,17 +131,11 @@ def run_pipeline(trace: Trace, model: TrainedModel,
             "n_candidates": res.n_candidates,
             "reason": res.reason,
         }
-        arrivals = filter_cnc_candidates(devices[ip], config.periodicity.payload_cutoff_bytes)
-        try:
-            seq = encode(arrivals, config.periodicity.sample_t, analyzed)
-            prob = period_detection_prob(seq.e, config.bdcs)
-            diag.update(period_prob=prob.prob, q=prob.q, pvalue=prob.pvalue)
-            if ip in infected:
-                infected_probs.append(prob.prob)
-        except (DataError, ConfigError):
-            diag.update(period_prob=0.0, q=None, pvalue=None)
-            if ip in infected:
-                infected_probs.append(0.0)
+        prob = PeriodProbResult(prob=0.0) if res.sequence is None else \
+            period_detection_prob(res.sequence.e, config.bdcs)  # None: not encodable
+        diag.update(period_prob=prob.prob, q=prob.q, pvalue=prob.pvalue)
+        if res.verdict is Verdict.PERIOD_DETECTED:
+            infected_probs.append(prob.prob)
         report.device_diagnostics[ip] = diag
 
     report.infected_devices = infected

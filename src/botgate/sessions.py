@@ -1,4 +1,4 @@
-"""Session windowing, TCP filtering, per-device splitting and sub-sampling."""
+"""Session windowing, TCP filtering and per-device splitting."""
 from __future__ import annotations
 
 import ipaddress
@@ -75,13 +75,3 @@ def split_by_device(trace: Trace) -> dict[str, DeviceTrace]:
     names = list(map(format_ip, devices.tolist()))
     first_seen = np.argsort(internal[starts])
     return {names[d]: DeviceTrace(names[d], packets[rows[d]]) for d in first_seen.tolist()}
-
-
-def subsample(session: TrafficSession, rate: float) -> TrafficSession:
-    """Deterministic systematic sampling: keep packet j (1-based) iff
-    floor(j*rate) > floor((j-1)*rate). Keeps exactly floor(n*rate) packets."""
-    if not 0 < rate <= 1:
-        raise ConfigError(f"sub-sampling rate must be in (0, 1], got {rate}")
-    j = np.arange(1, len(session.packets) + 1)
-    kept = np.floor(j * rate) > np.floor((j - 1) * rate)
-    return replace(session, packets=session.packets[kept])

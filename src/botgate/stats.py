@@ -3,6 +3,7 @@ autocorrelation, chi-square survival function, per-device periodicity
 detection probability and the product confidence score over devices."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,8 +98,10 @@ def chi2_sf(x: float, df: int) -> float:
     return _gamma_q_contfrac(a, half_x)
 
 
+@functools.lru_cache(maxsize=None)
 def chi2_quantile(p: float, df: int) -> float:
-    """x with chi2_sf(x, df) = 1 - p, by bisection."""
+    """x with chi2_sf(x, df) = 1 - p, by bisection; memoized, since every
+    device of a run asks for the same (1 - alpha, h)."""
     if not 0 < p < 1:
         raise DataError(f"quantile level must be in (0, 1), got {p}")
     target = 1.0 - p

@@ -125,6 +125,26 @@ def test_malformed_trace_exits_2(workspace, tmp_path, capsys, body):
     assert "data error: line 3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_window_below_one_exits_2(workspace, capsys, window):
+    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
+    assert main(["detect", "--trace", str(trace), "--model-file",
+                 str(workspace / "model.json"), "--window", window]) == 2
+    assert f"verdict window must be at least 1, got {window}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bdcs", "baseline"])
+def test_too_many_bins_exits_2(tmp_path, capsys, command):
+    # one packet at ts=1e12 would need 1e11 bins of 10 s
+    trace = tmp_path / "far.trace"
+    trace.write_text("#trace v1 subnet=192.168.1.0/24 epoch=0\n"
+                     "1000000000000.000 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n")
+    assert main([command, "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert "duration 1000000000000.0 s at sampling interval 10.0 s" in err
+    assert "131072 bins" in err
+
+
 def test_simulate_deterministic(tmp_path):
     for sub in ("a", "b"):
         assert main(["simulate", "--out", str(tmp_path / sub), "--seed", "9",

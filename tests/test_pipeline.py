@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from botgate.acf import PeriodicityParams
+import scalar_reference as ref
+from botgate.acf import PeriodicityParams, Verdict
 from botgate.classifiers import TrainedModel, forest_fit
 from botgate.errors import DataError
 from botgate.features import BENIGN, MALICIOUS, extract_features
@@ -63,7 +64,7 @@ def _beacon_device(ip, period, seed):
     return DeviceTrace(ip, gen_cnc_beacon(period, 0.0, 900.0, seed, device_ip=ip))
 
 
-def test_detect_iot_bots_parallel_equals_sequential():
+def test_detect_iot_bots_matches_scalar_reference():
     devices = {}
     for i in range(9):
         ip = f"192.168.1.{10 + i}"
@@ -73,11 +74,16 @@ def test_detect_iot_bots_parallel_equals_sequential():
             devices[ip] = DeviceTrace(ip, gen_memoryless_noise(1 / 30, 900.0, [2, i],
                                                                device_ip=ip))
     params = PeriodicityParams()
-    seq_inf, seq_res = detect_iot_bots(devices, params, 900.0, n_halves=1)
-    par_inf, par_res = detect_iot_bots(devices, params, 900.0, n_halves=2)
-    assert seq_inf == par_inf == ["192.168.1.10", "192.168.1.13", "192.168.1.16"]
-    assert {ip: r.verdict for ip, r in seq_res.items()} == \
-           {ip: r.verdict for ip, r in par_res.items()}
+    infected, results = detect_iot_bots(devices, params, 900.0)
+    assert infected == ["192.168.1.10", "192.168.1.13", "192.168.1.16"]
+    assert list(results) == list(devices)  # IP order
+    for ip, dev in devices.items():
+        res = results[ip]
+        hit, peaks = ref.detect_periodicity(list(dev.packets), params, 900.0)
+        assert (res.verdict is Verdict.PERIOD_DETECTED, res.peak_lags) == (hit, peaks)
+        assert res.sequence.e.tolist() == ref.encode(
+            ref.filter_cnc_candidates(list(dev.packets), params.payload_cutoff_bytes),
+            params.sample_t, 900.0).tolist()
     assert detect_iot_bots({}, params, 900.0) == ([], {})
 
 

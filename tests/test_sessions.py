@@ -1,13 +1,9 @@
-"""Session windowing, filtering, device splitting and sub-sampling."""
-import math
-
+"""Session windowing, filtering and device splitting."""
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from botgate.errors import ConfigError
 from botgate.sessions import (
-    TrafficSession, filter_tcp, sessionize, split_by_device, subsample,
+    TrafficSession, filter_tcp, sessionize, split_by_device,
 )
 from botgate.trace import ACK, SYN, PacketRecord, Proto, Trace
 
@@ -74,22 +70,3 @@ def test_split_by_device_subnet_mask():
         tcp(3.0, src="10.1.2.3", dst="11.1.2.3"),
     ], subnet="10.0.0.0/8")
     assert list(split_by_device(trace)) == ["10.0.0.0", "10.255.255.255", "10.1.2.3"]
-
-
-def test_subsample_examples():
-    s = TrafficSession(0, 0.0, 10.0, [tcp(float(i)) for i in range(10)])
-    half = subsample(s, 0.5)
-    assert [p.ts for p in half.packets] == [1.0, 3.0, 5.0, 7.0, 9.0]
-    assert len(subsample(s, 1.0).packets) == 10
-    assert len(subsample(s, 0.3).packets) == 3
-    with pytest.raises(ConfigError):
-        subsample(s, 0.0)
-    with pytest.raises(ConfigError):
-        subsample(s, 1.5)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 200), st.floats(min_value=0.01, max_value=1.0, allow_nan=False))
-def test_subsample_keeps_floor_n_rate(n, rate):
-    s = TrafficSession(0, 0.0, float(n), [tcp(float(i)) for i in range(n)])
-    assert len(subsample(s, rate).packets) == math.floor(n * rate)

@@ -69,6 +69,9 @@ def test_chi2_quantile_inverts_sf():
             x = chi2_quantile(p, df)
             assert chi2_sf(x, df) == pytest.approx(1.0 - p, abs=1e-10)
     assert chi2_quantile(0.95, 20) == pytest.approx(31.410433, abs=1e-5)
+    hits = chi2_quantile.cache_info().hits
+    assert chi2_quantile(0.95, 20) == chi2_quantile(0.95, 20)
+    assert chi2_quantile.cache_info().hits == hits + 2  # memoized
     with pytest.raises(DataError):
         chi2_quantile(1.0, 5)
 
