@@ -36,6 +36,9 @@ class PeriodicityParams:
     max_lag_frac: float = 0.75
 
     def __post_init__(self):
+        if not (math.isfinite(self.sample_t) and math.isfinite(self.gap_variance_thresh)):
+            raise ConfigError(f"sample_t and gap_variance_thresh must be finite, got "
+                              f"{self.sample_t} and {self.gap_variance_thresh}")
         if self.sample_t <= 0 or self.payload_cutoff_bytes <= 0 or self.min_peaks <= 0:
             raise ConfigError("periodicity parameters must be positive")
         if not 0 < self.peak_height_frac <= 1:
@@ -82,15 +85,21 @@ def filter_cnc_candidates(device_trace: DeviceTrace, payload_cutoff: int = 10) -
     return np.sort(p.ts[keep])
 
 
+def check_bins(duration: float, T: float) -> float:
+    """duration / T, the number of bins before flooring; ConfigError when
+    there are more than MAX_BINS of them (also for inf and nan)."""
+    n_bins = duration / T
+    if not n_bins < MAX_BINS + 1:
+        raise ConfigError(f"duration {duration} s at sampling interval {T} s needs more "
+                          f"than {MAX_BINS} bins")
+    return n_bins
+
+
 def encode(arrivals, T: float, duration: float) -> EncodedSequence:
     """Bin arrival times into K = floor(duration/T) half-open [iT, (i+1)T) bins."""
     if T <= 0:
         raise ConfigError(f"sampling interval must be positive, got {T}")
-    n_bins = duration / T
-    if not n_bins < MAX_BINS + 1:  # also rejects inf and nan before any allocation
-        raise ConfigError(f"duration {duration} s at sampling interval {T} s needs more "
-                          f"than {MAX_BINS} bins")
-    K = int(math.floor(n_bins))
+    K = int(math.floor(check_bins(duration, T)))  # checked before any allocation
     if K < 1:
         raise ConfigError(f"duration {duration} shorter than sampling interval {T}")
     bins = np.asarray(arrivals, dtype=np.float64) // T

@@ -19,7 +19,7 @@ from .baselines import walker_test
 from .classifiers import (
     TrainedModel, cross_validate, forest_fit, gnb_fit, load_model, save_model,
 )
-from .errors import BotgateError, PolicyError
+from .errors import BotgateError, DataError, PolicyError
 from .features import (
     BENIGN, FEATURE_NAMES, MALICIOUS, FeatureVector, extract_features, read_feature_csv,
     write_feature_csv,
@@ -56,12 +56,20 @@ def _read_manifest(corpus_dir: Path) -> list[dict]:
         header = fh.readline()
         if not header.startswith("index\t"):
             raise BotgateError(f"bad manifest header in {path}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            idx, label, fname, ingredients = line.rstrip("\n").split("\t")
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise DataError(f"{path} line {lineno}: expected 4 tab-separated fields, "
+                                f"got {len(fields)}")
+            idx, label, fname, ingredients = fields
+            try:
+                index = int(idx)
+            except ValueError:
+                raise DataError(f"{path} line {lineno}: bad index {idx!r}") from None
             entries.append({
-                "index": int(idx), "label": label, "file": corpus_dir / fname,
+                "index": index, "label": label, "file": corpus_dir / fname,
                 "ingredients": ingredients.split(","),
             })
     return entries

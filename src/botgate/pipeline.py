@@ -9,7 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-from .acf import PeriodicityParams, PeriodicityResult, Verdict, detect_periodicity
+from .acf import (
+    PeriodicityParams, PeriodicityResult, Verdict, check_bins, detect_periodicity,
+)
 from .classifiers import LABEL_MALICIOUS, TrainedModel
 from .errors import ConfigError, DataError
 from .features import BENIGN, MALICIOUS, extract_features
@@ -120,6 +122,8 @@ def run_pipeline(trace: Trace, model: TrainedModel,
 
     report.stage2_ran = True
     analyzed = len(sessions) * session_secs
+    # too many bins is wrong for every device alike: refuse the run, not each device
+    check_bins(analyzed, config.periodicity.sample_t)
     devices = split_by_device(trace)
     infected, results = detect_iot_bots(devices, config.periodicity, analyzed)
     infected_probs = []

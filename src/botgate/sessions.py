@@ -10,6 +10,10 @@ import numpy as np
 from .errors import ConfigError
 from .trace import PROTO_TCP, PacketTable, Trace, as_table, format_ip
 
+# Most windows one trace may be cut into (~1.3 KB each before any feature is
+# extracted): a year of 15-minute windows, or three weeks of 1-minute ones.
+MAX_SESSIONS = 2 ** 15
+
 
 @dataclass(slots=True)
 class TrafficSession:
@@ -39,9 +43,12 @@ def sessionize(trace: Trace, duration_s: float, span_s: float | None = None) -> 
     timestamp, but at least one window, so that a short capture is still
     analyzed. Each session's packets are a view of the trace's columns.
     """
-    if duration_s <= 0:
+    if not duration_s > 0:
         raise ConfigError(f"session duration must be positive, got {duration_s}")
     span = max(trace.span(), duration_s) if span_s is None else span_s
+    if not span / duration_s < MAX_SESSIONS + 1:  # also nan; before any allocation
+        raise ConfigError(f"span {span} s in windows of {duration_s} s is more than "
+                          f"MAX_SESSIONS = {MAX_SESSIONS} sessions")
     n_sessions = int(math.floor(span / duration_s))
     packets = trace.packets
     # window numbers rise with ts, since a trace is in timestamp order

@@ -39,8 +39,9 @@ HEADER_PREFIX = "#trace v1"
 N_FIELDS = 9
 MAX_LEN = 0xFFFFFFFF  # lengths are stored as uint32
 
-_PARSE_BLOCK = 1 << 16  # bytes of body text per vectorized pass; bounds the token lists
-_ROW_BLOCK = 8192       # rows turned into Python objects at a time
+_PARSE_BLOCK = 96 << 10  # bytes of body text per vectorized pass (~0.5 KB of temporaries a row)
+_LOAD = 8                # bytes the parser reads at once from the start of a field
+_ROW_BLOCK = 8192        # rows turned into Python objects at a time
 
 
 class Proto(str, Enum):
@@ -278,44 +279,49 @@ def parse_trace(text: str | bytes) -> Trace:
         pos = int(np.flatnonzero(np.frombuffer(data, np.uint8) > 0x7F)[0])
         lineno = data.count(b"\n", 0, pos) + 1
         raise TraceParseError(f"line {lineno}: non-ASCII byte 0x{data[pos]:02X}")
-    header, _, body = data.partition(b"\n")
-    subnet, epoch = _parse_header(header.decode())
+    header_end = data.find(b"\n")
+    if header_end < 0:
+        header_end = len(data)
+    subnet, epoch = _parse_header(data[:header_end].decode())
     tables = []
-    start, lineno = 0, 2
-    while start < len(body):
-        end = body.find(b"\n", start + _PARSE_BLOCK)
-        end = len(body) if end < 0 else end + 1
-        block = body[start:end]
-        tables.append(_parse_block(block, lineno))
-        lineno += block.count(b"\n")
-        start = end
+    start, lineno = header_end + 1, 2
+    with memoryview(data) as view:  # blocks are views: the body is never copied whole
+        while start < len(data):
+            end = data.find(b"\n", start + _PARSE_BLOCK)
+            end = len(data) if end < 0 else end + 1
+            tables.append(_parse_block(view[start:end], lineno))
+            lineno += data.count(b"\n", start, end)
+            start = end
     return Trace(packets=PacketTable.concat(tables), internal_subnet=subnet, epoch=epoch)
 
 
-def _fields_per_line(block: bytes) -> np.ndarray:
-    """Whitespace-separated field count of each line of ``block``."""
-    b = np.frombuffer(block, np.uint8)
-    space = (b == 0x20) | ((b - np.uint8(0x09)) < 5)  # what bytes.split() splits on
-    starts = np.flatnonzero(space[:-1] > space[1:]) + 1
-    if not space[0]:
-        starts = np.concatenate(([0], starts))
-    line_ends = np.append(np.flatnonzero(b == 0x0A), len(b))
-    return np.diff(np.searchsorted(starts, line_ends), prepend=0)
-
-
-def _parse_block(block: bytes, lineno: int) -> PacketTable:
+def _parse_block(block: memoryview, lineno: int) -> PacketTable:
     """Parse whole body lines; ``lineno`` is the number of the first one.
 
-    Field counts are checked per line before any token is read, so a short
+    Field counts are checked per line before any value is read, so a short
     row cannot borrow fields from its neighbour."""
-    counts = _fields_per_line(block)
+    n = len(block)
+    b = np.empty(n + 1 + _LOAD, np.uint8)  # the block between two newlines, then spaces:
+    b[0] = b[n + 1] = 0x0A                  # every line is bounded and every token has an
+    b[n + 2:] = 0x20                        # edge on each side and room for an 8-byte load
+    b[1:n + 1] = np.frombuffer(block, np.uint8)
+    space = b == 0x20
+    space |= b - np.uint8(0x09) < 5  # \t \n \v \f \r: what bytes.split() splits on
+    # token starts and ends, alternating, as offsets into b
+    edges = np.flatnonzero(space[1:] != space[:-1]).astype(np.int32 if len(b) < 2**31 else np.intp)
+    edges += 1
+    del space
+    # fields per line: a token lies wholly between the newlines around its line
+    tokens_before = np.searchsorted(edges, np.flatnonzero(b == 0x0A), "right") // 2
+    counts = tokens_before[1:] - tokens_before[:-1]
     rows = np.flatnonzero(counts)
     misfit = np.flatnonzero(counts[rows] != N_FIELDS)
-    n = int(misfit[0]) if misfit.size else len(rows)
+    n_rows = int(misfit[0]) if misfit.size else len(rows)
     # rows before the first misfit are parsed first: an earlier bad value wins
-    table = _parse_rows(block.split()[:n * N_FIELDS], lineno + rows[:n])
+    tokens = edges[:2 * N_FIELDS * n_rows].reshape(n_rows, N_FIELDS, 2)
+    table = _parse_rows(b, tokens, block, lineno + rows[:n_rows])
     if misfit.size:
-        row = rows[n]
+        row = rows[n_rows]
         raise TraceParseError(
             f"line {lineno + row}: expected {N_FIELDS} fields, got {counts[row]}")
     return table
@@ -346,13 +352,6 @@ def _distinct(tokens: list) -> tuple[list, np.ndarray]:
     return list(position), np.fromiter(map(position.__getitem__, tokens), np.intp, len(tokens))
 
 
-def _convert_distinct(tokens: list[bytes], fn) -> tuple[np.ndarray, np.ndarray]:
-    """As _convert to int64, calling ``fn`` once per distinct token."""
-    distinct, index = _distinct(tokens)
-    values, bad = _convert(distinct, fn, np.int64)
-    return values[index], bad[index]
-
-
 def _pton(text: str) -> int:
     return int.from_bytes(socket.inet_pton(socket.AF_INET, text), "big")
 
@@ -365,12 +364,6 @@ def _ip_values(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     canonical_len = 3 + (1 + (octets >= 10) + (octets >= 100)).sum(axis=1)
     bad |= np.fromiter(map(len, texts), np.intp, len(texts)) != canonical_len
     return values, bad
-
-
-def _ip_column(tokens: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    distinct, index = _distinct(tokens)
-    values, bad = _ip_values(list(map(bytes.decode, distinct)))
-    return values[index], bad[index]
 
 
 def _hex(token: bytes) -> int:
@@ -386,30 +379,51 @@ _FIELD_ERRORS = ("bad timestamp", "bad IPv4 address", "bad IPv4 address", "bad p
                  "bad length")
 
 
-def _parse_rows(tokens: list[bytes], linenos: np.ndarray) -> PacketTable:
-    """Columns from the tokens of ``len(linenos)`` nine-field rows; the first
-    bad row raises TraceParseError with its line number."""
+def _token_values(lines: list) -> tuple[list[np.ndarray], np.ndarray]:
+    """The wide columns of nine-field rows given as text, one token at a
+    time, and a (row, field) mask of the tokens that are rejected."""
+    tokens = b" ".join(lines).split()
     cols = [tokens[k::N_FIELDS] for k in range(N_FIELDS)]
     parsed = [
         _convert(cols[0], float, np.float64),
-        _ip_column(cols[1]),
-        _ip_column(cols[2]),
+        _ip_values(list(map(bytes.decode, cols[1]))),
+        _ip_values(list(map(bytes.decode, cols[2]))),
         _convert(cols[3], int, np.int64),
         _convert(cols[4], int, np.int64),
-        _convert_distinct(cols[5], _PROTO_OF_TOKEN.__getitem__),
-        _convert_distinct(cols[6], _hex),
+        _convert(cols[5], _PROTO_OF_TOKEN.__getitem__, np.int64),
+        _convert(cols[6], _hex, np.int64),
         _convert(cols[7], int, np.int64),
         _convert(cols[8], int, np.int64),
     ]
-    values = [v for v, _ in parsed]
-    bad_tokens = np.column_stack([b for _, b in parsed])
+    return [v for v, _ in parsed], np.column_stack([bad for _, bad in parsed])
+
+
+def _parse_rows(b: np.ndarray, tokens: np.ndarray, block: memoryview,
+                linenos: np.ndarray) -> PacketTable:
+    """Columns of the nine-field rows whose token edges are ``tokens``
+    (row, field, start/end as offsets into ``b``, which holds ``block`` from
+    offset 1). Rows in canonical shape are read from the bytes; the others
+    go through the token converters. Then the first bad row raises
+    TraceParseError with its line number."""
+    values, canonical = _canonical_values(b, tokens)
+    bad_tokens = np.zeros((len(tokens), N_FIELDS), bool)
+    other = np.flatnonzero(~canonical)
+    if other.size:
+        # a row's text runs from its first token's start to its last token's end
+        lines = [block[s - 1:e - 1] for s, e in
+                 zip(tokens[other, 0, 0].tolist(), tokens[other, -1, 1].tolist())]
+        other_values, bad_tokens[other] = _token_values(lines)
+        for column, v in zip(values, other_values):
+            column[other] = v
     bad = bad_tokens.any(axis=1) | _invalid_rows(values[0], *values[3:])
     if bad.any():
         i = int(np.argmax(bad))
         where = f"line {linenos[i]}"
         if bad_tokens[i].any():
             k = int(np.argmax(bad_tokens[i]))
-            raise TraceParseError(f"{where}: {_FIELD_ERRORS[k]} {cols[k][i].decode()!r}")
+            s, e = tokens[i, k].tolist()
+            token = bytes(block[s - 1:e - 1]).decode()
+            raise TraceParseError(f"{where}: {_FIELD_ERRORS[k]} {token!r}")
         ts, src, dst, sport, dport, proto, *rest = (v[i].item() for v in values)
         try:
             PacketRecord(ts, format_ip(src), format_ip(dst), sport, dport, PROTOS[proto], *rest)
@@ -423,6 +437,105 @@ def _parse_rows(tokens: list[bytes], linenos: np.ndarray) -> PacketTable:
         proto=proto.astype(np.uint8), flags=flags.astype(np.uint8),
         ip_len=ip_len.astype(np.uint32), payload_len=payload_len.astype(np.uint32),
     )
+
+
+# The canonical row is what write_trace emits:
+#   <int>.<3 digits> <quad> <quad> <int> <int> TCP|UDP|OTHER 0x<2 hex> <int> <int>
+# with ints of 1 to 8 digits and quads of octets 0-255 without leading zeros.
+# Its 14 decimal fields: ts integer part and fraction, the 4 + 4 octets, the
+# two ports and the two lengths. Seven start at a token's start and end at
+# the same token's end or first dot; seven start after one of the row's 7 dots.
+_DECIMAL_TOKENS = [0, 1, 2, 3, 4, 7, 8]
+_FROM_TOKEN, _TO_TOKEN_END = [0, 2, 6, 10, 11, 12, 13], [1, 5, 9, 10, 11, 12, 13]
+_FROM_DOT, _TO_DOT = [1, 3, 4, 5, 7, 8, 9], [0, 2, 3, 4, 6, 7, 8]
+_SEVEN = np.arange(7)[:, None]
+_OCTET_SHIFTS = np.array([24, 16, 8, 0])[:, None]
+_PROTO_WORDS = [(int.from_bytes(name, "little"), len(name), code)
+                for name, code in _PROTO_OF_TOKEN.items()]
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(_LOAD + 1)], np.uint64)
+_HEX_PREFIX = int.from_bytes(b"0x", "little")
+_HEX_DIGIT = np.full(256, -256)  # value of each hex digit character, negative for the rest
+_HEX_DIGIT[list(b"0123456789abcdef")] = _HEX_DIGIT[list(b"0123456789ABCDEF")] = np.arange(16)
+
+
+def _canonical_values(b: np.ndarray, tokens: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The wide columns of the rows, and a mask of the rows in canonical
+    shape. Only the masked rows' values are meaningful."""
+    n_rows = len(tokens)
+    starts, ends = tokens[..., 0].T, tokens[..., 1].T  # (field, row)
+    # the 8 bytes at each offset; gather from it by indexing, since take()
+    # would first copy the whole unaligned view
+    words = np.ndarray((len(b) - _LOAD + 1,), "<u8", b, strides=(1,))
+    # one dot past the end, so that the array is never empty
+    dots = np.append(np.flatnonzero(b == 0x2E), len(b)).astype(tokens.dtype)
+    first = np.searchsorted(dots, starts[0])
+    canonical = np.searchsorted(dots, ends[-1]) - first == 7
+    dot = dots.take(first + _SEVEN, mode="clip")
+    # (field, row) arrays over the 14 decimal fields
+    field_starts = np.empty((14, n_rows), np.intp)
+    field_starts[_FROM_TOKEN] = starts[_DECIMAL_TOKENS]
+    field_starts[_FROM_DOT] = dot + 1
+    lengths = np.empty((14, n_rows), tokens.dtype)
+    lengths[_TO_TOKEN_END] = ends[_DECIMAL_TOKENS]
+    lengths[_TO_DOT] = dot
+    lengths -= field_starts
+    np.minimum(field_starts, len(words) - 1, out=field_starts)  # rows short of dots
+    fields = words[field_starts]
+    del field_starts, dot
+    v, ok = _decimals(fields, lengths)
+    ok[1] &= lengths[1] == 3
+    # an octet is at most 255 and has as many digits as its value needs
+    octets = v[2:10]
+    ok[2:10] &= (octets <= 255) & (lengths[2:10] - (octets >= 10) - (octets >= 100) == 1)
+    canonical &= ok.all(axis=0)
+    del ok, lengths
+    # protocol: the token's bytes as one little-endian word, and its length
+    name_len = ends[5] - starts[5]
+    name = words[starts[5]] & _LOW_BYTES.take(name_len.clip(0, _LOAD))
+    proto = np.full(n_rows, -1)
+    for word, length, code in _PROTO_WORDS:
+        proto[(name == word) & (name_len == length)] = code
+    # flags: "0x" and two hex digits
+    flags_word = words[starts[6]]
+    flags = (_HEX_DIGIT.take((flags_word >> 16 & 0xFF).astype(np.intp)) * 16
+             + _HEX_DIGIT.take((flags_word >> 24 & 0xFF).astype(np.intp)))
+    canonical &= ((proto >= 0) & (flags >= 0) & (ends[6] - starts[6] == 4)
+                  & (flags_word & 0xFFFF == _HEX_PREFIX))
+    v = v.view(np.int64)  # the canonical values are below 10^8
+    ts = (v[0] * 1000 + v[1]) / 1000  # one correctly rounded division, as float() rounds
+    src = (v[2:6] << _OCTET_SHIFTS).sum(axis=0)
+    dst = (v[6:10] << _OCTET_SHIFTS).sum(axis=0)
+    return [ts, src, dst, v[10], v[11], proto, flags, v[12], v[13]], canonical
+
+
+def _decimals(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of decimal fields, from ``words`` (the 8 bytes at each field's
+    start, little endian) and the fields' ``lengths``, and a mask of the
+    fields that are 1 to 8 ASCII digits. SWAR: the digits move to the top of
+    the word over ASCII '0's, then three multiply-and-shift steps add digit
+    pairs, pairs of pairs and the two halves. ``words`` is overwritten."""
+    ok = (lengths >= 1) & (lengths <= _LOAD)
+    bits = (lengths * 8).astype(np.uint8)  # mod 256: wrong only where ok is false
+    words <<= np.uint8(64) - bits
+    words |= np.uint64(0x3030303030303030) >> bits
+    del bits
+    # every byte is 0x30-0x39: its top half is 3, also after adding 6
+    high = words & 0xF0F0F0F0F0F0F0F0
+    ok &= high == 0x3030303030303030
+    np.add(words, 0x0606060606060606, out=high)
+    high &= 0xF0F0F0F0F0F0F0F0
+    ok &= high == 0x3030303030303030
+    del high
+    words &= 0x0F0F0F0F0F0F0F0F
+    words *= 10 << 8 | 1
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 100 << 16 | 1
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 10000 << 32 | 1
+    words >>= 32
+    return words, ok
 
 
 _LINE = "%.3f %s %s %d %d %s 0x%02X %d %d\n"

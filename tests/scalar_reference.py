@@ -1,17 +1,23 @@
 """Per-packet reference implementations of sessionizing, device splitting,
-the scanning features, the command-channel filter and encoding, and the
-per-lag autocorrelation and peak search of stage 2.
+the scanning features, the command-channel filter and encoding, the
+per-lag autocorrelation and peak search of stage 2, and the token-level
+trace parser.
 
-These are the loops that the columnar and spectral code in ``botgate``
-replaced, kept as the oracle it is tested against. The packet functions work
-on lists of PacketRecord rows.
+These are the loops that the columnar, spectral and byte-level code in
+``botgate`` replaced, kept as the oracle it is tested against. The packet
+functions work on lists of PacketRecord rows.
 """
 import ipaddress
 import math
+import socket
 
 import numpy as np
 
-from botgate.trace import ACK, PSH, SYN, Proto
+from botgate.errors import TraceParseError
+from botgate.trace import (
+    ACK, N_FIELDS, PROTOS, PSH, SYN, PacketRecord, PacketTable, Proto, Trace, _invalid_rows,
+    _parse_header, format_ip,
+)
 
 
 def sessionize(packets, duration_s, span_s):
@@ -145,3 +151,172 @@ def detect_periodicity(packets, params, duration):
     if len(peaks) < params.min_peaks:
         return False, peaks
     return float(np.var(np.diff(peaks))) < params.gap_variance_thresh, peaks
+
+
+# The token-level parser: every field of every row goes through float, int
+# or inet_pton, once per distinct token where that saves time. The header
+# parser and the row rules (_invalid_rows) are shared with botgate.
+
+_PARSE_BLOCK = 1 << 16
+
+
+def parse_trace(text: str | bytes) -> Trace:
+    """Parse the canonical text format into a Trace.
+
+    Body lines may arrive in any timestamp order; the result is stably
+    sorted by ts (ties keep input order). Lines end in LF, CRLF or CR;
+    fields are separated by ASCII whitespace; blank lines are skipped."""
+    data = text.encode() if isinstance(text, str) else text
+    if not data:
+        raise TraceParseError("empty input: missing header")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        pos = int(np.flatnonzero(np.frombuffer(data, np.uint8) > 0x7F)[0])
+        lineno = data.count(b"\n", 0, pos) + 1
+        raise TraceParseError(f"line {lineno}: non-ASCII byte 0x{data[pos]:02X}")
+    header, _, body = data.partition(b"\n")
+    subnet, epoch = _parse_header(header.decode())
+    tables = []
+    start, lineno = 0, 2
+    while start < len(body):
+        end = body.find(b"\n", start + _PARSE_BLOCK)
+        end = len(body) if end < 0 else end + 1
+        block = body[start:end]
+        tables.append(_parse_block(block, lineno))
+        lineno += block.count(b"\n")
+        start = end
+    return Trace(packets=PacketTable.concat(tables), internal_subnet=subnet, epoch=epoch)
+
+
+def _fields_per_line(block: bytes) -> np.ndarray:
+    """Whitespace-separated field count of each line of ``block``."""
+    b = np.frombuffer(block, np.uint8)
+    space = (b == 0x20) | ((b - np.uint8(0x09)) < 5)  # what bytes.split() splits on
+    starts = np.flatnonzero(space[:-1] > space[1:]) + 1
+    if not space[0]:
+        starts = np.concatenate(([0], starts))
+    line_ends = np.append(np.flatnonzero(b == 0x0A), len(b))
+    return np.diff(np.searchsorted(starts, line_ends), prepend=0)
+
+
+def _parse_block(block: bytes, lineno: int) -> PacketTable:
+    """Parse whole body lines; ``lineno`` is the number of the first one.
+
+    Field counts are checked per line before any token is read, so a short
+    row cannot borrow fields from its neighbour."""
+    counts = _fields_per_line(block)
+    rows = np.flatnonzero(counts)
+    misfit = np.flatnonzero(counts[rows] != N_FIELDS)
+    n = int(misfit[0]) if misfit.size else len(rows)
+    # rows before the first misfit are parsed first: an earlier bad value wins
+    table = _parse_rows(block.split()[:n * N_FIELDS], lineno + rows[:n])
+    if misfit.size:
+        row = rows[n]
+        raise TraceParseError(
+            f"line {lineno + row}: expected {N_FIELDS} fields, got {counts[row]}")
+    return table
+
+
+_REJECTED = (ValueError, OverflowError, LookupError, OSError)
+
+
+def _convert(tokens: list[bytes], fn, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``fn`` of every token, and a mask of the tokens it rejects."""
+    n = len(tokens)
+    try:
+        return np.fromiter(map(fn, tokens), dtype, n), np.zeros(n, bool)
+    except _REJECTED:
+        pass
+    values, bad = np.zeros(n, dtype), np.zeros(n, bool)
+    for i, token in enumerate(tokens):  # malformed input only: mark each bad token
+        try:
+            values[i] = fn(token)
+        except _REJECTED:
+            bad[i] = True
+    return values, bad
+
+
+def _distinct(tokens: list) -> tuple[list, np.ndarray]:
+    """The distinct tokens, and where each token sits among them."""
+    position = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+    return list(position), np.fromiter(map(position.__getitem__, tokens), np.intp, len(tokens))
+
+
+def _convert_distinct(tokens: list[bytes], fn) -> tuple[np.ndarray, np.ndarray]:
+    """As _convert to int64, calling ``fn`` once per distinct token."""
+    distinct, index = _distinct(tokens)
+    values, bad = _convert(distinct, fn, np.int64)
+    return values[index], bad[index]
+
+
+def _pton(text: str) -> int:
+    return int.from_bytes(socket.inet_pton(socket.AF_INET, text), "big")
+
+
+def _ip_values(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """IPv4 addresses as integers, and a mask of the texts that are not
+    canonical dotted quads (four decimal octets up to 255, no leading zeros)."""
+    values, bad = _convert(texts, _pton, np.int64)
+    octets = (values[:, None] >> np.array([24, 16, 8, 0])) & 0xFF
+    canonical_len = 3 + (1 + (octets >= 10) + (octets >= 100)).sum(axis=1)
+    bad |= np.fromiter(map(len, texts), np.intp, len(texts)) != canonical_len
+    return values, bad
+
+
+def _ip_column(tokens: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    distinct, index = _distinct(tokens)
+    values, bad = _ip_values(list(map(bytes.decode, distinct)))
+    return values[index], bad[index]
+
+
+def _hex(token: bytes) -> int:
+    if not token.startswith(b"0x"):
+        raise ValueError("flags must be hex")
+    return int(token, 16)
+
+
+_PROTO_OF_TOKEN = {p.value.encode(): i for i, p in enumerate(PROTOS)}
+# what a token rejected in each field is called
+_FIELD_ERRORS = ("bad timestamp", "bad IPv4 address", "bad IPv4 address", "bad port",
+                 "bad port", "unknown protocol", "flags must be hex, got", "bad length",
+                 "bad length")
+
+
+def _parse_rows(tokens: list[bytes], linenos: np.ndarray) -> PacketTable:
+    """Columns from the tokens of ``len(linenos)`` nine-field rows; the first
+    bad row raises TraceParseError with its line number."""
+    cols = [tokens[k::N_FIELDS] for k in range(N_FIELDS)]
+    parsed = [
+        _convert(cols[0], float, np.float64),
+        _ip_column(cols[1]),
+        _ip_column(cols[2]),
+        _convert(cols[3], int, np.int64),
+        _convert(cols[4], int, np.int64),
+        _convert_distinct(cols[5], _PROTO_OF_TOKEN.__getitem__),
+        _convert_distinct(cols[6], _hex),
+        _convert(cols[7], int, np.int64),
+        _convert(cols[8], int, np.int64),
+    ]
+    values = [v for v, _ in parsed]
+    bad_tokens = np.column_stack([b for _, b in parsed])
+    bad = bad_tokens.any(axis=1) | _invalid_rows(values[0], *values[3:])
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"line {linenos[i]}"
+        if bad_tokens[i].any():
+            k = int(np.argmax(bad_tokens[i]))
+            raise TraceParseError(f"{where}: {_FIELD_ERRORS[k]} {cols[k][i].decode()!r}")
+        ts, src, dst, sport, dport, proto, *rest = (v[i].item() for v in values)
+        try:
+            PacketRecord(ts, format_ip(src), format_ip(dst), sport, dport, PROTOS[proto], *rest)
+        except ValueError as exc:
+            raise TraceParseError(f"{where}: {exc}") from None
+        raise TraceParseError(f"{where}: invalid packet")
+    ts, src, dst, sport, dport, proto, flags, ip_len, payload_len = values
+    return PacketTable(
+        ts=ts, src=src.astype(np.uint32), dst=dst.astype(np.uint32),
+        sport=sport.astype(np.uint16), dport=dport.astype(np.uint16),
+        proto=proto.astype(np.uint8), flags=flags.astype(np.uint8),
+        ip_len=ip_len.astype(np.uint32), payload_len=payload_len.astype(np.uint32),
+    )

@@ -152,3 +152,60 @@ def test_simulate_deterministic(tmp_path):
                      "--session-secs", "300"]) == 0
     for name in ["manifest.tsv"] + [f"session_{i:05d}.trace" for i in range(4)]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--sample-t", "nan"), ("--sample-t", "inf"), ("--gap-var", "nan"),
+])
+def test_non_finite_periodicity_flags_exit_2(workspace, capsys, flag, value):
+    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
+    assert main(["detect", "--trace", str(trace), "--model-file",
+                 str(workspace / "model.json"), flag, value]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    if flag == "--sample-t":  # the stage-2 tools reject the same values
+        for command in ("bdcs", "baseline"):
+            assert main([command, "--trace", str(trace), flag, value]) == 2
+        capsys.readouterr()
+
+
+def test_analyzed_span_beyond_bin_bound_exits_2(workspace, capsys):
+    # 900 s at 1 ms bins is 900000 bins: refused once, before the sweep
+    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
+    assert main(["detect", "--trace", str(trace), "--model-file",
+                 str(workspace / "model.json"), "--sample-t", "0.001"]) == 2
+    assert "duration 900.0 s at sampling interval 0.001 s needs more than 131072 bins" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ts, session_secs, message", [
+    ("1000000000000.000", None, "span 1000000000000.0 s in windows of 900.0 s"),
+    ("1.000", "0.0001", "span 900.0 s in windows of 0.0001 s"),
+], ids=["far-packet", "tiny-window"])
+def test_session_count_bound_exits_2(workspace, tmp_path, capsys, ts, session_secs, message):
+    trace = tmp_path / "t.trace"
+    trace.write_text("#trace v1 subnet=192.168.1.0/24 epoch=0\n"
+                     f"{ts} 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n"
+                     "900.000 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n")
+    argv = ["detect", "--trace", str(trace), "--model-file", str(workspace / "model.json")]
+    if session_secs:
+        argv += ["--session-secs", session_secs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "MAX_SESSIONS = 32768" in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0\tBENIGN\tsession_00000.trace", "line 3: expected 4 tab-separated fields, got 3"),
+    ("x\tBENIGN\tsession_00000.trace\t", "line 3: bad index 'x'"),
+], ids=["short-row", "bad-index"])
+def test_malformed_manifest_row_exits_2(workspace, tmp_path, capsys, row, message):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    lines = (workspace / "corpus" / "manifest.tsv").read_text().splitlines()
+    (corpus / "manifest.tsv").write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
+    manifest = corpus / "manifest.tsv"
+    assert main(["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "f.csv")]) == 2
+    assert f"{manifest} {message}" in capsys.readouterr().err
+    assert main(["evaluate", "--features", str(workspace / "features.csv"),
+                 "--model-file", str(workspace / "model.json"), "--traces", str(corpus)]) == 2
+    assert f"{manifest} {message}" in capsys.readouterr().err

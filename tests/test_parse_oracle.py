@@ -1,0 +1,214 @@
+"""The byte-level trace parser against the token-level parser it replaced
+(scalar_reference.parse_trace): the same table, or the same error message."""
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_reference as ref
+from botgate import trace as trace_module
+from botgate.errors import TraceParseError
+from botgate.synth import SynthConfig, gen_dataset
+from botgate.trace import PacketRecord, Proto, Trace, format_ip, parse_trace, write_trace
+
+HEADER = "#trace v1 subnet=192.168.1.0/24 epoch=7"
+ROW = "1.000 192.168.1.10 8.8.8.8 40000 80 TCP 0x02 40 0"
+# outside the canonical shape: an exponent, a sign and a one-digit hex flag
+FALLBACK_ROW = "1e-05 192.168.1.10 8.8.8.8 +5 80 TCP 0x2 40 0"
+
+
+def outcome(parse, text):
+    try:
+        trace = parse(text)
+    except TraceParseError as exc:
+        return str(exc)
+    return trace.internal_subnet, trace.epoch, trace.packets
+
+
+def assert_same_as_reference(text):
+    expected = outcome(ref.parse_trace, text)
+    assert outcome(parse_trace, text) == expected
+    return expected
+
+
+@pytest.fixture
+def token_path_rows(monkeypatch):
+    """Counts the rows that go through the token converters."""
+    rows = []
+    convert = trace_module._token_values
+
+    def counting(lines):
+        rows.extend(bytes(line) for line in lines)
+        return convert(lines)
+
+    monkeypatch.setattr(trace_module, "_token_values", counting)
+    return rows
+
+
+@st.composite
+def records(draw):
+    proto = draw(st.sampled_from(list(Proto)))
+    ip_len = draw(st.integers(0, 2**32 - 1) | st.integers(0, 1500))
+    kwargs = dict(
+        # up to 10 integer digits: past 8 the row leaves the canonical shape
+        ts=draw(st.integers(0, 10**13)) / 1000,
+        src_ip=format_ip(draw(st.integers(0, 2**32 - 1))),
+        dst_ip=format_ip(draw(st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1))),
+        proto=proto, ip_len=ip_len, payload_len=draw(st.integers(0, ip_len)),
+        src_port=0, dst_port=0, tcp_flags=0,
+    )
+    if proto is not Proto.OTHER:
+        kwargs.update(src_port=draw(st.integers(0, 65535)), dst_port=draw(st.integers(0, 65535)))
+    if proto is Proto.TCP:
+        kwargs.update(tcp_flags=draw(st.integers(0, 255)))
+    return PacketRecord(**kwargs)
+
+
+def positions(line, accept):
+    return [i for i, c in enumerate(line) if accept(i, c)]
+
+
+def starts_field(line, i):
+    return i == 0 or line[i - 1] in " ."
+
+
+# each mutation: the positions it may act at, and what it does there
+MUTATIONS = {
+    "digit to letter": (lambda l, i, c: c.isdigit(), lambda l, i, x: l[:i] + x + l[i + 1:]),
+    "drop a dot": (lambda l, i, c: c == ".", lambda l, i, x: l[:i] + l[i + 1:]),
+    "double a dot": (lambda l, i, c: c == ".", lambda l, i, x: l[:i] + "." + l[i:]),
+    "leading zero": (lambda l, i, c: starts_field(l, i), lambda l, i, x: l[:i] + "0" + l[i:]),
+    "insert a sign or separator": (lambda l, i, c: True, lambda l, i, x: l[:i] + x + l[i:]),
+    "space to tab": (lambda l, i, c: c == " ", lambda l, i, x: l[:i] + "\t" + l[i + 1:]),
+    "extra field": (lambda l, i, c: i == 0, lambda l, i, x: l + " 7"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(records(), min_size=1, max_size=12), st.sampled_from(sorted(MUTATIONS)),
+       st.data())
+def test_parse_matches_reference_on_mutated_rows(pkts, mutation, data):
+    text = write_trace(Trace(packets=pkts, internal_subnet="192.168.1.0/24", epoch=7))
+    lines = text.split("\n")
+    assert_same_as_reference(text)
+    where, change = MUTATIONS[mutation]
+    row = data.draw(st.integers(1, len(pkts)))
+    at = positions(lines[row], lambda i, c: where(lines[row], i, c))
+    if not at:
+        return
+    i = data.draw(st.sampled_from(at))
+    # ':' and '/' sit just above and below the digits; NUL is not whitespace
+    insert = data.draw(st.sampled_from(["+", "-", "e", "_", "x", "a", "E", ":", "/", "\x00"]))
+    lines[row] = change(lines[row], i, insert)
+    assert_same_as_reference("\n".join(lines))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(records(), min_size=1, max_size=40), st.sampled_from([24, 64, 200]))
+def test_parse_matches_reference_across_small_blocks(pkts, block):
+    text = write_trace(Trace(packets=pkts, internal_subnet="192.168.1.0/24"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "_PARSE_BLOCK", block)
+        assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("body", [
+    f"{ROW}\n{FALLBACK_ROW}\n",
+    f"{FALLBACK_ROW}\n{ROW}\n",
+], ids=["canonical-first", "fallback-first"])
+def test_canonical_and_fallback_rows_in_one_block(body, token_path_rows):
+    _, _, packets = assert_same_as_reference(f"{HEADER}\n{body}")
+    assert token_path_rows == [FALLBACK_ROW.encode()]
+    assert [(p.ts, p.src_port, p.tcp_flags) for p in packets] == [(1e-05, 5, 2), (1.0, 40000, 2)]
+
+
+BAD_CANONICAL = "2.000 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 41"
+BAD_FALLBACK = "2.0 192.168.1.10 8.8.8.8 +70000 2 TCP 0x02 40 0"
+BAD_TOKEN = "x2.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0"
+
+
+@pytest.mark.parametrize("first, second, message", [
+    (BAD_FALLBACK, BAD_CANONICAL, "line 3: port out of range: 70000/2"),
+    (BAD_CANONICAL, BAD_FALLBACK, "line 3: payload_len 41 > ip_len 40"),
+    (BAD_TOKEN, BAD_CANONICAL, "line 3: bad timestamp 'x2.0'"),
+    (BAD_CANONICAL, BAD_TOKEN, "line 3: payload_len 41 > ip_len 40"),
+])
+def test_first_bad_line_wins_across_paths(first, second, message):
+    text = f"{HEADER}\n{ROW}\n{first}\n{second}\n"
+    assert assert_same_as_reference(text) == message
+
+
+@pytest.mark.parametrize("bad, message", [
+    (BAD_CANONICAL, "line 9: payload_len 41 > ip_len 40"),
+    (BAD_TOKEN, "line 9: bad timestamp 'x2.0'"),
+    ("2.000 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40", "line 9: expected 9 fields, got 8"),
+])
+def test_bad_row_in_a_later_block(bad, message, monkeypatch):
+    monkeypatch.setattr(trace_module, "_PARSE_BLOCK", 100)  # two rows a block
+    text = f"{HEADER}\n" + f"{ROW}\n" * 7 + f"{bad}\n" + f"{ROW}\n" * 3
+    assert assert_same_as_reference(text) == message
+
+
+def test_timestamp_integer_digits(token_path_rows):
+    eight = "12345678.901 192.168.1.10 8.8.8.8 1 2 UDP 0x00 40 0"
+    nine = "123456789.012 192.168.1.10 8.8.8.8 1 2 UDP 0x00 40 0"
+    _, _, packets = assert_same_as_reference(f"{HEADER}\n{eight}\n{nine}\n")
+    assert [p.ts for p in packets] == [float("12345678.901"), float("123456789.012")]
+    assert token_path_rows == [nine.encode()]  # past 8 digits: the token path
+
+
+@pytest.mark.parametrize("address, expected", [
+    ("0.0.0.0", None), ("255.255.255.255", None),
+    ("256.1.1.1", "line 2: bad IPv4 address '256.1.1.1'"),
+    ("10.010.1.1", "line 2: bad IPv4 address '10.010.1.1'"),
+])
+def test_address_octet_edges(address, expected, token_path_rows):
+    result = assert_same_as_reference(f"{HEADER}\n1.000 192.168.1.10 {address} 1 2 TCP 0x02 40 0\n")
+    if expected is None:
+        assert result[2][0].dst_ip == address
+        assert token_path_rows == []
+    else:
+        assert result == expected
+
+
+@pytest.mark.parametrize("flags, value", [
+    ("0x0", 0), ("0xff", 255), ("0xFF", 255), ("0x00", 0), ("0x02a", 42),
+    ("0x0200", "line 2: tcp_flags out of range: 0x200"),
+])
+def test_flag_edges(flags, value):
+    result = assert_same_as_reference(
+        f"{HEADER}\n1.000 192.168.1.10 8.8.8.8 1 2 TCP {flags} 40 0\n")
+    if isinstance(value, str):
+        assert result == value
+    else:
+        assert result[2][0].tcp_flags == value
+
+
+def test_protocol_name_is_matched_whole():
+    text = f"{HEADER}\n1.000 192.168.1.10 8.8.8.8 1 2 TCP\x00 0x02 40 0\n"
+    assert assert_same_as_reference(text) == "line 2: unknown protocol 'TCP\\x00'"
+
+
+def malicious_capture() -> bytes:
+    """The largest of two simulated 15-minute captures with a scanning bot."""
+    texts = [write_trace(rec.trace).encode() for rec in gen_dataset(SynthConfig(seed=5), 0, 2)]
+    return max(texts, key=len)
+
+
+def test_canonical_rows_skip_the_token_path(token_path_rows):
+    text = malicious_capture()
+    assert parse_trace(text).packets == ref.parse_trace(text).packets
+    assert token_path_rows == []
+
+
+def test_parse_peak_memory():
+    text = malicious_capture()
+    assert len(text) > 300_000
+    tracemalloc.start()
+    try:
+        parse_trace(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
