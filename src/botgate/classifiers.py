@@ -260,14 +260,20 @@ def _tree_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _tree_from_dict(d: dict) -> TreeNode:
+def _tree_from_dict(d: dict, n_features: int) -> TreeNode:
     if "leaf" in d:
-        return TreeNode(label=int(d["leaf"]))
+        label = int(d["leaf"])
+        if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
+            raise ModelFormatError(f"leaf label {label} is not 0 or 1")
+        return TreeNode(label=label)
+    feature = int(d["f"])
+    if not 0 <= feature < n_features:
+        raise ModelFormatError(f"a tree splits on feature {feature} of {n_features}")
     return TreeNode(
-        feature=int(d["f"]),
+        feature=feature,
         threshold=float(d["t"]),
-        left=_tree_from_dict(d["l"]),
-        right=_tree_from_dict(d["r"]),
+        left=_tree_from_dict(d["l"], n_features),
+        right=_tree_from_dict(d["r"], n_features),
     )
 
 
@@ -303,6 +309,8 @@ def save_model(trained: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """The model ``save_model`` wrote; ModelFormatError naming the file for
+    anything that could not have come from it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -310,32 +318,40 @@ def load_model(path) -> TrainedModel:
             raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
         kind = doc["kind"]
         params = doc["params"]
+        scaler = MinMaxScaler(mins=np.array(doc["scaler"]["mins"], float),
+                              maxs=np.array(doc["scaler"]["maxs"], float))
+        selected = [int(i) for i in doc["selected"]]
+        n_raw = len(scaler.mins)
+        if scaler.mins.shape != (n_raw,) or scaler.maxs.shape != (n_raw,):
+            raise ModelFormatError("scaler mins and maxs differ in length")
+        if not all(0 <= i < n_raw for i in selected):
+            raise ModelFormatError(f"selected features {selected} are not all below {n_raw}")
+        k = len(selected)
         if kind == "gnb":
             model = GNBModel(
-                priors=np.array(params["priors"]),
-                theta=np.array(params["theta"]),
-                var=np.array(params["var"]),
+                priors=np.array(params["priors"], float),
+                theta=np.array(params["theta"], float),
+                var=np.array(params["var"], float),
                 var_smoothing=float(params["var_smoothing"]),
             )
+            if model.priors.shape != (2,) or {model.theta.shape, model.var.shape} != {(2, k)}:
+                raise ModelFormatError(f"GNB arrays do not fit 2 classes x {k} features")
         elif kind == "forest":
+            n_features = int(params["n_features"])
+            if n_features != k:
+                raise ModelFormatError(f"forest has {n_features} features, {k} selected")
             model = ForestModel(
-                trees=[_tree_from_dict(t) for t in params["trees"]],
-                n_features=int(params["n_features"]),
+                trees=[_tree_from_dict(t, n_features) for t in params["trees"]],
+                n_features=n_features,
                 seed=int(params["seed"]),
             )
+            if not model.trees:
+                raise ModelFormatError("forest has no trees")
         else:
             raise ModelFormatError(f"unknown model kind {kind!r}")
-        return TrainedModel(
-            kind=kind,
-            model=model,
-            scaler=MinMaxScaler(
-                mins=np.array(doc["scaler"]["mins"]),
-                maxs=np.array(doc["scaler"]["maxs"]),
-            ),
-            selected_idx=[int(i) for i in doc["selected"]],
-            session_secs=float(doc["session_secs"]),
-        )
-    except ModelFormatError:
-        raise
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        return TrainedModel(kind=kind, model=model, scaler=scaler, selected_idx=selected,
+                            session_secs=float(doc["session_secs"]))
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"model file {path}: {exc}") from None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acf import PeriodicityParams, encode_device
+from .acf import PeriodicityParams, check_bins, encode_device
 from .baselines import walker_test
 from .classifiers import (
     TrainedModel, cross_validate, forest_fit, gnb_fit, load_model, save_model,
@@ -161,6 +161,7 @@ def cmd_evaluate(args) -> int:
             sample_t=args.sample_t, peak_height_frac=args.peak_frac,
             gap_variance_thresh=args.gap_var, payload_cutoff_bytes=args.payload_cutoff,
         )
+        check_bins(args.session_secs, params.sample_t)  # refused once, as detect does
         entries = [e for e in _read_manifest(Path(args.traces)) if e["label"] == MALICIOUS]
         detected = 0
         for entry in entries:
@@ -227,10 +228,20 @@ def cmd_policy(args) -> int:
     store_path = Path(args.store)
     store = load_store(store_path) if store_path.exists() else PolicyStore()
     if args.apply:
-        report = DetectionReport.from_text(Path(args.apply).read_text())
+        try:
+            report = DetectionReport.from_text(Path(args.apply).read_text())
+        except ValueError as exc:
+            raise DataError(f"bad detection report {args.apply}: {exc}") from None
         name_map = {}
         if args.name_map:
-            name_map = json.loads(Path(args.name_map).read_text())
+            try:
+                name_map = json.loads(Path(args.name_map).read_text())
+            except ValueError:
+                name_map = None
+            if not (isinstance(name_map, dict)
+                    and all(isinstance(ip, str) for ip in name_map.values())):
+                raise DataError(f"bad name map {args.name_map}: expected a JSON object "
+                                f"of device names to IP strings")
         plan = apply_policies(store, report.infected_devices, name_map)
         print(json.dumps(
             [{"device": p.device_ip, "action": p.action.value,

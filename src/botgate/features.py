@@ -12,6 +12,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .errors import DataError
 from .sessions import TrafficSession, filter_tcp
 from .trace import ACK, SYN, PacketTable
 
@@ -121,24 +122,31 @@ def write_feature_csv(vectors: Iterable[FeatureVector], path) -> None:
 
 
 def read_feature_csv(path) -> list[FeatureVector]:
+    """The rows ``write_feature_csv`` writes; DataError naming the file, and
+    the line, for any other header or row."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected feature CSV header: {header}")
-        for row in reader:
-            out.append(
-                FeatureVector(
-                    n_uniq_syn_dst=int(float(row[0])),
-                    pkts_per_dst_max=int(float(row[1])),
-                    pkts_per_dst_min=int(float(row[2])),
-                    pkts_per_dst_mean=float(row[3]),
-                    n_half_open=int(float(row[4])),
-                    tcp_len_max=int(float(row[5])),
-                    tcp_len_min=int(float(row[6])),
-                    tcp_len_mean=float(row[7]),
-                    label=row[8] or None,
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise DataError(f"{path}: unexpected feature CSV header: {header}")
+            for row in reader:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                out.append(
+                    FeatureVector(
+                        n_uniq_syn_dst=int(float(row[0])),
+                        pkts_per_dst_max=int(float(row[1])),
+                        pkts_per_dst_min=int(float(row[2])),
+                        pkts_per_dst_mean=float(row[3]),
+                        n_half_open=int(float(row[4])),
+                        tcp_len_max=int(float(row[5])),
+                        tcp_len_min=int(float(row[6])),
+                        tcp_len_mean=float(row[7]),
+                        label=row[8] or None,
+                    )
                 )
-            )
+        except (ValueError, OverflowError, csv.Error) as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -49,7 +49,17 @@ class DetectionReport:
 
     @classmethod
     def from_text(cls, text: str) -> "DetectionReport":
-        return cls(**json.loads(text))
+        """The report ``to_text`` wrote; ValueError for text that is not
+        JSON, not an object with exactly the report's fields, or whose
+        infected devices are not a list of strings."""
+        doc = json.loads(text)
+        names = [f.name for f in fields(cls)]
+        if not isinstance(doc, dict) or sorted(doc) != sorted(names):
+            raise ValueError(f"expected a JSON object with the keys {', '.join(names)}")
+        devices = doc["infected_devices"]
+        if not (isinstance(devices, list) and all(isinstance(ip, str) for ip in devices)):
+            raise ValueError("infected_devices must be a list of strings")
+        return cls(**doc)
 
 
 def classify_sessions(sessions: list[TrafficSession], model: TrainedModel) -> list[tuple[str, float]]:

@@ -5,29 +5,32 @@ All numeric defaults are plumbing chosen to match the qualitative shape of
 the three ingredients (scanners probe many random addresses with lone short
 SYNs; beacons are small periodic PSH+ACK/UDP exchanges; benign devices
 complete handshakes and move real payloads). Everything is deterministic
-given (config, seed).
+given (config, seed). Generators draw per-event values as arrays and build
+PacketTable columns from them, with no per-packet loop.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .features import BENIGN, MALICIOUS
-from .trace import ACK, FIN, PSH, SYN, PacketRecord, PacketTable, Proto, Trace, quantize_ts
+from .trace import (
+    ACK, FIN, PROTO_TCP, PROTO_UDP, PSH, SYN, PacketTable, Trace, parse_ip, quantize_ts,
+)
 
 IP_HEADER_TCP = 40  # IPv4 + TCP headers, no options
 IP_HEADER_UDP = 28
 
 # first octets for external addresses: public unicast, none of the usual
 # reserved/private ranges
-_EXTERNAL_FIRST_OCTETS = [
+_EXTERNAL_FIRST_OCTETS = np.array([
     o for o in range(1, 224)
     if o not in (10, 100, 127, 169, 172, 192, 198, 203)
-]
+])
 
 
 @dataclass
@@ -74,6 +77,10 @@ class SynthConfig:
     benign: BenignProfile = field(default_factory=BenignProfile)
     infected_devices: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError(f"session duration must be positive and finite, got {self.duration_s}")
+
     def iot_ips(self) -> list[str]:
         return [f"192.168.1.{10 + i}" for i in range(self.n_iot_devices)]
 
@@ -81,41 +88,48 @@ class SynthConfig:
         return [f"192.168.1.{100 + i}" for i in range(self.n_pc_devices)]
 
 
-def _external_ip(rng: np.random.Generator) -> str:
-    a = _EXTERNAL_FIRST_OCTETS[int(rng.integers(0, len(_EXTERNAL_FIRST_OCTETS)))]
-    b, c, d = (int(x) for x in rng.integers(0, 256, size=3))
-    return f"{a}.{b}.{c}.{min(d, 254)}"
+def _external_ips(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n addresses with a first octet from _EXTERNAL_FIRST_OCTETS and a last
+    octet of at most 254."""
+    first = _EXTERNAL_FIRST_OCTETS[rng.integers(0, len(_EXTERNAL_FIRST_OCTETS), n)]
+    rest = rng.integers(0, 1 << 24, n)
+    rest -= (rest & 0xFF) == 0xFF
+    return first << 24 | rest
 
 
-def _tcp(ts, src, dst, sport, dport, flags, payload=0) -> PacketRecord:
-    return PacketRecord(
-        ts=quantize_ts(ts), src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
-        proto=Proto.TCP, tcp_flags=flags, ip_len=IP_HEADER_TCP + payload,
-        payload_len=payload,
-    )
+def _arrivals(first: float, draw, limit: float, mean_gap: float) -> np.ndarray:
+    """The sums first, first + g1, first + g1 + g2, ... before the first one at
+    or past ``limit``, added left to right as a scalar loop adds. The gaps come
+    from ``draw(n)``, in batches of the expected count plus a margin."""
+    expected = limit / mean_gap if limit > 0 else 0.0
+    n = int(expected + 4 * math.sqrt(expected)) + 1
+    sums = [np.cumsum(np.append(first, draw(n)))]
+    while sums[-1][-1] < limit:
+        sums.append(np.cumsum(np.append(sums[-1][-1], draw(n)))[1:])
+    t = np.concatenate(sums)
+    return t[:np.argmax(t >= limit)]
 
 
-def _udp(ts, src, dst, sport, dport, payload) -> PacketRecord:
-    return PacketRecord(
-        ts=quantize_ts(ts), src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
-        proto=Proto.UDP, tcp_flags=0, ip_len=IP_HEADER_UDP + payload,
-        payload_len=payload,
-    )
+# one app exchange between a device and port 443 of a server: handshake,
+# request, response, ACK and teardown. Per packet: its offset from the
+# exchange's start, whether the device sends it, and its flags
+_EXCHANGE_DT = np.array([0.0, 0.02, 0.04, 0.06, 0.10, 0.12, 0.14, 0.16, 0.18])
+_EXCHANGE_OUT = np.array([1, 0, 1, 1, 0, 1, 1, 0, 1], bool)
+_EXCHANGE_FLAGS = np.array([SYN, SYN | ACK, ACK, PSH | ACK, PSH | ACK, ACK, FIN | ACK,
+                            FIN | ACK, ACK])
 
 
-def _app_exchange(t0, dev, srv, sport, payload_up, payload_down) -> list[PacketRecord]:
-    """Complete handshake + request/response + teardown (all ACKed)."""
-    return [
-        _tcp(t0, dev, srv, sport, 443, SYN),
-        _tcp(t0 + 0.02, srv, dev, 443, sport, SYN | ACK),
-        _tcp(t0 + 0.04, dev, srv, sport, 443, ACK),
-        _tcp(t0 + 0.06, dev, srv, sport, 443, PSH | ACK, payload_up),
-        _tcp(t0 + 0.10, srv, dev, 443, sport, PSH | ACK, payload_down),
-        _tcp(t0 + 0.12, dev, srv, sport, 443, ACK),
-        _tcp(t0 + 0.14, dev, srv, sport, 443, FIN | ACK),
-        _tcp(t0 + 0.16, srv, dev, 443, sport, FIN | ACK),
-        _tcp(t0 + 0.18, dev, srv, sport, 443, ACK),
-    ]
+def _app_exchanges(t0, dev, srv, sport, up, down) -> PacketTable:
+    """One complete exchange per element of the arguments, the (n, 9) template
+    broadcast over them; ``up`` and ``down`` are the request and response payloads."""
+    t0, dev, srv, sport = (np.asarray(v)[:, None] for v in (t0, dev, srv, sport))
+    payload = np.zeros((len(t0), len(_EXCHANGE_DT)), np.int64)
+    payload[:, 3], payload[:, 4] = up, down
+    out = _EXCHANGE_OUT
+    return PacketTable.from_columns(
+        quantize_ts(t0 + _EXCHANGE_DT), np.where(out, dev, srv), np.where(out, srv, dev),
+        np.where(out, sport, 443), np.where(out, 443, sport), PROTO_TCP, _EXCHANGE_FLAGS,
+        IP_HEADER_TCP + payload, payload)
 
 
 def gen_benign(config: SynthConfig, seed) -> Trace:
@@ -123,107 +137,96 @@ def gen_benign(config: SynthConfig, seed) -> Trace:
     exchanges plus PC browsing bursts; every handshake completes."""
     rng = np.random.default_rng(seed)
     p = config.benign
-    packets: list[PacketRecord] = []
-    for dev in config.iot_ips():
-        srv = _external_ip(rng)
-        t = float(rng.uniform(0, p.app_interval_max_s))
-        while t < config.duration_s - 1.0:
-            sport = int(rng.integers(32768, 61000))
-            up = int(rng.integers(p.app_payload_min, p.app_payload_max + 1))
-            down = int(rng.integers(p.app_payload_min, p.app_payload_max + 1))
-            packets.extend(_app_exchange(t, dev, srv, sport, up, down))
-            t += float(rng.uniform(p.app_interval_min_s, p.app_interval_max_s))
-    for pc in config.pc_ips():
-        n_bursts = int(rng.poisson(p.browse_burst_rate * config.duration_s))
-        for t in sorted(rng.uniform(0, config.duration_s - 2.0, size=n_bursts)):
-            srv = _external_ip(rng)
-            sport = int(rng.integers(32768, 61000))
-            packets.extend(_app_exchange(float(t), pc, srv, sport,
-                                         int(rng.integers(200, 1200)),
-                                         int(rng.integers(500, 1500))))
-            # extra response segments typical of page loads
-            for j in range(int(rng.integers(2, 6))):
-                packets.append(_tcp(float(t) + 0.2 + 0.02 * j, srv, pc, 443, sport,
-                                    ACK, int(rng.integers(500, 1500))))
-    return Trace(packets=packets, internal_subnet=config.subnet, epoch=0)
+    # each IoT device talks to one server: first at U(0, max), then every U(min, max) s
+    iot = [parse_ip(ip) for ip in config.iot_ips()]
+    servers = _external_ips(rng, len(iot))
+    lo, hi = p.app_interval_min_s, p.app_interval_max_s
+    starts = [_arrivals(rng.uniform(0, hi), lambda n: rng.uniform(lo, hi, n),
+                        config.duration_s - 1.0, (lo + hi) / 2) for _ in iot]
+    counts = list(map(len, starts))
+    n = sum(counts)
+    apps = _app_exchanges(np.concatenate(starts or [np.empty(0)]), np.repeat(iot, counts),
+                          np.repeat(servers, counts), rng.integers(32768, 61000, n),
+                          *rng.integers(p.app_payload_min, p.app_payload_max + 1, (2, n)))
+    # each PC browses in Poisson bursts: one exchange, then 2-5 more response segments
+    pcs = [parse_ip(ip) for ip in config.pc_ips()]
+    bursts = rng.poisson(p.browse_burst_rate * config.duration_s, len(pcs))
+    n = int(bursts.sum())
+    t0 = rng.uniform(0, config.duration_s - 2.0, n)
+    pc, srv = np.repeat(pcs, bursts), _external_ips(rng, n)
+    sport = rng.integers(32768, 61000, n)
+    pages = _app_exchanges(t0, pc, srv, sport, rng.integers(200, 1200, n),
+                           rng.integers(500, 1500, n))
+    burst, j = np.nonzero(np.arange(5) < rng.integers(2, 6, n)[:, None])
+    payload = rng.integers(500, 1500, len(burst))
+    segments = PacketTable.from_columns(
+        quantize_ts(t0[burst] + 0.2 + 0.02 * j), srv[burst], pc[burst], 443, sport[burst],
+        PROTO_TCP, ACK, IP_HEADER_TCP + payload, payload)
+    return Trace(packets=PacketTable.concat([apps, pages, segments]),
+                 internal_subnet=config.subnet, epoch=0)
 
 
-def gen_scanning(config: SynthConfig, seed, device_ip: str) -> list[PacketRecord]:
+def gen_scanning(config: SynthConfig, seed, device_ip: str) -> PacketTable:
     """SYN-only probes from one infected device to random external targets;
-    no handshake ever completes."""
-    rng = np.random.default_rng(seed)
+    no handshake ever completes. Targets come at exponential inter-arrivals;
+    each gets its count of probes 0.3 s apart, of one length, from one port."""
     s = config.scan
-    packets: list[PacketRecord] = []
     if s.rate_pps <= 0:
-        return packets
-    mean_count = (s.pkts_per_target_min + s.pkts_per_target_max) / 2
-    event_rate = s.rate_pps / mean_count
-    t = float(rng.exponential(1.0 / event_rate))
-    while t < config.duration_s:
-        target = _external_ip(rng)
-        sport = int(rng.integers(32768, 61000))
-        count = int(rng.integers(s.pkts_per_target_min, s.pkts_per_target_max + 1))
-        length = int(rng.integers(s.pkt_len_min, s.pkt_len_max + 1))
-        for j in range(count):
-            tj = t + 0.3 * j
-            if tj >= config.duration_s:
-                break
-            packets.append(PacketRecord(
-                ts=quantize_ts(tj), src_ip=device_ip, dst_ip=target,
-                src_port=sport, dst_port=23, proto=Proto.TCP, tcp_flags=SYN,
-                ip_len=length, payload_len=0,
-            ))
-        t += float(rng.exponential(1.0 / event_rate))
-    return packets
+        return PacketTable.from_records(())
+    rng = np.random.default_rng(seed)
+    gap = (s.pkts_per_target_min + s.pkts_per_target_max) / 2 / s.rate_pps
+    starts = _arrivals(rng.exponential(gap), lambda n: rng.exponential(gap, n),
+                       config.duration_s, gap)
+    n = len(starts)
+    dsts = _external_ips(rng, n)
+    sports = rng.integers(32768, 61000, n)
+    counts = rng.integers(s.pkts_per_target_min, s.pkts_per_target_max + 1, n)
+    lengths = rng.integers(s.pkt_len_min, s.pkt_len_max + 1, n)
+    target, j = np.nonzero(np.arange(s.pkts_per_target_max) < counts[:, None])
+    ts = quantize_ts(starts[target] + 0.3 * j)
+    keep = ts < config.duration_s
+    target = target[keep]
+    return PacketTable.from_columns(ts[keep], parse_ip(device_ip), dsts[target],
+                                    sports[target], 23, PROTO_TCP, SYN, lengths[target], 0)
 
 
 def gen_cnc_beacon(period_s: float, jitter_s: float, duration_s: float, seed,
                    protocol: str = "TCP", payload_bytes: int = 4,
                    device_ip: str = "192.168.1.10",
-                   server_ip: str = "203.0.113.50") -> list[PacketRecord]:
+                   server_ip: str = "203.0.113.50") -> PacketTable:
     """Beacon packets at t = k*period + U(-jitter, +jitter); TCP beacons are a
     small PSH+ACK with a bare ACK reply, UDP beacons a single datagram."""
     if period_s <= 0:
         raise ConfigError("beacon period must be positive")
     rng = np.random.default_rng(seed)
-    packets: list[PacketRecord] = []
     sport = int(rng.integers(32768, 61000))
-    k = 0
-    while k * period_s < duration_s:
-        t = k * period_s
-        if jitter_s > 0:
-            t += float(rng.uniform(-jitter_s, jitter_s))
-        k += 1
-        if t < 0 or t >= duration_s:
-            continue
-        if protocol == "UDP":
-            packets.append(_udp(t, device_ip, server_ip, sport, 5353, payload_bytes))
-        else:
-            packets.append(_tcp(t, device_ip, server_ip, sport, 4444, PSH | ACK, payload_bytes))
-            packets.append(_tcp(t + 0.05, server_ip, device_ip, 4444, sport, ACK))
-    return packets
+    t = np.arange(int(duration_s // period_s) + 2 if duration_s > 0 else 0) * period_s
+    t = t[t < duration_s]  # k = 0, 1, ... while k*period < duration
+    if jitter_s > 0:
+        t = t + rng.uniform(-jitter_s, jitter_s, len(t))
+    t = t[(t >= 0) & (t < duration_s)]
+    dev, srv = parse_ip(device_ip), parse_ip(server_ip)
+    if protocol == "UDP":
+        return PacketTable.from_columns(quantize_ts(t), dev, srv, sport, 5353, PROTO_UDP, 0,
+                                        IP_HEADER_UDP + payload_bytes, payload_bytes)
+    # per beacon: the device's PSH+ACK, then the server's ACK 50 ms later
+    payload = np.array([payload_bytes, 0])
+    return PacketTable.from_columns(
+        quantize_ts(t[:, None] + [0.0, 0.05]), [dev, srv], [srv, dev], [sport, 4444],
+        [4444, sport], PROTO_TCP, [PSH | ACK, ACK], IP_HEADER_TCP + payload, payload)
 
 
 def gen_memoryless_noise(rate_pps: float, duration_s: float, seed,
                          device_ip: str = "192.168.1.10",
-                         server_ip: str = "198.51.100.7") -> list[PacketRecord]:
+                         server_ip: str = "198.51.100.7") -> PacketTable:
     """Small-payload PSH+ACK packets at exponential inter-arrivals: aperiodic
     traffic that survives the command-channel filter."""
     rng = np.random.default_rng(seed)
-    packets = []
     sport = int(rng.integers(32768, 61000))
-    t = float(rng.exponential(1.0 / rate_pps))
-    while t < duration_s:
-        packets.append(_tcp(t, device_ip, server_ip, sport, 80, PSH | ACK, 4))
-        t += float(rng.exponential(1.0 / rate_pps))
-    return packets
-
-
-def _overlay(base: Trace, *extra: list[PacketRecord]) -> Trace:
-    """``base`` plus the extra packets; the Trace restores timestamp order,
-    base packets first among equal timestamps."""
-    packets = PacketTable.concat([base.packets, PacketTable.from_records(chain(*extra))])
-    return Trace(packets=packets, internal_subnet=base.internal_subnet, epoch=base.epoch)
+    gap = 1.0 / rate_pps
+    t = _arrivals(rng.exponential(gap), lambda n: rng.exponential(gap, n), duration_s, gap)
+    return PacketTable.from_columns(quantize_ts(t), parse_ip(device_ip), parse_ip(server_ip),
+                                    sport, 80, PROTO_TCP, PSH | ACK, IP_HEADER_TCP + 4, 4)
 
 
 @dataclass
@@ -249,32 +252,28 @@ def _malicious_plan(n_malicious: int) -> list[str]:
 
 def gen_session(config: SynthConfig, index: int, kind: str) -> SessionRecord:
     """Build one labeled session; ``kind`` is benign/fast/slow/both."""
-    seed = [config.seed, index]
-    base = gen_benign(config, seed)
+    base = gen_benign(config, [config.seed, index])
     if kind == "benign":
         return SessionRecord(index, BENIGN, ["benign"], base)
-    iot = config.iot_ips()
-    infected = config.infected_devices or iot[:2]
+    infected = config.infected_devices or config.iot_ips()[:2]
     dev_a = infected[0]
     dev_b = infected[1] if len(infected) > 1 else infected[0]
-    overlays = []
-    ingredients = ["benign"]
-    if kind in ("fast", "both"):
-        overlays.append(gen_scanning(config, [config.seed, index, 1], dev_a))
-        overlays.append(gen_cnc_beacon(
-            PERIOD_FAST, config.beacon.jitter_s, config.duration_s,
-            [config.seed, index, 2], config.beacon.protocol,
-            config.beacon.payload_bytes, device_ip=dev_a))
-        ingredients += ["scan:" + dev_a, f"beacon:{dev_a}:{PERIOD_FAST:g}"]
-    if kind in ("slow", "both"):
-        dev = dev_b if kind == "both" else dev_a
-        overlays.append(gen_scanning(config, [config.seed, index, 3], dev))
-        overlays.append(gen_cnc_beacon(
-            PERIOD_SLOW, config.beacon.jitter_s, config.duration_s,
-            [config.seed, index, 4], config.beacon.protocol,
-            config.beacon.payload_bytes, device_ip=dev))
-        ingredients += ["scan:" + dev, f"beacon:{dev}:{PERIOD_SLOW:g}"]
-    return SessionRecord(index, MALICIOUS, ingredients, _overlay(base, *overlays))
+    bots = {"fast": [(PERIOD_FAST, dev_a)], "slow": [(PERIOD_SLOW, dev_a)],
+            "both": [(PERIOD_FAST, dev_a), (PERIOD_SLOW, dev_b)]}[kind]
+    parts, ingredients = [base.packets], ["benign"]
+    for period, dev in bots:
+        stream = 1 if period == PERIOD_FAST else 3  # the scan's seed; the beacon's is next
+        parts += [
+            gen_scanning(config, [config.seed, index, stream], dev),
+            gen_cnc_beacon(period, config.beacon.jitter_s, config.duration_s,
+                           [config.seed, index, stream + 1], config.beacon.protocol,
+                           config.beacon.payload_bytes, device_ip=dev),
+        ]
+        ingredients += [f"scan:{dev}", f"beacon:{dev}:{period:g}"]
+    # the Trace restores timestamp order, base packets first among equal timestamps
+    trace = Trace(packets=PacketTable.concat(parts), internal_subnet=base.internal_subnet,
+                  epoch=base.epoch)
+    return SessionRecord(index, MALICIOUS, ingredients, trace)
 
 
 def gen_dataset(config: SynthConfig, n_benign: int, n_malicious: int,

@@ -57,14 +57,25 @@ _PROTO_CODE = {p: i for i, p in enumerate(PROTOS)}
 _PROTO_NAMES = tuple(p.value for p in PROTOS)
 
 
-def quantize_ts(ts: float) -> float:
-    """Snap a timestamp to the millisecond grid the text format can hold."""
-    return float(f"{ts:.3f}")
+def quantize_ts(ts):
+    """Snap timestamps (a float or an array) to the millisecond grid the text
+    format can hold. Each becomes k/1000, one correctly rounded division, so
+    it is the value its ``%.3f`` text parses back to."""
+    return np.rint(np.multiply(ts, 1000)) / 1000
 
 
 def format_ip(value: int) -> str:
     """Dotted-quad form of an IPv4 address held as an integer."""
     return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
+
+
+def parse_ip(text: str) -> int:
+    """The integer of a canonical dotted-quad IPv4 address; ValueError for
+    anything else."""
+    values, bad = _ip_values([text])
+    if bad[0]:
+        raise ValueError(f"invalid IPv4 address {text!r}")
+    return int(values[0])
 
 
 @dataclass(slots=True)
@@ -123,6 +134,17 @@ def _invalid_rows(ts, sport, dport, proto, flags, ip_len, payload_len) -> np.nda
     )
 
 
+def _record_error(wide: list[np.ndarray], i: int) -> ValueError:
+    """The ValueError that PacketRecord raises for row ``i`` (in C order) of
+    the wide columns, which ``_invalid_rows`` has marked."""
+    ts, src, dst, sport, dport, proto, *rest = (v.flat[i].item() for v in wide)
+    try:
+        PacketRecord(ts, format_ip(src), format_ip(dst), sport, dport, PROTOS[proto], *rest)
+    except ValueError as exc:
+        return exc
+    return ValueError("invalid packet")
+
+
 def _ip_names(values: np.ndarray, names: dict[int, str]) -> list[str]:
     """Dotted form of each address; ``names`` caches every distinct one."""
     values = values.tolist()
@@ -174,6 +196,26 @@ class PacketTable:
         )
 
     @classmethod
+    def from_columns(cls, ts, src, dst, sport, dport, proto, flags, ip_len,
+                     payload_len) -> PacketTable:
+        """A table of wide (signed or float) columns, or of arrays and
+        scalars that broadcast to one shape, flattened in C order. The rows
+        are checked by PacketRecord's rules before the cast to the stored
+        types, so a negative length raises ValueError instead of wrapping;
+        addresses are taken as the integers they are."""
+        wide = np.broadcast_arrays(ts, src, dst, sport, dport, proto, flags, ip_len, payload_len)
+        bad = _invalid_rows(wide[0], *wide[3:])
+        if bad.any():
+            raise _record_error(wide, int(np.argmax(bad)))
+        return cls._narrow(wide)
+
+    @classmethod
+    def _narrow(cls, wide: list[np.ndarray]) -> PacketTable:
+        """The table of checked wide columns, each cast to its stored type
+        (one contiguous copy, also of a broadcast view) and flattened."""
+        return cls(*(v.astype(dtype).ravel() for v, dtype in zip(wide, _DTYPES)))
+
+    @classmethod
     def concat(cls, tables: list[PacketTable]) -> PacketTable:
         if not tables:
             return cls.from_records(())
@@ -213,6 +255,8 @@ class PacketTable:
 
 
 _COLUMNS = tuple(f.name for f in fields(PacketTable))
+_DTYPES = (np.float64, np.uint32, np.uint32, np.uint16, np.uint16, np.uint8, np.uint8,
+           np.uint32, np.uint32)
 
 
 def as_table(packets: PacketTable | Iterable[PacketRecord]) -> PacketTable:
@@ -424,19 +468,8 @@ def _parse_rows(b: np.ndarray, tokens: np.ndarray, block: memoryview,
             s, e = tokens[i, k].tolist()
             token = bytes(block[s - 1:e - 1]).decode()
             raise TraceParseError(f"{where}: {_FIELD_ERRORS[k]} {token!r}")
-        ts, src, dst, sport, dport, proto, *rest = (v[i].item() for v in values)
-        try:
-            PacketRecord(ts, format_ip(src), format_ip(dst), sport, dport, PROTOS[proto], *rest)
-        except ValueError as exc:
-            raise TraceParseError(f"{where}: {exc}") from None
-        raise TraceParseError(f"{where}: invalid packet")
-    ts, src, dst, sport, dport, proto, flags, ip_len, payload_len = values
-    return PacketTable(
-        ts=ts, src=src.astype(np.uint32), dst=dst.astype(np.uint32),
-        sport=sport.astype(np.uint16), dport=dport.astype(np.uint16),
-        proto=proto.astype(np.uint8), flags=flags.astype(np.uint8),
-        ip_len=ip_len.astype(np.uint32), payload_len=payload_len.astype(np.uint32),
-    )
+        raise TraceParseError(f"{where}: {_record_error(values, i)}")
+    return PacketTable._narrow(values)
 
 
 # The canonical row is what write_trace emits:

@@ -1,7 +1,7 @@
 """Per-packet reference implementations of sessionizing, device splitting,
 the scanning features, the command-channel filter and encoding, the
-per-lag autocorrelation and peak search of stage 2, and the token-level
-trace parser.
+per-lag autocorrelation and peak search of stage 2, the token-level trace
+parser, and the per-packet traffic generators.
 
 These are the loops that the columnar, spectral and byte-level code in
 ``botgate`` replaced, kept as the oracle it is tested against. The packet
@@ -13,10 +13,11 @@ import socket
 
 import numpy as np
 
-from botgate.errors import TraceParseError
+from botgate.errors import ConfigError, TraceParseError
+from botgate.synth import _EXTERNAL_FIRST_OCTETS, IP_HEADER_TCP, IP_HEADER_UDP
 from botgate.trace import (
-    ACK, N_FIELDS, PROTOS, PSH, SYN, PacketRecord, PacketTable, Proto, Trace, _invalid_rows,
-    _parse_header, format_ip,
+    ACK, FIN, N_FIELDS, PROTOS, PSH, SYN, PacketRecord, PacketTable, Proto, Trace,
+    _invalid_rows, _parse_header, format_ip,
 )
 
 
@@ -320,3 +321,128 @@ def _parse_rows(tokens: list[bytes], linenos: np.ndarray) -> PacketTable:
         proto=proto.astype(np.uint8), flags=flags.astype(np.uint8),
         ip_len=ip_len.astype(np.uint32), payload_len=payload_len.astype(np.uint32),
     )
+
+
+# The per-packet generators: one scalar draw per value and one validated
+# PacketRecord per packet. gen_cnc_beacon and gen_memoryless_noise draw in
+# the same order as botgate.synth, so their packets must be equal; the scan
+# and benign generators draw in another order and are compared by shape.
+
+def quantize_ts(ts):
+    return float(f"{ts:.3f}")
+
+
+def _external_ip(rng):
+    a = int(_EXTERNAL_FIRST_OCTETS[int(rng.integers(0, len(_EXTERNAL_FIRST_OCTETS)))])
+    b, c, d = (int(x) for x in rng.integers(0, 256, size=3))
+    return f"{a}.{b}.{c}.{min(d, 254)}"
+
+
+def _tcp(ts, src, dst, sport, dport, flags, payload=0):
+    return PacketRecord(quantize_ts(ts), src, dst, sport, dport, Proto.TCP, flags,
+                        IP_HEADER_TCP + payload, payload)
+
+
+def _udp(ts, src, dst, sport, dport, payload):
+    return PacketRecord(quantize_ts(ts), src, dst, sport, dport, Proto.UDP, 0,
+                        IP_HEADER_UDP + payload, payload)
+
+
+def _app_exchange(t0, dev, srv, sport, payload_up, payload_down):
+    return [
+        _tcp(t0, dev, srv, sport, 443, SYN),
+        _tcp(t0 + 0.02, srv, dev, 443, sport, SYN | ACK),
+        _tcp(t0 + 0.04, dev, srv, sport, 443, ACK),
+        _tcp(t0 + 0.06, dev, srv, sport, 443, PSH | ACK, payload_up),
+        _tcp(t0 + 0.10, srv, dev, 443, sport, PSH | ACK, payload_down),
+        _tcp(t0 + 0.12, dev, srv, sport, 443, ACK),
+        _tcp(t0 + 0.14, dev, srv, sport, 443, FIN | ACK),
+        _tcp(t0 + 0.16, srv, dev, 443, sport, FIN | ACK),
+        _tcp(t0 + 0.18, dev, srv, sport, 443, ACK),
+    ]
+
+
+def gen_benign(config, seed):
+    rng = np.random.default_rng(seed)
+    p = config.benign
+    packets = []
+    for dev in config.iot_ips():
+        srv = _external_ip(rng)
+        t = float(rng.uniform(0, p.app_interval_max_s))
+        while t < config.duration_s - 1.0:
+            sport = int(rng.integers(32768, 61000))
+            up = int(rng.integers(p.app_payload_min, p.app_payload_max + 1))
+            down = int(rng.integers(p.app_payload_min, p.app_payload_max + 1))
+            packets.extend(_app_exchange(t, dev, srv, sport, up, down))
+            t += float(rng.uniform(p.app_interval_min_s, p.app_interval_max_s))
+    for pc in config.pc_ips():
+        n_bursts = int(rng.poisson(p.browse_burst_rate * config.duration_s))
+        for t in sorted(rng.uniform(0, config.duration_s - 2.0, size=n_bursts)):
+            srv = _external_ip(rng)
+            sport = int(rng.integers(32768, 61000))
+            packets.extend(_app_exchange(float(t), pc, srv, sport,
+                                         int(rng.integers(200, 1200)),
+                                         int(rng.integers(500, 1500))))
+            for j in range(int(rng.integers(2, 6))):
+                packets.append(_tcp(float(t) + 0.2 + 0.02 * j, srv, pc, 443, sport,
+                                    ACK, int(rng.integers(500, 1500))))
+    return packets
+
+
+def gen_scanning(config, seed, device_ip):
+    rng = np.random.default_rng(seed)
+    s = config.scan
+    packets = []
+    if s.rate_pps <= 0:
+        return packets
+    mean_count = (s.pkts_per_target_min + s.pkts_per_target_max) / 2
+    event_rate = s.rate_pps / mean_count
+    t = float(rng.exponential(1.0 / event_rate))
+    while t < config.duration_s:
+        target = _external_ip(rng)
+        sport = int(rng.integers(32768, 61000))
+        count = int(rng.integers(s.pkts_per_target_min, s.pkts_per_target_max + 1))
+        length = int(rng.integers(s.pkt_len_min, s.pkt_len_max + 1))
+        for j in range(count):
+            tj = t + 0.3 * j
+            if tj >= config.duration_s:
+                break
+            packets.append(PacketRecord(quantize_ts(tj), device_ip, target, sport, 23,
+                                        Proto.TCP, SYN, length, 0))
+        t += float(rng.exponential(1.0 / event_rate))
+    return packets
+
+
+def gen_cnc_beacon(period_s, jitter_s, duration_s, seed, protocol="TCP", payload_bytes=4,
+                   device_ip="192.168.1.10", server_ip="203.0.113.50"):
+    if period_s <= 0:
+        raise ConfigError("beacon period must be positive")
+    rng = np.random.default_rng(seed)
+    packets = []
+    sport = int(rng.integers(32768, 61000))
+    k = 0
+    while k * period_s < duration_s:
+        t = k * period_s
+        if jitter_s > 0:
+            t += float(rng.uniform(-jitter_s, jitter_s))
+        k += 1
+        if t < 0 or t >= duration_s:
+            continue
+        if protocol == "UDP":
+            packets.append(_udp(t, device_ip, server_ip, sport, 5353, payload_bytes))
+        else:
+            packets.append(_tcp(t, device_ip, server_ip, sport, 4444, PSH | ACK, payload_bytes))
+            packets.append(_tcp(t + 0.05, server_ip, device_ip, 4444, sport, ACK))
+    return packets
+
+
+def gen_memoryless_noise(rate_pps, duration_s, seed, device_ip="192.168.1.10",
+                         server_ip="198.51.100.7"):
+    rng = np.random.default_rng(seed)
+    packets = []
+    sport = int(rng.integers(32768, 61000))
+    t = float(rng.exponential(1.0 / rate_pps))
+    while t < duration_s:
+        packets.append(_tcp(t, device_ip, server_ip, sport, 80, PSH | ACK, 4))
+        t += float(rng.exponential(1.0 / rate_pps))
+    return packets

@@ -1,4 +1,5 @@
 """Classifier contracts: posteriors, tie-breaking, determinism, persistence."""
+import json
 import math
 
 import numpy as np
@@ -131,6 +132,50 @@ def test_load_rejects_corruption(tmp_path):
         load_model(path)
     path.write_text('{"version": "someone-elses-v9"}')
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def _edited_model(tmp_path, kind, edit):
+    """A saved model whose JSON document ``edit`` changed in place."""
+    path = tmp_path / "model.json"
+    save_model(_trained(kind)[0], path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _deepest_split(doc):
+    node = doc["params"]["trees"][0]
+    while "leaf" not in node["l"]:
+        node = node["l"]
+    return node
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("forest", lambda d: _deepest_split(d).update(f=99), "splits on feature 99 of 4"),
+    ("forest", lambda d: _deepest_split(d).update(f=-1), "splits on feature -1 of 4"),
+    ("forest", lambda d: _deepest_split(d)["l"].update(leaf=2), "leaf label 2 is not 0 or 1"),
+    ("forest", lambda d: d["params"].update(n_features=5), "forest has 5 features, 4 selected"),
+    ("forest", lambda d: d["params"].update(trees=[]), "forest has no trees"),
+    ("forest", lambda d: d.update(selected=[0, 1, 2, 8]), "are not all below 8"),
+    ("gnb", lambda d: d["scaler"].update(maxs=[1.0] * 7), "mins and maxs differ in length"),
+    ("gnb", lambda d: d.update(selected=[0, 1, 2]), "2 classes x 3 features"),
+    ("gnb", lambda d: d["params"].update(priors=[1.0]), "2 classes x 4 features"),
+], ids=["feature-99", "negative-feature", "leaf-2", "n-features", "no-trees",
+        "selected-range", "scaler-lengths", "gnb-width", "gnb-priors"])
+def test_load_rejects_inconsistent_model(tmp_path, kind, edit, message):
+    path = _edited_model(tmp_path, kind, edit)
+    with pytest.raises(ModelFormatError, match=f"model file {path}: .*{message}"):
+        load_model(path)
+
+
+def test_load_rejects_too_deep_tree(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(_trained("forest")[0], path)
+    deep = '{"l": ' * 5000 + '{"leaf": 0}' + "}" * 5000
+    path.write_text(path.read_text().replace('"trees": [', f'"trees": [{deep}, ', 1))
+    with pytest.raises(ModelFormatError, match="recursion"):
         load_model(path)
 
 

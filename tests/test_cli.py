@@ -209,3 +209,73 @@ def test_malformed_manifest_row_exits_2(workspace, tmp_path, capsys, row, messag
     assert main(["evaluate", "--features", str(workspace / "features.csv"),
                  "--model-file", str(workspace / "model.json"), "--traces", str(corpus)]) == 2
     assert f"{manifest} {message}" in capsys.readouterr().err
+
+
+def test_evaluate_stage2_beyond_bin_bound_exits_2(workspace, capsys):
+    # the same bound detect refuses: 900 s at 1 ms bins
+    assert main(["evaluate", "--features", str(workspace / "features.csv"),
+                 "--model-file", str(workspace / "model.json"),
+                 "--traces", str(workspace / "corpus"), "--sample-t", "0.001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duration 900.0 s at sampling interval 0.001 s needs more than 131072 bins" in \
+        captured.err
+
+
+def test_evaluate_foreign_feature_header_exits_2(workspace, tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_text("a,b,c\n1,2,3\n")
+    assert main(["evaluate", "--features", str(features),
+                 "--model-file", str(workspace / "model.json")]) == 2
+    assert f"data error: {features}: unexpected feature CSV header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "Expecting property name"),
+    ('{"foo": 1}', "expected a JSON object with the keys"),
+    ("[1, 2]", "expected a JSON object with the keys"),
+], ids=["not-json", "unknown-keys", "not-an-object"])
+def test_policy_apply_bad_report_exits_2(tmp_path, capsys, text, message):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    assert main(["policy", "--store", str(tmp_path / "store.txt"), "--apply", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: bad detection report {report}: {message}" in err
+
+
+def test_policy_apply_bad_infected_list_and_name_map_exit_2(workspace, tmp_path, capsys):
+    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
+    report = tmp_path / "report.json"
+    assert main(["detect", "--trace", str(trace), "--model-file",
+                 str(workspace / "model.json"), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    store = ["policy", "--store", str(tmp_path / "store.txt")]
+    name_map = tmp_path / "names.json"
+    for bad in ("not json", '["cam"]', '{"cam": ["192.168.1.10"]}'):
+        name_map.write_text(bad)
+        assert main(store + ["--apply", str(report), "--name-map", str(name_map)]) == 2
+        assert f"bad name map {name_map}" in capsys.readouterr().err
+    doc["infected_devices"] = 5
+    report.write_text(json.dumps(doc))
+    assert main(store + ["--apply", str(report)]) == 2
+    assert "infected_devices must be a list of strings" in capsys.readouterr().err
+
+
+def test_detect_model_with_unknown_feature_exits_2(workspace, tmp_path, capsys):
+    doc = json.loads((workspace / "model.json").read_text())
+    node = doc["params"]["trees"][0]
+    while "leaf" not in node["l"]:
+        node = node["l"]
+    node["f"] = 99
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
+    assert main(["detect", "--trace", str(trace), "--model-file", str(model)]) == 2
+    assert f"model file {model}: a tree splits on feature 99 of 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("secs", ["inf", "nan", "0", "-5"])
+def test_simulate_bad_session_secs_exits_2(tmp_path, capsys, secs):
+    assert main(["simulate", "--out", str(tmp_path / "c"), "--n-benign", "1",
+                 "--n-malicious", "1", "--session-secs", secs]) == 2
+    assert "session duration must be positive and finite" in capsys.readouterr().err

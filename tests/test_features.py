@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botgate.errors import DataError
 from botgate.features import (
     BENIGN, CSV_HEADER, MALICIOUS, FeatureVector, count_half_open,
     extract_features, read_feature_csv, write_feature_csv,
@@ -101,7 +102,20 @@ def test_csv_round_trip(tmp_path):
 def test_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,2,3", "line 3: expected 9 fields, got 3"),
+    ("1,2,1,1.5,0,60,40,x,BENIGN", "line 3: could not convert string to float: 'x'"),
+    ("inf,2,1,1.5,0,60,40,50.0,BENIGN", "line 3: cannot convert float infinity"),
+], ids=["short", "not-a-number", "infinite-count"])
+def test_csv_bad_row_names_file_and_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    good = "3,2,1,1.5,0,60,40,50.0,MALICIOUS"
+    path.write_text("\n".join([",".join(CSV_HEADER), good, row]) + "\n")
+    with pytest.raises(DataError, match=f"{path} {message}"):
         read_feature_csv(path)
 
 

@@ -15,9 +15,10 @@ from botgate.preprocess import Dataset, chi2_scores, scaler_fit, scaler_transfor
     select_k_best
 from botgate.sessions import DeviceTrace, TrafficSession
 from botgate.synth import (
-    SynthConfig, _overlay, gen_cnc_beacon, gen_dataset, gen_memoryless_noise,
-    gen_scanning, gen_session,
+    SynthConfig, gen_cnc_beacon, gen_dataset, gen_memoryless_noise, gen_scanning,
+    gen_session,
 )
+from botgate.trace import PacketTable, Trace
 
 CFG = SynthConfig(seed=5)
 
@@ -112,7 +113,9 @@ def test_run_pipeline_benign(model):
 
 def test_run_pipeline_scan_only_is_stage1_false_positive(model):
     base = gen_session(CFG, 402, "benign").trace
-    trace = _overlay(base, gen_scanning(CFG, [5, 402, 9], "192.168.1.10"))
+    trace = Trace(PacketTable.concat([base.packets,
+                                      gen_scanning(CFG, [5, 402, 9], "192.168.1.10")]),
+                  base.internal_subnet)
     report = run_pipeline(trace, model, PipelineConfig())
     assert report.averaged_verdict == MALICIOUS
     assert report.stage2_ran

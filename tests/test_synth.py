@@ -42,7 +42,7 @@ def test_scanning_shape():
     assert 0.5 * 3.0 * 900 < len(pkts) < 2.0 * 3.0 * 900
     # zero rate means no overlay at all
     off = SynthConfig(seed=2, scan=ScanProfile(rate_pps=0.0))
-    assert gen_scanning(off, [2, 0], "192.168.1.10") == []
+    assert len(gen_scanning(off, [2, 0], "192.168.1.10")) == 0
 
 
 def test_beacon_counts_and_shape():
