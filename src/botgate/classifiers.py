@@ -8,6 +8,7 @@ benign tie does not).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -269,9 +270,12 @@ def _tree_from_dict(d: dict, n_features: int) -> TreeNode:
     feature = int(d["f"])
     if not 0 <= feature < n_features:
         raise ModelFormatError(f"a tree splits on feature {feature} of {n_features}")
+    threshold = float(d["t"])
+    if not math.isfinite(threshold):
+        raise ModelFormatError(f"a tree threshold is {threshold}")
     return TreeNode(
         feature=feature,
-        threshold=float(d["t"]),
+        threshold=threshold,
         left=_tree_from_dict(d["l"], n_features),
         right=_tree_from_dict(d["r"], n_features),
     )
@@ -308,6 +312,11 @@ def save_model(trained: TrainedModel, path) -> None:
         fh.write("\n")
 
 
+def _check_finite(what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ModelFormatError(f"non-finite number in {what}")
+
+
 def load_model(path) -> TrainedModel:
     """The model ``save_model`` wrote; ModelFormatError naming the file for
     anything that could not have come from it."""
@@ -320,6 +329,7 @@ def load_model(path) -> TrainedModel:
         params = doc["params"]
         scaler = MinMaxScaler(mins=np.array(doc["scaler"]["mins"], float),
                               maxs=np.array(doc["scaler"]["maxs"], float))
+        _check_finite("the scaler", scaler.mins, scaler.maxs)
         selected = [int(i) for i in doc["selected"]]
         n_raw = len(scaler.mins)
         if scaler.mins.shape != (n_raw,) or scaler.maxs.shape != (n_raw,):
@@ -336,6 +346,8 @@ def load_model(path) -> TrainedModel:
             )
             if model.priors.shape != (2,) or {model.theta.shape, model.var.shape} != {(2, k)}:
                 raise ModelFormatError(f"GNB arrays do not fit 2 classes x {k} features")
+            _check_finite("the GNB parameters", model.priors, model.theta, model.var,
+                          model.var_smoothing)
         elif kind == "forest":
             n_features = int(params["n_features"])
             if n_features != k:
@@ -349,8 +361,11 @@ def load_model(path) -> TrainedModel:
                 raise ModelFormatError("forest has no trees")
         else:
             raise ModelFormatError(f"unknown model kind {kind!r}")
+        session_secs = float(doc["session_secs"])
+        if not 0 < session_secs < math.inf:
+            raise ModelFormatError(f"session_secs {session_secs} is not positive and finite")
         return TrainedModel(kind=kind, model=model, scaler=scaler, selected_idx=selected,
-                            session_secs=float(doc["session_secs"]))
+                            session_secs=session_secs)
     except ModelFormatError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:

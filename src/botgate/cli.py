@@ -68,6 +68,8 @@ def _read_manifest(corpus_dir: Path) -> list[dict]:
                 index = int(idx)
             except ValueError:
                 raise DataError(f"{path} line {lineno}: bad index {idx!r}") from None
+            if label not in (BENIGN, MALICIOUS):
+                raise DataError(f"{path} line {lineno}: bad label {label!r}")
             entries.append({
                 "index": index, "label": label, "file": corpus_dir / fname,
                 "ingredients": ingredients.split(","),
@@ -285,6 +287,17 @@ def cmd_run_pipeline(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: a number of sessions."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _add_periodicity_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sample-t", type=float, default=10.0)
     p.add_argument("--peak-frac", type=float, default=0.7)
@@ -303,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a labeled synthetic session corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-benign", type=int, default=1000)
-    p.add_argument("--n-malicious", type=int, default=1000)
+    p.add_argument("--n-benign", type=_count, default=1000)
+    p.add_argument("--n-malicious", type=_count, default=1000)
     p.add_argument("--session-secs", type=float, default=900.0)
     p.add_argument("--jitter", type=float, default=0.0)
     p.set_defaults(func=cmd_simulate)
@@ -370,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-pipeline", help="simulate + train + detect in one go")
     p.add_argument("--workdir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-benign", type=int, default=20)
-    p.add_argument("--n-malicious", type=int, default=20)
+    p.add_argument("--n-benign", type=_count, default=20)
+    p.add_argument("--n-malicious", type=_count, default=20)
     p.add_argument("--model", choices=["gnb", "forest"], default="forest")
     p.add_argument("--k-best", type=int, default=6)
     p.add_argument("--session-secs", type=float, default=900.0)

@@ -134,6 +134,8 @@ def read_feature_csv(path) -> list[FeatureVector]:
             for row in reader:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                if row[8] not in ("", BENIGN, MALICIOUS):
+                    raise ValueError(f"bad label {row[8]!r}")
                 out.append(
                     FeatureVector(
                         n_uniq_syn_dst=int(float(row[0])),

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-from .errors import PolicyError
+from .errors import DataError, PolicyError
 
 STORE_HEADER = "#policies v1"
 WILDCARD = "*"
@@ -168,29 +168,37 @@ def save_store(store: PolicyStore, path) -> None:
             allow = "," .join(b.allowlist)
             lines.append(f"bind {pol.name} {b.device} {b.action.value}"
                          + (f" {allow}" if allow else ""))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_store(path) -> PolicyStore:
-    store = PolicyStore()
-    with open(path) as fh:
+    """The store that save_store wrote; DataError naming the file and the
+    line for anything that could not have come from it."""
+    with open(path, "rb") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != STORE_HEADER:
-        raise PolicyError(f"bad policy store header in {path}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if parts[0] == "policy" and len(parts) == 2:
-            store.apply_command(CreatePolicy(parts[1]))
-        elif parts[0] == "bind" and len(parts) in (4, 5):
-            allow = parts[4].split(",") if len(parts) == 5 else []
-            store.apply_command(AddAction(
-                policy=parts[1], device=parts[2],
-                action=_parse_action(parts[3], lineno), allowlist=allow))
-        else:
-            raise PolicyError(f"line {lineno}: unparseable store record {line!r}")
+    if not lines or lines[0] != STORE_HEADER.encode():
+        raise DataError(f"policy store {path} line 1: bad policy store header")
+    store = PolicyStore()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        try:
+            line = raw.decode()
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "policy" and len(parts) == 2:
+                store.apply_command(CreatePolicy(parts[1]))
+            elif parts[0] == "bind" and len(parts) in (4, 5):
+                allow = parts[4].split(",") if len(parts) == 5 else []
+                store.apply_command(AddAction(
+                    policy=parts[1], device=parts[2],
+                    action=_parse_action(parts[3], 4), allowlist=allow))
+            else:
+                raise PolicyError(f"unparseable store record {line!r}")
+        except UnicodeDecodeError:
+            raise DataError(f"policy store {path} line {lineno}: not UTF-8 text") from None
+        except PolicyError as exc:
+            raise DataError(f"policy store {path} line {lineno}: {exc}") from None
     return store
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .trace import PROTO_TCP, PacketTable, Trace, as_table, format_ip
+from .trace import PROTO_TCP, PacketTable, Trace, format_ip
 
 # Most windows one trace may be cut into (~1.3 KB each before any feature is
 # extracted): a year of 15-minute windows, or three weeks of 1-minute ones.
@@ -22,17 +22,11 @@ class TrafficSession:
     t_end: float
     packets: PacketTable
 
-    def __post_init__(self):
-        self.packets = as_table(self.packets)
-
 
 @dataclass(slots=True)
 class DeviceTrace:
     device_ip: str
     packets: PacketTable
-
-    def __post_init__(self):
-        self.packets = as_table(self.packets)
 
 
 def sessionize(trace: Trace, duration_s: float, span_s: float | None = None) -> list[TrafficSession]:

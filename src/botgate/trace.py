@@ -9,18 +9,19 @@ IPv4 only; timestamps are seconds since the trace epoch with millisecond
 resolution.
 
 In memory a trace is a ``PacketTable``: one numpy column per field, rows in
-timestamp order. ``PacketRecord`` is the row type that generators and
-hand-built tests pass in; a list of records becomes a table once, when the
-``Trace`` (or session, or device trace) holding it is constructed.
+timestamp order. ``PacketRecord`` is the row type that callers outside the
+library pass in; a list of records becomes a table once, when the ``Trace``
+holding it is constructed.
 """
 from __future__ import annotations
 
 import ipaddress
-import math
 import socket
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, or_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -53,7 +54,7 @@ class Proto(str, Enum):
 # the proto column holds an index into PROTOS
 PROTOS = (Proto.TCP, Proto.UDP, Proto.OTHER)
 PROTO_TCP, PROTO_UDP, PROTO_OTHER = range(3)
-_PROTO_CODE = {p: i for i, p in enumerate(PROTOS)}
+_PROTO_CODE = {p: i for i, p in enumerate(PROTOS)}  # a Proto is its name, so names look up too
 _PROTO_NAMES = tuple(p.value for p in PROTOS)
 
 
@@ -70,12 +71,42 @@ def format_ip(value: int) -> str:
 
 
 def parse_ip(text: str) -> int:
-    """The integer of a canonical dotted-quad IPv4 address; ValueError for
-    anything else."""
-    values, bad = _ip_values([text])
-    if bad[0]:
+    """The integer of a canonical dotted-quad IPv4 address (four decimal
+    octets up to 255, no leading zeros); ValueError for anything else."""
+    try:
+        packed = socket.inet_pton(socket.AF_INET, text)
+    except (OSError, ValueError):
+        packed = None
+    if packed is None or socket.inet_ntoa(packed) != text:
         raise ValueError(f"invalid IPv4 address {text!r}")
-    return int(values[0])
+    return int.from_bytes(packed, "big")
+
+
+# The packet-row rules in PacketRecord's check order: a test that holds where
+# a _Row breaks the rule, and the message, formatted with the row's values. A
+# _Row holds scalars or whole wide columns; its proto is an index into PROTOS.
+_Row = namedtuple("_Row", "ts sport dport proto flags ip_len payload_len")
+_ROW_RULES = (
+    (lambda r: ~np.isfinite(r.ts), "non-finite timestamp {ts}"),
+    (lambda r: r.ts < 0, "negative timestamp {ts}"),
+    (lambda r: (r.sport < 0) | (r.sport > 0xFFFF) | (r.dport < 0) | (r.dport > 0xFFFF),
+     "port out of range: {sport}/{dport}"),
+    (lambda r: r.payload_len > r.ip_len, "payload_len {payload_len} > ip_len {ip_len}"),
+    (lambda r: (r.payload_len < 0) | (r.ip_len < 0), "negative length"),
+    (lambda r: r.ip_len > MAX_LEN, "ip_len {ip_len} out of range"),
+    (lambda r: (r.proto != PROTO_TCP) & (r.flags != 0),
+     "tcp_flags must be 0 for non-TCP packets"),
+    (lambda r: (r.proto == PROTO_OTHER) & ((r.sport != 0) | (r.dport != 0)),
+     "ports must be 0 for proto OTHER"),
+    (lambda r: (r.flags < 0) | (r.flags > 0xFF), "tcp_flags out of range: {flags:#x}"),
+)
+
+
+def _row_error(row: _Row) -> str | None:
+    """The message of the first rule that ``row`` (of scalars) breaks, if any."""
+    for test, message in _ROW_RULES:
+        if test(row):
+            return message.format(**row._asdict())
 
 
 @dataclass(slots=True)
@@ -91,25 +122,11 @@ class PacketRecord:
     payload_len: int
 
     def __post_init__(self):
-        # keep in step with _invalid_rows, the same rules over whole columns
-        if not math.isfinite(self.ts):
-            raise ValueError(f"non-finite timestamp {self.ts}")
-        if self.ts < 0:
-            raise ValueError(f"negative timestamp {self.ts}")
-        if not (0 <= self.src_port <= 65535 and 0 <= self.dst_port <= 65535):
-            raise ValueError(f"port out of range: {self.src_port}/{self.dst_port}")
-        if self.payload_len > self.ip_len:
-            raise ValueError(f"payload_len {self.payload_len} > ip_len {self.ip_len}")
-        if self.payload_len < 0 or self.ip_len < 0:
-            raise ValueError("negative length")
-        if self.ip_len > MAX_LEN:
-            raise ValueError(f"ip_len {self.ip_len} out of range")
-        if self.proto is not Proto.TCP and self.tcp_flags != 0:
-            raise ValueError("tcp_flags must be 0 for non-TCP packets")
-        if self.proto is Proto.OTHER and (self.src_port != 0 or self.dst_port != 0):
-            raise ValueError("ports must be 0 for proto OTHER")
-        if not (0 <= self.tcp_flags <= 0xFF):
-            raise ValueError(f"tcp_flags out of range: {self.tcp_flags:#x}")
+        proto = _PROTO_CODE[self.proto] if type(self.proto) is Proto else -1
+        row = _Row(self.ts, self.src_port, self.dst_port, proto, self.tcp_flags, self.ip_len,
+                   self.payload_len)
+        if error := _row_error(row):
+            raise ValueError(error)
 
 
 def _valid_record(ts, src_ip, dst_ip, src_port, dst_port, proto, tcp_flags, ip_len,
@@ -124,25 +141,14 @@ def _valid_record(ts, src_ip, dst_ip, src_port, dst_port, proto, tcp_flags, ip_l
 
 def _invalid_rows(ts, sport, dport, proto, flags, ip_len, payload_len) -> np.ndarray:
     """Rows that break a PacketRecord rule, over the parser's wide columns."""
-    return (
-        ~np.isfinite(ts) | (ts < 0)
-        | (sport < 0) | (sport > 0xFFFF) | (dport < 0) | (dport > 0xFFFF)
-        | (payload_len > ip_len) | (payload_len < 0) | (ip_len < 0) | (ip_len > MAX_LEN)
-        | ((proto != PROTO_TCP) & (flags != 0))
-        | ((proto == PROTO_OTHER) & ((sport != 0) | (dport != 0)))
-        | (flags < 0) | (flags > 0xFF)
-    )
+    row = _Row(ts, sport, dport, proto, flags, ip_len, payload_len)
+    return reduce(or_, (test(row) for test, _ in _ROW_RULES))
 
 
-def _record_error(wide: list[np.ndarray], i: int) -> ValueError:
-    """The ValueError that PacketRecord raises for row ``i`` (in C order) of
-    the wide columns, which ``_invalid_rows`` has marked."""
-    ts, src, dst, sport, dport, proto, *rest = (v.flat[i].item() for v in wide)
-    try:
-        PacketRecord(ts, format_ip(src), format_ip(dst), sport, dport, PROTOS[proto], *rest)
-    except ValueError as exc:
-        return exc
-    return ValueError("invalid packet")
+def _record_error(wide: list[np.ndarray], i: int) -> str:
+    """The message of the first rule that row ``i`` (in C order) of the wide
+    columns breaks; ``_invalid_rows`` has marked it."""
+    return _row_error(_Row(wide[0].flat[i].item(), *(v.flat[i].item() for v in wide[3:])))
 
 
 def _ip_names(values: np.ndarray, names: dict[int, str]) -> list[str]:
@@ -179,14 +185,12 @@ class PacketTable:
         def column(name):
             return map(attrgetter(name), records)
 
-        distinct, index = _distinct([*column("src_ip"), *column("dst_ip")])
-        addresses, bad = _ip_values(distinct)
-        if bad.any():
-            raise ValueError(f"invalid IPv4 address {distinct[np.argmax(bad)]!r}")
+        src, dst = list(column("src_ip")), list(column("dst_ip"))
+        addresses = {ip: parse_ip(ip) for ip in dict.fromkeys(src + dst)}
         return cls(
             ts=np.fromiter(column("ts"), np.float64, n),
-            src=addresses[index[:n]].astype(np.uint32),
-            dst=addresses[index[n:]].astype(np.uint32),
+            src=np.fromiter(map(addresses.__getitem__, src), np.uint32, n),
+            dst=np.fromiter(map(addresses.__getitem__, dst), np.uint32, n),
             sport=np.fromiter(column("src_port"), np.uint16, n),
             dport=np.fromiter(column("dst_port"), np.uint16, n),
             proto=np.fromiter(map(_PROTO_CODE.__getitem__, column("proto")), np.uint8, n),
@@ -206,7 +210,7 @@ class PacketTable:
         wide = np.broadcast_arrays(ts, src, dst, sport, dport, proto, flags, ip_len, payload_len)
         bad = _invalid_rows(wide[0], *wide[3:])
         if bad.any():
-            raise _record_error(wide, int(np.argmax(bad)))
+            raise ValueError(_record_error(wide, int(np.argmax(bad))))
         return cls._narrow(wide)
 
     @classmethod
@@ -259,10 +263,6 @@ _DTYPES = (np.float64, np.uint32, np.uint32, np.uint16, np.uint16, np.uint8, np.
            np.uint32, np.uint32)
 
 
-def as_table(packets: PacketTable | Iterable[PacketRecord]) -> PacketTable:
-    return packets if isinstance(packets, PacketTable) else PacketTable.from_records(packets)
-
-
 @dataclass(slots=True)
 class Trace:
     """A capture. Its packets are kept in timestamp order; packets with equal
@@ -277,7 +277,9 @@ class Trace:
             ipaddress.IPv4Network(self.internal_subnet)
         except (ValueError, ipaddress.AddressValueError) as exc:
             raise ConfigError(f"invalid internal subnet {self.internal_subnet!r}: {exc}") from exc
-        packets = as_table(self.packets)
+        packets = self.packets
+        if not isinstance(packets, PacketTable):  # PacketRecord rows from outside the library
+            packets = PacketTable.from_records(packets)
         if np.any(packets.ts[1:] < packets.ts[:-1]):
             packets = packets[np.argsort(packets.ts, kind="stable")]
         self.packets = packets
@@ -371,75 +373,35 @@ def _parse_block(block: memoryview, lineno: int) -> PacketTable:
     return table
 
 
-_REJECTED = (ValueError, OverflowError, LookupError, OSError)
-
-
-def _convert(tokens: list[bytes], fn, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``fn`` of every token, and a mask of the tokens it rejects."""
-    n = len(tokens)
-    try:
-        return np.fromiter(map(fn, tokens), dtype, n), np.zeros(n, bool)
-    except _REJECTED:
-        pass
-    values, bad = np.zeros(n, dtype), np.zeros(n, bool)
-    for i, token in enumerate(tokens):  # malformed input only: mark each bad token
-        try:
-            values[i] = fn(token)
-        except _REJECTED:
-            bad[i] = True
-    return values, bad
-
-
-def _distinct(tokens: list) -> tuple[list, np.ndarray]:
-    """The distinct tokens, and where each token sits among them."""
-    position = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
-    return list(position), np.fromiter(map(position.__getitem__, tokens), np.intp, len(tokens))
-
-
-def _pton(text: str) -> int:
-    return int.from_bytes(socket.inet_pton(socket.AF_INET, text), "big")
-
-
-def _ip_values(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """IPv4 addresses as integers, and a mask of the texts that are not
-    canonical dotted quads (four decimal octets up to 255, no leading zeros)."""
-    values, bad = _convert(texts, _pton, np.int64)
-    octets = (values[:, None] >> np.array([24, 16, 8, 0])) & 0xFF
-    canonical_len = 3 + (1 + (octets >= 10) + (octets >= 100)).sum(axis=1)
-    bad |= np.fromiter(map(len, texts), np.intp, len(texts)) != canonical_len
-    return values, bad
-
-
-def _hex(token: bytes) -> int:
-    if not token.startswith(b"0x"):
+def _hex(token: str) -> int:
+    if not token.startswith("0x"):
         raise ValueError("flags must be hex")
     return int(token, 16)
 
 
-_PROTO_OF_TOKEN = {p.value.encode(): i for i, p in enumerate(PROTOS)}
-# what a token rejected in each field is called
+# each field's converter from a token, and what a token it rejects is called
+_CONVERTERS = (float, parse_ip, parse_ip, int, int, _PROTO_CODE.__getitem__, _hex, int, int)
+_INT64 = range(-1 << 63, 1 << 63)  # what the wide columns of every field but ts hold
 _FIELD_ERRORS = ("bad timestamp", "bad IPv4 address", "bad IPv4 address", "bad port",
                  "bad port", "unknown protocol", "flags must be hex, got", "bad length",
                  "bad length")
 
 
-def _token_values(lines: list) -> tuple[list[np.ndarray], np.ndarray]:
-    """The wide columns of nine-field rows given as text, one token at a
-    time, and a (row, field) mask of the tokens that are rejected."""
-    tokens = b" ".join(lines).split()
-    cols = [tokens[k::N_FIELDS] for k in range(N_FIELDS)]
-    parsed = [
-        _convert(cols[0], float, np.float64),
-        _ip_values(list(map(bytes.decode, cols[1]))),
-        _ip_values(list(map(bytes.decode, cols[2]))),
-        _convert(cols[3], int, np.int64),
-        _convert(cols[4], int, np.int64),
-        _convert(cols[5], _PROTO_OF_TOKEN.__getitem__, np.int64),
-        _convert(cols[6], _hex, np.int64),
-        _convert(cols[7], int, np.int64),
-        _convert(cols[8], int, np.int64),
-    ]
-    return [v for v, _ in parsed], np.column_stack([bad for _, bad in parsed])
+def _token_row(line: bytes) -> tuple[list, str | None]:
+    """The wide values of a nine-field row read one token at a time, and
+    what is wrong with the first token that its field's converter rejects or
+    its column cannot hold, if any."""
+    values = [0] * N_FIELDS
+    for k, token in enumerate(line.split()):  # the tokens the byte tokenizer sees
+        token = token.decode()
+        try:
+            value = _CONVERTERS[k](token)
+            if k and value not in _INT64:
+                raise OverflowError
+            values[k] = value
+        except (ValueError, OverflowError, LookupError):
+            return values, f"{_FIELD_ERRORS[k]} {token!r}"
+    return values, None
 
 
 def _parse_rows(b: np.ndarray, tokens: np.ndarray, block: memoryview,
@@ -447,28 +409,22 @@ def _parse_rows(b: np.ndarray, tokens: np.ndarray, block: memoryview,
     """Columns of the nine-field rows whose token edges are ``tokens``
     (row, field, start/end as offsets into ``b``, which holds ``block`` from
     offset 1). Rows in canonical shape are read from the bytes; the others
-    go through the token converters. Then the first bad row raises
-    TraceParseError with its line number."""
+    one token at a time. Then the first bad row raises TraceParseError with
+    its line number."""
     values, canonical = _canonical_values(b, tokens)
-    bad_tokens = np.zeros((len(tokens), N_FIELDS), bool)
     other = np.flatnonzero(~canonical)
-    if other.size:
-        # a row's text runs from its first token's start to its last token's end
-        lines = [block[s - 1:e - 1] for s, e in
-                 zip(tokens[other, 0, 0].tolist(), tokens[other, -1, 1].tolist())]
-        other_values, bad_tokens[other] = _token_values(lines)
-        for column, v in zip(values, other_values):
-            column[other] = v
-    bad = bad_tokens.any(axis=1) | _invalid_rows(values[0], *values[3:])
+    # a row's text runs from its first token's start to its last token's end
+    read = [_token_row(bytes(block[s - 1:e - 1]))
+            for s, e in zip(tokens[other, 0, 0].tolist(), tokens[other, -1, 1].tolist())]
+    for k, column in enumerate(values):
+        column[other] = [row[k] for row, _ in read]
+    token_errors = {i: error for i, (_, error) in zip(other.tolist(), read) if error}
+    bad = _invalid_rows(values[0], *values[3:])
+    bad[list(token_errors)] = True
     if bad.any():
         i = int(np.argmax(bad))
-        where = f"line {linenos[i]}"
-        if bad_tokens[i].any():
-            k = int(np.argmax(bad_tokens[i]))
-            s, e = tokens[i, k].tolist()
-            token = bytes(block[s - 1:e - 1]).decode()
-            raise TraceParseError(f"{where}: {_FIELD_ERRORS[k]} {token!r}")
-        raise TraceParseError(f"{where}: {_record_error(values, i)}")
+        raise TraceParseError(
+            f"line {linenos[i]}: {token_errors.get(i) or _record_error(values, i)}")
     return PacketTable._narrow(values)
 
 
@@ -483,8 +439,8 @@ _FROM_TOKEN, _TO_TOKEN_END = [0, 2, 6, 10, 11, 12, 13], [1, 5, 9, 10, 11, 12, 13
 _FROM_DOT, _TO_DOT = [1, 3, 4, 5, 7, 8, 9], [0, 2, 3, 4, 6, 7, 8]
 _SEVEN = np.arange(7)[:, None]
 _OCTET_SHIFTS = np.array([24, 16, 8, 0])[:, None]
-_PROTO_WORDS = [(int.from_bytes(name, "little"), len(name), code)
-                for name, code in _PROTO_OF_TOKEN.items()]
+_PROTO_WORDS = [(int.from_bytes(p.value.encode(), "little"), len(p.value), code)
+                for p, code in _PROTO_CODE.items()]
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(_LOAD + 1)], np.uint64)
 _HEX_PREFIX = int.from_bytes(b"0x", "little")
 _HEX_DIGIT = np.full(256, -256)  # value of each hex digit character, negative for the rest

@@ -9,7 +9,7 @@ from botgate.acf import (
 from botgate.errors import ConfigError, DegenerateSignalError
 from botgate.sessions import DeviceTrace
 from botgate.synth import gen_cnc_beacon, gen_memoryless_noise
-from botgate.trace import ACK, PSH, SYN, PacketRecord, Proto
+from botgate.trace import ACK, PSH, SYN, PacketRecord, PacketTable, Proto
 
 
 def brute_acf(e, max_lag):
@@ -26,13 +26,13 @@ def brute_acf(e, max_lag):
 
 
 def test_filter_cnc_candidates():
-    dev = DeviceTrace("192.168.1.10", [
+    dev = DeviceTrace("192.168.1.10", PacketTable.from_records([
         PacketRecord(1.0, "192.168.1.10", "9.9.9.9", 1111, 4444, Proto.TCP, PSH | ACK, 44, 4),
         PacketRecord(2.0, "192.168.1.10", "9.9.9.9", 1111, 443, Proto.TCP, PSH | ACK, 540, 500),
         PacketRecord(3.0, "192.168.1.10", "9.9.9.9", 1111, 23, Proto.TCP, SYN, 40, 0),
         PacketRecord(0.5, "192.168.1.10", "9.9.9.9", 1111, 53, Proto.UDP, 0, 32, 4),
         PacketRecord(4.0, "192.168.1.10", "9.9.9.9", 1111, 80, Proto.TCP, ACK, 40, 0),
-    ])
+    ]))
     # small PSH+ACK and small UDP survive; app data, lone SYN and bare ACK do not
     assert list(filter_cnc_candidates(dev, 10)) == [0.5, 1.0]
 
@@ -103,12 +103,13 @@ def test_detect_periodicity_beacons():
 
 def test_detect_periodicity_degenerate_and_noise():
     params = PeriodicityParams()
-    res = detect_periodicity(DeviceTrace("192.168.1.10", []), params, 900.0)
+    empty = DeviceTrace("192.168.1.10", PacketTable.from_records([]))
+    res = detect_periodicity(empty, params, 900.0)
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED
     assert "constant" in res.reason
     assert res.n_candidates == 0
     # too-short capture
-    res = detect_periodicity(DeviceTrace("192.168.1.10", []), params, 5.0)
+    res = detect_periodicity(empty, params, 5.0)
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED
     assert res.reason
     # a single burst has no repeating structure

@@ -162,8 +162,28 @@ def _deepest_split(doc):
     ("gnb", lambda d: d["scaler"].update(maxs=[1.0] * 7), "mins and maxs differ in length"),
     ("gnb", lambda d: d.update(selected=[0, 1, 2]), "2 classes x 3 features"),
     ("gnb", lambda d: d["params"].update(priors=[1.0]), "2 classes x 4 features"),
+    ("gnb", lambda d: d["scaler"]["maxs"].__setitem__(3, math.inf),
+     "non-finite number in the scaler"),
+    ("forest", lambda d: d["scaler"]["mins"].__setitem__(0, math.nan),
+     "non-finite number in the scaler"),
+    ("gnb", lambda d: d["params"]["priors"].__setitem__(0, math.nan),
+     "non-finite number in the GNB parameters"),
+    ("gnb", lambda d: d["params"]["theta"][1].__setitem__(2, -math.inf),
+     "non-finite number in the GNB parameters"),
+    ("gnb", lambda d: d["params"]["var"][0].__setitem__(0, math.inf),
+     "non-finite number in the GNB parameters"),
+    ("gnb", lambda d: d["params"].update(var_smoothing=math.nan),
+     "non-finite number in the GNB parameters"),
+    ("forest", lambda d: _deepest_split(d).update(t=math.inf), "a tree threshold is inf"),
+    ("forest", lambda d: d.update(session_secs=0), "session_secs 0.0 is not positive and finite"),
+    ("gnb", lambda d: d.update(session_secs=-900), "session_secs -900.0 is not positive"),
+    ("gnb", lambda d: d.update(session_secs=math.inf), "session_secs inf is not positive"),
+    ("forest", lambda d: d.update(session_secs=math.nan), "session_secs nan is not positive"),
 ], ids=["feature-99", "negative-feature", "leaf-2", "n-features", "no-trees",
-        "selected-range", "scaler-lengths", "gnb-width", "gnb-priors"])
+        "selected-range", "scaler-lengths", "gnb-width", "gnb-priors", "scaler-inf",
+        "scaler-nan", "priors-nan", "theta-inf", "var-inf", "var-smoothing-nan",
+        "threshold-inf", "session-secs-0", "session-secs-negative", "session-secs-inf",
+        "session-secs-nan"])
 def test_load_rejects_inconsistent_model(tmp_path, kind, edit, message):
     path = _edited_model(tmp_path, kind, edit)
     with pytest.raises(ModelFormatError, match=f"model file {path}: .*{message}"):

@@ -197,7 +197,8 @@ def test_session_count_bound_exits_2(workspace, tmp_path, capsys, ts, session_se
 @pytest.mark.parametrize("row, message", [
     ("0\tBENIGN\tsession_00000.trace", "line 3: expected 4 tab-separated fields, got 3"),
     ("x\tBENIGN\tsession_00000.trace\t", "line 3: bad index 'x'"),
-], ids=["short-row", "bad-index"])
+    ("1\tWHATEVER\tsession_00001.trace\t", "line 3: bad label 'WHATEVER'"),
+], ids=["short-row", "bad-index", "unknown-label"])
 def test_malformed_manifest_row_exits_2(workspace, tmp_path, capsys, row, message):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -279,3 +280,34 @@ def test_simulate_bad_session_secs_exits_2(tmp_path, capsys, secs):
     assert main(["simulate", "--out", str(tmp_path / "c"), "--n-benign", "1",
                  "--n-malicious", "1", "--session-secs", secs]) == 2
     assert "session duration must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, out_flag", [
+    ("simulate", "--out"), ("run-pipeline", "--workdir"),
+], ids=["simulate", "run-pipeline"])
+@pytest.mark.parametrize("flag", ["--n-benign", "--n-malicious"])
+def test_negative_session_count_exits_1(tmp_path, capsys, command, out_flag, flag):
+    out = tmp_path / "out"
+    argv = [command, out_flag, str(out), "--n-benign", "2", "--n-malicious", "2", flag, "-3"]
+    assert main(argv) == 1
+    assert f"argument {flag}: expected a non-negative integer, got '-3'" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"policy p\nbind p 192.168.1.\xff BLOCK_ALL\n", "line 3: not UTF-8 text"),
+    (b"policy p\nfrobnicate\n", "line 3: unparseable store record 'frobnicate'"),
+    (b"policy p\npolicy p\n", "line 3: policy 'p' already exists"),
+    (b"policy p\nbind q 192.168.1.10 BLOCK_ALL\n", "line 3: no such policy 'q'"),
+    (b"policy p\nbind p 192.168.1.10 BLOCK_ALL a.com\n",
+     "line 3: allowlist only valid with RESTRICT_TO_SECURE_DOMAINS"),
+    (b"policy p\nbind p 192.168.1.10 EXPLODE\n", "line 3: token 4: unknown action 'EXPLODE'"),
+], ids=["non-utf8", "unparseable", "duplicate-policy", "unknown-policy", "bad-binding",
+        "unknown-action"])
+def test_bad_policy_store_exits_2(tmp_path, capsys, body, message):
+    store = tmp_path / "store.txt"
+    store.write_bytes(b"#policies v1\n" + body)
+    assert main(["policy", "--store", str(store), "--create-policy", "other"]) == 2
+    assert f"data error: policy store {store} {message}" in capsys.readouterr().err
+    assert store.read_bytes() == b"#policies v1\n" + body

@@ -9,7 +9,7 @@ from botgate.features import (
     extract_features, read_feature_csv, write_feature_csv,
 )
 from botgate.sessions import TrafficSession
-from botgate.trace import ACK, FIN, PSH, SYN, PacketRecord, Proto
+from botgate.trace import ACK, FIN, PSH, SYN, PacketRecord, PacketTable, Proto
 
 
 def tcp(ts, src, dst, sport, dport, flags, ip_len=40, payload=0):
@@ -17,7 +17,8 @@ def tcp(ts, src, dst, sport, dport, flags, ip_len=40, payload=0):
 
 
 def session(packets):
-    return TrafficSession(0, 0.0, 900.0, sorted(packets, key=lambda p: p.ts))
+    return TrafficSession(0, 0.0, 900.0,
+                          PacketTable.from_records(sorted(packets, key=lambda p: p.ts)))
 
 
 DEV = "192.168.1.10"
@@ -110,7 +111,8 @@ def test_csv_rejects_foreign_header(tmp_path):
     ("1,2,3", "line 3: expected 9 fields, got 3"),
     ("1,2,1,1.5,0,60,40,x,BENIGN", "line 3: could not convert string to float: 'x'"),
     ("inf,2,1,1.5,0,60,40,50.0,BENIGN", "line 3: cannot convert float infinity"),
-], ids=["short", "not-a-number", "infinite-count"])
+    ("3,2,1,1.5,0,60,40,50.0,WHATEVER", "line 3: bad label 'WHATEVER'"),
+], ids=["short", "not-a-number", "infinite-count", "unknown-label"])
 def test_csv_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     good = "3,2,1,1.5,0,60,40,50.0,MALICIOUS"

@@ -36,13 +36,13 @@ def assert_same_as_reference(text):
 def token_path_rows(monkeypatch):
     """Counts the rows that go through the token converters."""
     rows = []
-    convert = trace_module._token_values
+    convert = trace_module._token_row
 
-    def counting(lines):
-        rows.extend(bytes(line) for line in lines)
-        return convert(lines)
+    def counting(line):
+        rows.append(bytes(line))
+        return convert(line)
 
-    monkeypatch.setattr(trace_module, "_token_values", counting)
+    monkeypatch.setattr(trace_module, "_token_row", counting)
     return rows
 
 

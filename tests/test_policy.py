@@ -1,7 +1,7 @@
 """Policy-engine grammar, store persistence and plan generation."""
 import pytest
 
-from botgate.errors import PolicyError
+from botgate.errors import DataError, PolicyError
 from botgate.policy import (
     AddAction, Binding, CreatePolicy, DeleteAction, DeletePolicy, PolicyAction,
     PolicyStore, apply_policies, load_store, parse_policy_command, save_store,
@@ -102,10 +102,10 @@ def test_store_round_trip(tmp_path):
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("#policies v1\nfrobnicate everything\n")
-    with pytest.raises(PolicyError, match="line 2"):
+    with pytest.raises(DataError, match=f"policy store {path} line 2: unparseable"):
         load_store(path)
     path.write_text("no header\n")
-    with pytest.raises(PolicyError, match="header"):
+    with pytest.raises(DataError, match=f"policy store {path} line 1: bad policy store header"):
         load_store(path)
 
 

@@ -5,7 +5,7 @@ from botgate.errors import ConfigError
 from botgate.sessions import (
     TrafficSession, filter_tcp, sessionize, split_by_device,
 )
-from botgate.trace import ACK, SYN, PacketRecord, Proto, Trace
+from botgate.trace import ACK, SYN, PacketRecord, PacketTable, Proto, Trace
 
 
 def tcp(ts, src="192.168.1.10", dst="8.8.8.8"):
@@ -43,7 +43,7 @@ def test_sessionize_rejects_bad_duration():
 
 
 def test_filter_tcp():
-    s = TrafficSession(0, 0.0, 10.0, [tcp(1.0), udp(2.0), tcp(3.0)])
+    s = TrafficSession(0, 0.0, 10.0, PacketTable.from_records([tcp(1.0), udp(2.0), tcp(3.0)]))
     kept = filter_tcp(s)
     assert all(p.proto is Proto.TCP for p in kept.packets)
     assert len(kept.packets) == 2

@@ -1,14 +1,17 @@
 """Trace model and text-format tests."""
+import importlib
 import ipaddress
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botgate.errors import ConfigError, TraceParseError
 from botgate.trace import (
-    ACK, PSH, SYN, PacketRecord, Proto, Trace, load_trace, parse_trace, quantize_ts,
-    save_trace, write_trace,
+    ACK, PROTOS, PSH, SYN, PacketRecord, PacketTable, Proto, Trace, load_trace, parse_ip,
+    parse_trace, quantize_ts, save_trace, write_trace,
 )
 
 HEADER = "#trace v1 subnet=192.168.1.0/24 epoch=0"
@@ -121,6 +124,10 @@ def test_large_trace_round_trip_and_save(tmp_path):
     ("1.0 192.168.1.010 8.8.8.8 1 2 TCP 0x02 40 0", "line 3: bad IPv4 address"),
     ("1.0 192.168.1.10 8.8.8.8 1 2 TCP 0x2G 40 0", "line 3: flags must be hex"),
     ("1.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 99999999999999999999 0", "line 3: bad length"),
+    # bytes 0x1C-0x1F split words in str.split() but are not trace whitespace
+    ("1.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0\x1c0", r"line 3: bad length '0\\x1c0'$"),
+    ("1\x1c5 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0", r"line 3: bad timestamp '1\\x1c5'$"),
+    ("1.0 192.168.1.10 8.8.8.8 1 2 TCP\x1e 0x02 40 0", r"line 3: unknown protocol 'TCP\\x1e'$"),
 ])
 def test_body_boundary_errors(body, message):
     text = HEADER + "\n1.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0\n" + body + "\n"
@@ -164,6 +171,10 @@ def test_packet_validation():
         PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Proto.UDP, SYN, 28, 0)
     with pytest.raises(ValueError):
         PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Proto.OTHER, 0, 20, 0)
+    # only a Proto member is TCP or OTHER to the rules, not a string of its name
+    with pytest.raises(ValueError, match="tcp_flags must be 0 for non-TCP packets"):
+        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, "TCP", SYN, 40, 0)
+    PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, "OTHER", 0, 40, 0)
 
 
 def test_trace_subnet_validation_and_span():
@@ -243,3 +254,52 @@ def test_address_validation_matches_ipaddress(address):
     else:
         with pytest.raises(TraceParseError, match="line 2: bad IPv4 address"):
             parse_trace(text)
+
+
+# one row for each packet-row rule, breaking that rule and no earlier one:
+# (ts, sport, dport, proto, flags, ip_len, payload_len), and the message
+RULE_ROWS = [
+    ((float("nan"), 1, 2, Proto.TCP, 2, 40, 0), "non-finite timestamp nan"),
+    ((-1.5, 1, 2, Proto.TCP, 2, 40, 0), "negative timestamp -1.5"),
+    ((1.0, 70000, 80, Proto.TCP, 2, 40, 0), "port out of range: 70000/80"),
+    ((1.0, 1, 2, Proto.TCP, 2, 40, 41), "payload_len 41 > ip_len 40"),
+    ((1.0, 1, 2, Proto.TCP, 2, 40, -1), "negative length"),
+    ((1.0, 1, 2, Proto.TCP, 2, 2**32, 0), "ip_len 4294967296 out of range"),
+    ((1.0, 1, 2, Proto.UDP, 2, 40, 0), "tcp_flags must be 0 for non-TCP packets"),
+    ((1.0, 1, 0, Proto.OTHER, 0, 40, 0), "ports must be 0 for proto OTHER"),
+    ((1.0, 1, 2, Proto.TCP, 0x100, 40, 0), "tcp_flags out of range: 0x100"),
+]
+
+
+@pytest.mark.parametrize("row, message", RULE_ROWS, ids=[m for _, m in RULE_ROWS])
+def test_row_rules_give_one_message_everywhere(row, message):
+    """PacketRecord, PacketTable.from_columns and the parser apply the same
+    rules in the same order, with the same message."""
+    ts, sport, dport, proto, flags, ip_len, payload = row
+    src, dst = "192.168.1.10", "8.8.8.8"
+    with pytest.raises(ValueError) as record:
+        PacketRecord(ts, src, dst, sport, dport, proto, flags, ip_len, payload)
+    with pytest.raises(ValueError) as table:
+        PacketTable.from_columns(ts, parse_ip(src), parse_ip(dst), sport, dport,
+                                 PROTOS.index(proto), flags, ip_len, payload)
+    # in canonical shape where the values allow it, so both parser paths are covered
+    text = (f"{HEADER}\n{ts:.3f} {src} {dst} {sport} {dport} {proto.value} 0x{flags:02x} "
+            f"{ip_len} {payload}\n")
+    with pytest.raises(TraceParseError) as parsed:
+        parse_trace(text)
+    assert (str(record.value), str(table.value), str(parsed.value)) == \
+        (message, message, f"line 2: {message}")
+
+
+def test_perfbench_row_api(tmp_path, monkeypatch):
+    """The benchmark builds its day trace from PacketRecord lists and counts
+    addresses by iterating rows; a change to that row API fails here, not
+    in a benchmark run. The perfbench modules are imported, not changed."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracer")
+    path = tmp_path / "day.trace"
+    infected = workloads.build_day_trace(path, 1, 8, 2, 600.0)
+    trace = load_trace(path)
+    assert len(trace.packets) > 0 and len(infected) == workloads.N_INFECTED
+    assert tracer._unique_ips(trace) == len(np.union1d(trace.packets.src, trace.packets.dst))
