@@ -13,9 +13,7 @@ import time
 
 import numpy as np
 
-from botgate.classifiers import (
-    cross_validate, forest_fit, forest_predict, gnb_fit, gnb_predict,
-)
+from botgate.classifiers import cross_validate, forest_fit, gnb_fit, predict, stage1_metrics
 from botgate.features import FEATURE_NAMES, MALICIOUS, extract_features
 from botgate.preprocess import (
     Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best,
@@ -23,17 +21,6 @@ from botgate.preprocess import (
 )
 from botgate.sessions import TrafficSession
 from botgate.synth import SynthConfig, gen_dataset
-
-
-def metrics(pred, y):
-    tp = int(((pred == 1) & (y == 1)).sum())
-    fp = int(((pred == 1) & (y == 0)).sum())
-    fn = int(((pred == 0) & (y == 1)).sum())
-    acc = float((pred == y).mean())
-    prec = tp / (tp + fp) if tp + fp else 0.0
-    rec = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-    return acc, prec, rec, f1
 
 
 def main():
@@ -55,7 +42,7 @@ def main():
         labels.append(1 if rec.label == MALICIOUS else 0)
     print(f"corpus: {len(rows)} sessions in {time.monotonic() - t0:.1f}s")
 
-    data = Dataset(np.array(rows), np.array(labels), list(FEATURE_NAMES))
+    data = Dataset(np.array(rows), np.array(labels))
     train, test = shuffle_split(data, 0.8, seed=args.seed)
     scaler = scaler_fit(train.X)
     Xtr = scaler_transform(scaler, train.X)
@@ -72,17 +59,12 @@ def main():
 
     print(f"\n{'model':<8} {'accuracy':>9} {'precision':>10} {'recall':>8} {'f1':>8} "
           f"{'cv mean':>8} {'cv std':>8}")
-    for kind in ("gnb", "forest"):
-        if kind == "gnb":
-            model = gnb_fit(sel_data)
-            pred = gnb_predict(model, Xte)
-        else:
-            model = forest_fit(sel_data, seed=args.seed)
-            pred = forest_predict(model, Xte)
-        acc, prec, rec, f1 = metrics(pred, test.y)
+    for kind, model in (("gnb", gnb_fit(sel_data)),
+                        ("forest", forest_fit(sel_data, seed=args.seed))):
+        m = stage1_metrics(predict(model, Xte)[0], test.y)
         cv_mean, cv_std = cross_validate(sel_data, args.cv_folds, kind, seed=args.seed)
-        print(f"{kind:<8} {acc:9.4f} {prec:10.4f} {rec:8.4f} {f1:8.4f} "
-              f"{cv_mean:8.4f} {cv_std:8.4f}")
+        print(f"{kind:<8} {m['accuracy']:9.4f} {m['precision']:10.4f} {m['recall']:8.4f} "
+              f"{m['f1']:8.4f} {cv_mean:8.4f} {cv_std:8.4f}")
 
 
 if __name__ == "__main__":

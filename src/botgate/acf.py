@@ -3,7 +3,7 @@
 Pipeline: filter candidate command-channel packets (UDP, or TCP PSH+ACK with
 a tiny payload), bin arrival times into a binary sequence, compute the
 unbiased autocorrelation, find dominant peaks, and declare periodicity when
-at least ``min_peaks`` peaks sit at (almost) equal gaps.
+at least ``MIN_PEAKS`` peaks sit at (almost) equal gaps.
 """
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ from .trace import ACK, PROTO_TCP, PROTO_UDP, PSH
 
 # Longest encoded sequence: up to it, the exact ACF's integers stay below 2^53.
 MAX_BINS = 2 ** 17
+MIN_PEAKS = 3        # qualifying ACF peaks needed for a periodicity verdict
+MAX_LAG_FRAC = 0.75  # the ACF is searched for peaks up to this fraction of K
 
 
 class Verdict(str, Enum):
@@ -32,19 +34,15 @@ class PeriodicityParams:
     peak_height_frac: float = 0.7     # relative to the tallest ACF peak past lag 0
     gap_variance_thresh: float = 0.01
     payload_cutoff_bytes: int = 10
-    min_peaks: int = 3
-    max_lag_frac: float = 0.75
 
     def __post_init__(self):
         if not (math.isfinite(self.sample_t) and math.isfinite(self.gap_variance_thresh)):
             raise ConfigError(f"sample_t and gap_variance_thresh must be finite, got "
                               f"{self.sample_t} and {self.gap_variance_thresh}")
-        if self.sample_t <= 0 or self.payload_cutoff_bytes <= 0 or self.min_peaks <= 0:
+        if self.sample_t <= 0 or self.payload_cutoff_bytes <= 0:
             raise ConfigError("periodicity parameters must be positive")
         if not 0 < self.peak_height_frac <= 1:
             raise ConfigError("peak_height_frac must be in (0, 1]")
-        if not 0 < self.max_lag_frac < 1:
-            raise ConfigError("max_lag_frac must be in (0, 1)")
         if self.gap_variance_thresh <= 0:
             raise ConfigError("gap_variance_thresh must be positive")
 
@@ -161,7 +159,7 @@ def analyze_sequence(seq: EncodedSequence, params: PeriodicityParams) -> Periodi
     The result keeps the sequence, for the confidence score."""
     result = PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED,
                                n_candidates=seq.n_arrivals, sequence=seq)
-    max_lag = int(math.floor(seq.K * params.max_lag_frac))
+    max_lag = int(math.floor(seq.K * MAX_LAG_FRAC))
     if max_lag < 2:
         result.reason = "sequence too short for peak analysis"
         return result
@@ -172,8 +170,8 @@ def analyze_sequence(seq: EncodedSequence, params: PeriodicityParams) -> Periodi
         return result
     peaks = find_peaks(series, params.peak_height_frac)
     result.peak_lags = peaks
-    if len(peaks) < params.min_peaks:
-        result.reason = f"only {len(peaks)} qualifying peaks (need {params.min_peaks})"
+    if len(peaks) < MIN_PEAKS:
+        result.reason = f"only {len(peaks)} qualifying peaks (need {MIN_PEAKS})"
         return result
     gap_var = float(np.var(np.diff(peaks)))  # population variance, lag units
     result.gap_variance = gap_var

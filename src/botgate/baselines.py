@@ -16,15 +16,6 @@ class WalkerVerdict(str, Enum):
 
 
 @dataclass
-class WalkerParams:
-    gamma: float = 0.1  # false-positive probability
-
-    def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise ConfigError("gamma must be in (0, 1)")
-
-
-@dataclass
 class WalkerResult:
     verdict: WalkerVerdict
     statistic: float | None = None

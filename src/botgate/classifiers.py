@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,30 +65,15 @@ def gnb_posteriors(model: GNBModel, X: np.ndarray) -> np.ndarray:
     return post / post.sum(axis=1, keepdims=True)
 
 
-def gnb_predict(model: GNBModel, X: np.ndarray) -> np.ndarray:
-    post = gnb_posteriors(model, X)
-    # strict comparison: an exact tie stays benign
-    return (post[:, LABEL_MALICIOUS] > post[:, LABEL_BENIGN]).astype(int)
-
-
 # ---------------------------------------------------------------------------
 # Random forest
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    label: int = LABEL_BENIGN  # leaf payload when feature < 0
-
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+N_TREES = 10
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[dict]  # {"leaf": label} or {"f": feature, "t": threshold, "l": ..., "r": ...}
     n_features: int
     seed: int
 
@@ -129,9 +113,9 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, max_features: int,
-               rng: np.random.Generator, min_samples_split: int = 2) -> TreeNode:
-    if len(np.unique(y)) == 1 or len(y) < min_samples_split:
-        return TreeNode(label=_majority(y))
+               rng: np.random.Generator) -> dict:
+    if len(np.unique(y)) == 1:
+        return {"leaf": _majority(y)}
     d = X.shape[1]
     features = rng.choice(d, size=min(max_features, d), replace=False)
     split = _best_split(X, y, features)
@@ -139,16 +123,14 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, max_features: int,
         # fall back to searching all features before declaring a leaf
         split = _best_split(X, y, np.arange(d))
         if split is None:
-            return TreeNode(label=_majority(y))
+            return {"leaf": _majority(y)}
     _, f, thresh = split
     mask = X[:, f] <= thresh
-    node = TreeNode(feature=f, threshold=thresh)
-    node.left = _grow_tree(X[mask], y[mask], max_features, rng, min_samples_split)
-    node.right = _grow_tree(X[~mask], y[~mask], max_features, rng, min_samples_split)
-    return node
+    return {"f": f, "t": thresh, "l": _grow_tree(X[mask], y[mask], max_features, rng),
+            "r": _grow_tree(X[~mask], y[~mask], max_features, rng)}
 
 
-def forest_fit(train: Dataset, seed: int, n_trees: int = 10) -> ForestModel:
+def forest_fit(train: Dataset, seed: int) -> ForestModel:
     """Bootstrap forest with gini splits and max_features = floor(sqrt(d)).
 
     Rows are canonically sorted by (feature tuple, label) before bootstrap
@@ -162,17 +144,17 @@ def forest_fit(train: Dataset, seed: int, n_trees: int = 10) -> ForestModel:
     X, y = X[order], y[order]
     max_features = max(1, int(np.floor(np.sqrt(d))))
     trees = []
-    for t in range(n_trees):
+    for t in range(N_TREES):
         rng = np.random.default_rng([seed, t])
         idx = rng.integers(0, n, size=n)
         trees.append(_grow_tree(X[idx], y[idx], max_features, rng))
     return ForestModel(trees=trees, n_features=d, seed=seed)
 
 
-def _tree_predict_one(node: TreeNode, x: np.ndarray) -> int:
-    while not node.is_leaf():
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.label
+def _tree_predict_one(node: dict, x: np.ndarray) -> int:
+    while "leaf" not in node:
+        node = node["l"] if x[node["f"]] <= node["t"] else node["r"]
+    return node["leaf"]
 
 
 def forest_vote_fraction(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -184,16 +166,33 @@ def forest_vote_fraction(model: ForestModel, X: np.ndarray) -> np.ndarray:
     return votes / len(model.trees)
 
 
-def forest_predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    frac = forest_vote_fraction(model, X)
-    return (frac > 0.5).astype(int)  # 50/50 tie stays benign
+def predict(model: GNBModel | ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, confidence) per row. Confidence is the malicious posterior
+    (GNB) or the malicious vote fraction (forest); a row is malicious when its
+    confidence exceeds 0.5, so an exact tie stays benign."""
+    if isinstance(model, GNBModel):
+        conf = gnb_posteriors(model, X)[:, LABEL_MALICIOUS]
+    else:
+        conf = forest_vote_fraction(model, X)
+    return (conf > 0.5).astype(int), conf
+
+
+def stage1_metrics(pred: np.ndarray, y: np.ndarray) -> dict:
+    """Accuracy, precision, recall and F1 of predicted against true labels;
+    a ratio with a zero denominator is 0.0."""
+    tp = int(((pred == 1) & (y == 1)).sum())
+    n_pred, n_true = int((pred == 1).sum()), int((y == 1).sum())
+    acc = float((pred == y).mean()) if len(y) else 0.0
+    pr = tp / n_pred if n_pred else 0.0
+    rc = tp / n_true if n_true else 0.0
+    f1 = 2 * pr * rc / (pr + rc) if pr + rc else 0.0
+    return {"accuracy": acc, "precision": pr, "recall": rc, "f1": f1}
 
 
 # ---------------------------------------------------------------------------
 # Cross-validation
 
-def cross_validate(dataset: Dataset, k: int, model_kind: str, seed: int,
-                   var_smoothing: float = 1e-3) -> tuple[float, float]:
+def cross_validate(dataset: Dataset, k: int, model_kind: str, seed: int) -> tuple[float, float]:
     """Seeded k-fold CV; returns (mean accuracy, population std)."""
     n = dataset.X.shape[0]
     if k < 2:
@@ -206,15 +205,14 @@ def cross_validate(dataset: Dataset, k: int, model_kind: str, seed: int,
     for i, fold in enumerate(folds):
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        train = Dataset(dataset.X[mask], dataset.y[mask], dataset.feature_names)
+        train = Dataset(dataset.X[mask], dataset.y[mask])
         if model_kind == "gnb":
-            m = gnb_fit(train, var_smoothing=var_smoothing)
-            pred = gnb_predict(m, dataset.X[fold])
+            m = gnb_fit(train)
         elif model_kind == "forest":
             m = forest_fit(train, seed=seed * 97 + i + 1)
-            pred = forest_predict(m, dataset.X[fold])
         else:
             raise DataError(f"unknown model kind {model_kind!r}")
+        pred, _ = predict(m, dataset.X[fold])
         scores.append(float((pred == dataset.y[fold]).mean()))
     scores = np.array(scores)
     return float(scores.mean()), float(scores.std())
@@ -232,53 +230,30 @@ class TrainedModel:
     session_secs: float
 
     def predict_with_confidence(self, raw_X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply scaler + feature selection, then predict.
-
-        Confidence is the malicious posterior (GNB) or malicious vote
-        fraction (forest)."""
+        """Apply scaler + feature selection, then ``predict``."""
         raw_X = np.atleast_2d(np.asarray(raw_X, dtype=float))
         if raw_X.shape[1] != len(self.scaler.mins):
             raise DataError(
                 f"expected {len(self.scaler.mins)} raw features, got {raw_X.shape[1]}"
             )
-        X = scaler_transform(self.scaler, raw_X)[:, self.selected_idx]
-        if self.kind == "gnb":
-            conf = gnb_posteriors(self.model, X)[:, LABEL_MALICIOUS]
-        else:
-            conf = forest_vote_fraction(self.model, X)
-        labels = (conf > 0.5).astype(int)
-        return labels, conf
+        return predict(self.model, scaler_transform(self.scaler, raw_X)[:, self.selected_idx])
 
 
-def _tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf():
-        return {"leaf": node.label}
-    return {
-        "f": node.feature,
-        "t": node.threshold,
-        "l": _tree_to_dict(node.left),
-        "r": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(d: dict, n_features: int) -> TreeNode:
+def _tree_from_dict(d: dict, n_features: int) -> dict:
+    """A checked copy of one tree of a model file."""
     if "leaf" in d:
         label = int(d["leaf"])
         if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
             raise ModelFormatError(f"leaf label {label} is not 0 or 1")
-        return TreeNode(label=label)
+        return {"leaf": label}
     feature = int(d["f"])
     if not 0 <= feature < n_features:
         raise ModelFormatError(f"a tree splits on feature {feature} of {n_features}")
     threshold = float(d["t"])
     if not math.isfinite(threshold):
         raise ModelFormatError(f"a tree threshold is {threshold}")
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_tree_from_dict(d["l"], n_features),
-        right=_tree_from_dict(d["r"], n_features),
-    )
+    return {"f": feature, "t": threshold, "l": _tree_from_dict(d["l"], n_features),
+            "r": _tree_from_dict(d["r"], n_features)}
 
 
 def save_model(trained: TrainedModel, path) -> None:
@@ -292,11 +267,7 @@ def save_model(trained: TrainedModel, path) -> None:
         }
     elif trained.kind == "forest":
         fm: ForestModel = trained.model
-        params = {
-            "trees": [_tree_to_dict(t) for t in fm.trees],
-            "n_features": fm.n_features,
-            "seed": fm.seed,
-        }
+        params = {"trees": fm.trees, "n_features": fm.n_features, "seed": fm.seed}
     else:
         raise DataError(f"unknown model kind {trained.kind!r}")
     doc = {

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from . import __version__
 from .acf import PeriodicityParams, check_bins, encode_device
 from .baselines import walker_test
 from .classifiers import (
-    TrainedModel, cross_validate, forest_fit, gnb_fit, load_model, save_model,
+    TrainedModel, cross_validate, forest_fit, gnb_fit, load_model, save_model, stage1_metrics,
 )
 from .errors import BotgateError, DataError, PolicyError
 from .features import (
@@ -110,16 +111,18 @@ def _load_dataset(features_csv) -> Dataset:
         raise BotgateError("training requires labeled feature rows")
     X = np.array([v.values() for v in vectors])
     y = np.array([1 if v.label == MALICIOUS else 0 for v in vectors])
-    return Dataset(X, y, list(FEATURE_NAMES))
+    return Dataset(X, y)
 
 
 def cmd_train(args) -> int:
+    if not 0 < args.session_secs < math.inf:
+        raise DataError(f"--session-secs {args.session_secs} is not positive and finite")
     data = _load_dataset(args.features)
     scaler = scaler_fit(data.X)
     Xs = scaler_transform(scaler, data.X)
     scores = chi2_scores(Xs, data.y)
     selected = select_k_best(scores, args.k_best)
-    train = Dataset(Xs[:, selected], data.y, [FEATURE_NAMES[i] for i in selected])
+    train = Dataset(Xs[:, selected], data.y)
     if args.model == "gnb":
         model = gnb_fit(train)
     else:
@@ -137,26 +140,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _stage1_metrics(tp, fp, tn, fn) -> dict:
-    total = tp + fp + tn + fn
-    acc = (tp + tn) / total if total else 0.0
-    pr = tp / (tp + fp) if tp + fp else 0.0
-    rc = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * pr * rc / (pr + rc) if pr + rc else 0.0
-    return {"accuracy": acc, "precision": pr, "recall": rc, "f1": f1}
-
-
 def cmd_evaluate(args) -> int:
     data = _load_dataset(args.features)
     if data.X.shape[0] == 0:
         raise BotgateError("empty corpus")
     model = load_model(args.model_file)
     pred, _ = model.predict_with_confidence(data.X)
-    tp = int(((pred == 1) & (data.y == 1)).sum())
-    fp = int(((pred == 1) & (data.y == 0)).sum())
-    tn = int(((pred == 0) & (data.y == 0)).sum())
-    fn = int(((pred == 0) & (data.y == 1)).sum())
-    out = {"stage1": _stage1_metrics(tp, fp, tn, fn)}
+    out = {"stage1": stage1_metrics(pred, data.y)}
 
     if args.traces:
         params = PeriodicityParams(

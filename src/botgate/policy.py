@@ -75,6 +75,15 @@ def _parse_action(token: str, pos: int) -> PolicyAction:
         raise PolicyError(f"token {pos}: unknown action {token!r}") from None
 
 
+def _field(token: str, what: str) -> str:
+    """``token`` as a store field; PolicyError for an empty token, or one with
+    whitespace or an undecodable argv byte (a surrogate escape), which the
+    whitespace-separated UTF-8 store could not write or read back."""
+    if not token or any(c.isspace() or "\ud800" <= c <= "\udfff" for c in token):
+        raise PolicyError(f"{what} {token!r} is empty or contains whitespace or non-UTF-8")
+    return token
+
+
 def parse_policy_command(text: Union[str, list[str]]) -> Command:
     """Parse the four policy-engine command shapes.
 
@@ -92,11 +101,12 @@ def parse_policy_command(text: Union[str, list[str]]) -> Command:
     if verb in ("--create-policy", "--delete-policy"):
         if len(args) != 1 or args[0].startswith("--"):
             raise PolicyError(f"usage: policy-engine {verb} <policy-name>")
-        return CreatePolicy(args[0]) if verb == "--create-policy" else DeletePolicy(args[0])
+        name = _field(args[0], "policy name")
+        return CreatePolicy(name) if verb == "--create-policy" else DeletePolicy(name)
 
     if not args or args[0].startswith("--"):
         raise PolicyError(f"usage: policy-engine {verb} <policy-name> --dev ... --action ...")
-    name, rest = args[0], args[1:]
+    name, rest = _field(args[0], "policy name"), args[1:]
     flags: dict[str, str] = {}
     i = 0
     while i < len(rest):
@@ -111,15 +121,17 @@ def parse_policy_command(text: Union[str, list[str]]) -> Command:
         i += 2
     if "--dev" not in flags or "--action" not in flags:
         raise PolicyError(f"{verb} requires --dev and --action")
+    device = _field(flags["--dev"], "device")
     action = _parse_action(flags["--action"], 0)
-    allow = [d for d in flags.get("--allow", "").split(",") if d]
+    allow = [_field(d, "allowlist entry") for d in flags["--allow"].split(",")] \
+        if "--allow" in flags else []
     if verb == "--add-action":
         if action is PolicyAction.RESTRICT_TO_SECURE_DOMAINS and not allow:
             raise PolicyError("RESTRICT_TO_SECURE_DOMAINS requires --allow with an allowlist")
-        return AddAction(policy=name, device=flags["--dev"], action=action, allowlist=allow)
+        return AddAction(policy=name, device=device, action=action, allowlist=allow)
     if allow:
         raise PolicyError("--allow is only valid with --add-action")
-    return DeleteAction(policy=name, device=flags["--dev"], action=action)
+    return DeleteAction(policy=name, device=device, action=action)
 
 
 # --- store -----------------------------------------------------------------
@@ -213,10 +225,9 @@ class PlanEntry:
 
 
 def apply_policies(store: PolicyStore, infected_devices: list[str],
-                   name_map: Optional[dict[str, str]] = None,
-                   default: PolicyAction = PolicyAction.MONITOR_ONLY) -> list[PlanEntry]:
+                   name_map: Optional[dict[str, str]] = None) -> list[PlanEntry]:
     """One plan entry per infected device: first device-specific binding wins,
-    then the first wildcard binding, then the configured default."""
+    then the first wildcard binding, then MONITOR_ONLY."""
     name_map = name_map or {}
     ip_names = {ip: name for name, ip in name_map.items()}
     plan = []
@@ -234,5 +245,5 @@ def apply_policies(store: PolicyStore, infected_devices: list[str],
             pol, b = chosen
             plan.append(PlanEntry(ip, b.action, pol.name, list(b.allowlist)))
         else:
-            plan.append(PlanEntry(ip, default, None))
+            plan.append(PlanEntry(ip, PolicyAction.MONITOR_ONLY, None))
     return plan

@@ -1,7 +1,7 @@
 """Scaling, shuffling/splitting and chi-square feature selection."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +12,6 @@ from .errors import DataError
 class Dataset:
     X: np.ndarray  # (n, d)
     y: np.ndarray  # (n,) int labels, 0 = benign, 1 = malicious
-    feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -54,10 +53,7 @@ def shuffle_split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, D
     perm = np.random.default_rng(seed).permutation(n)
     cut = int(np.floor(n * ratio))
     tr, te = perm[:cut], perm[cut:]
-    return (
-        Dataset(dataset.X[tr], dataset.y[tr], dataset.feature_names),
-        Dataset(dataset.X[te], dataset.y[te], dataset.feature_names),
-    )
+    return Dataset(dataset.X[tr], dataset.y[tr]), Dataset(dataset.X[te], dataset.y[te])
 
 
 def chi2_scores(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -85,7 +81,7 @@ def chi2_scores(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 def select_k_best(scores: np.ndarray, k: int) -> list[int]:
     """Indices of the k largest scores, descending; ties break to lower index."""
     scores = np.asarray(scores, dtype=float)
-    if k > len(scores):
-        raise DataError(f"k={k} exceeds feature count {len(scores)}")
+    if not 1 <= k <= len(scores):
+        raise DataError(f"k={k} is outside 1..{len(scores)}, the feature count")
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return order[:k]

@@ -3,7 +3,6 @@ autocorrelation, chi-square survival function, per-device periodicity
 detection probability and the product confidence score over devices."""
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ _TINY = 1e-300
 class BdcsParams:
     alpha: float = 0.05
     h: int = 20             # lags in the Q statistic, capped at K-2
-    pvalue_floor: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -98,25 +96,6 @@ def chi2_sf(x: float, df: int) -> float:
     return _gamma_q_contfrac(a, half_x)
 
 
-@functools.lru_cache(maxsize=None)
-def chi2_quantile(p: float, df: int) -> float:
-    """x with chi2_sf(x, df) = 1 - p, by bisection; memoized, since every
-    device of a run asks for the same (1 - alpha, h)."""
-    if not 0 < p < 1:
-        raise DataError(f"quantile level must be in (0, 1), got {p}")
-    target = 1.0 - p
-    lo, hi = 0.0, float(df)
-    while chi2_sf(hi, df) > target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if chi2_sf(mid, df) > target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
 @dataclass
 class PeriodProbResult:
     prob: float
@@ -129,9 +108,9 @@ class PeriodProbResult:
 def period_detection_prob(sequence: np.ndarray, params: BdcsParams) -> PeriodProbResult:
     """Probability of periodicity detection for one device's encoded sequence.
 
-    A vanishing p-value maps to 1.0; a Q beyond the (1-alpha) quantile also
-    maps to 1.0; otherwise the observed p-value is returned. Degenerate
-    (constant) sequences score 0.0 with a diagnostic."""
+    A p-value below alpha (Q beyond the (1-alpha) chi-square quantile, since
+    chi2_sf decreases) maps to 1.0; otherwise the observed p-value is
+    returned. Degenerate (constant) sequences score 0.0 with a diagnostic."""
     e = np.asarray(sequence, dtype=float)
     h = min(params.h, len(e) - 2)
     if h < 1:
@@ -141,11 +120,8 @@ def period_detection_prob(sequence: np.ndarray, params: BdcsParams) -> PeriodPro
     except DegenerateSignalError:
         return PeriodProbResult(prob=0.0, note="degenerate (constant) sequence")
     pvalue = chi2_sf(q, h)
-    if pvalue < params.pvalue_floor * params.alpha:
-        return PeriodProbResult(prob=1.0, q=q, pvalue=pvalue, h=h, note="p-value << alpha")
-    if q > chi2_quantile(1.0 - params.alpha, h):
-        return PeriodProbResult(prob=1.0, q=q, pvalue=pvalue, h=h,
-                                note="Q beyond the (1-alpha) quantile")
+    if pvalue < params.alpha:
+        return PeriodProbResult(prob=1.0, q=q, pvalue=pvalue, h=h, note="p-value below alpha")
     return PeriodProbResult(prob=pvalue, q=q, pvalue=pvalue, h=h)
 
 

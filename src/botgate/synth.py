@@ -11,8 +11,8 @@ PacketTable columns from them, with no per-packet loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -52,8 +52,8 @@ class BeaconProfile:
     def __post_init__(self):
         if self.period_s <= 0:
             raise ConfigError("beacon period must be positive")
-        if self.jitter_s < 0 or self.jitter_s >= self.period_s / 4:
-            raise ConfigError("beacon jitter must be in [0, period/4)")
+        if not 0 <= self.jitter_s < self.period_s / 4:
+            raise ConfigError(f"beacon jitter {self.jitter_s} must be in [0, period/4)")
 
 
 @dataclass
@@ -192,8 +192,7 @@ def gen_scanning(config: SynthConfig, seed, device_ip: str) -> PacketTable:
 
 def gen_cnc_beacon(period_s: float, jitter_s: float, duration_s: float, seed,
                    protocol: str = "TCP", payload_bytes: int = 4,
-                   device_ip: str = "192.168.1.10",
-                   server_ip: str = "203.0.113.50") -> PacketTable:
+                   device_ip: str = "192.168.1.10") -> PacketTable:
     """Beacon packets at t = k*period + U(-jitter, +jitter); TCP beacons are a
     small PSH+ACK with a bare ACK reply, UDP beacons a single datagram."""
     if period_s <= 0:
@@ -205,7 +204,7 @@ def gen_cnc_beacon(period_s: float, jitter_s: float, duration_s: float, seed,
     if jitter_s > 0:
         t = t + rng.uniform(-jitter_s, jitter_s, len(t))
     t = t[(t >= 0) & (t < duration_s)]
-    dev, srv = parse_ip(device_ip), parse_ip(server_ip)
+    dev, srv = parse_ip(device_ip), parse_ip("203.0.113.50")
     if protocol == "UDP":
         return PacketTable.from_columns(quantize_ts(t), dev, srv, sport, 5353, PROTO_UDP, 0,
                                         IP_HEADER_UDP + payload_bytes, payload_bytes)
@@ -217,15 +216,14 @@ def gen_cnc_beacon(period_s: float, jitter_s: float, duration_s: float, seed,
 
 
 def gen_memoryless_noise(rate_pps: float, duration_s: float, seed,
-                         device_ip: str = "192.168.1.10",
-                         server_ip: str = "198.51.100.7") -> PacketTable:
+                         device_ip: str = "192.168.1.10") -> PacketTable:
     """Small-payload PSH+ACK packets at exponential inter-arrivals: aperiodic
     traffic that survives the command-channel filter."""
     rng = np.random.default_rng(seed)
     sport = int(rng.integers(32768, 61000))
     gap = 1.0 / rate_pps
     t = _arrivals(rng.exponential(gap), lambda n: rng.exponential(gap, n), duration_s, gap)
-    return PacketTable.from_columns(quantize_ts(t), parse_ip(device_ip), parse_ip(server_ip),
+    return PacketTable.from_columns(quantize_ts(t), parse_ip(device_ip), parse_ip("198.51.100.7"),
                                     sport, 80, PROTO_TCP, PSH | ACK, IP_HEADER_TCP + 4, 4)
 
 
@@ -276,13 +274,10 @@ def gen_session(config: SynthConfig, index: int, kind: str) -> SessionRecord:
     return SessionRecord(index, MALICIOUS, ingredients, trace)
 
 
-def gen_dataset(config: SynthConfig, n_benign: int, n_malicious: int,
-                seed: Optional[int] = None) -> Iterator[SessionRecord]:
+def gen_dataset(config: SynthConfig, n_benign: int, n_malicious: int) -> Iterator[SessionRecord]:
     """Stream a labeled session corpus: n_benign benign sessions followed by
     the 40/40/20 malicious mix. Sessions are independently seeded from
-    (seed, index), so the corpus is reproducible and parallelizable."""
-    if seed is not None:
-        config = replace(config, seed=seed)
+    (config.seed, index), so the corpus is reproducible and parallelizable."""
     for i in range(n_benign):
         yield gen_session(config, i, "benign")
     for j, kind in enumerate(_malicious_plan(n_malicious)):

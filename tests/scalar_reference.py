@@ -143,13 +143,13 @@ def find_peaks(r, max_lag, height_frac):
 def detect_periodicity(packets, params, duration):
     """(detected, peak lags) of one device by the loops above."""
     K = int(math.floor(duration / params.sample_t))
-    max_lag = int(math.floor(K * params.max_lag_frac))
+    max_lag = int(math.floor(K * 0.75))
     e = encode(filter_cnc_candidates(packets, params.payload_cutoff_bytes),
                params.sample_t, duration)
     if max_lag < 2 or e.min() == e.max():
         return False, []
     peaks = find_peaks(acf_exact(e, max_lag), max_lag, params.peak_height_frac)
-    if len(peaks) < params.min_peaks:
+    if len(peaks) < 3:
         return False, peaks
     return float(np.var(np.diff(peaks))) < params.gap_variance_thresh, peaks
 

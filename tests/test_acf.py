@@ -124,6 +124,4 @@ def test_params_validation():
     with pytest.raises(ConfigError):
         PeriodicityParams(peak_height_frac=1.5)
     with pytest.raises(ConfigError):
-        PeriodicityParams(max_lag_frac=1.0)
-    with pytest.raises(ConfigError):
         PeriodicityParams(gap_variance_thresh=0.0)

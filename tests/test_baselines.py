@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from botgate.baselines import WalkerParams, WalkerVerdict, walker_test
+from botgate.baselines import WalkerVerdict, walker_test
 from botgate.errors import ConfigError, DataError
 
 
@@ -65,4 +65,4 @@ def test_edge_cases():
     with pytest.raises(ConfigError):
         walker_test(np.zeros(16), gamma=0.0)
     with pytest.raises(ConfigError):
-        WalkerParams(gamma=1.0)
+        walker_test(np.zeros(16), gamma=1.0)

@@ -7,8 +7,7 @@ import pytest
 
 from botgate.classifiers import (
     LABEL_BENIGN, LABEL_MALICIOUS, TrainedModel, cross_validate, forest_fit,
-    forest_predict, forest_vote_fraction, gnb_fit, gnb_posteriors, gnb_predict,
-    load_model, save_model,
+    forest_vote_fraction, gnb_fit, gnb_posteriors, load_model, predict, save_model,
 )
 from botgate.errors import DataError, ModelFormatError
 from botgate.preprocess import Dataset, MinMaxScaler
@@ -29,8 +28,8 @@ def test_gnb_hand_posterior():
     post = gnb_posteriors(model, np.array([[x]]))
     assert post[0, LABEL_BENIGN] == pytest.approx(expected, abs=1e-6)
     assert post.sum(axis=1) == pytest.approx(1.0)
-    assert gnb_predict(model, np.array([[x]]))[0] == LABEL_BENIGN
-    assert gnb_predict(model, np.array([[0.9]]))[0] == LABEL_MALICIOUS
+    assert predict(model, np.array([[x]]))[0][0] == LABEL_BENIGN
+    assert predict(model, np.array([[0.9]]))[0][0] == LABEL_MALICIOUS
 
 
 def test_gnb_exact_tie_is_benign():
@@ -38,7 +37,7 @@ def test_gnb_exact_tie_is_benign():
     # x = 0.5 is equidistant from both class means: posteriors tie exactly
     post = gnb_posteriors(model, np.array([[0.5]]))
     assert post[0, 0] == post[0, 1]
-    assert gnb_predict(model, np.array([[0.5]]))[0] == LABEL_BENIGN
+    assert predict(model, np.array([[0.5]]))[0][0] == LABEL_BENIGN
 
 
 def test_gnb_smoothing_tracks_max_feature_variance():
@@ -55,7 +54,7 @@ def test_gnb_needs_both_classes():
 def test_forest_separable_two_points():
     data = Dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
     model = forest_fit(data, seed=0)
-    assert forest_predict(model, data.X).tolist() == [0, 1]
+    assert predict(model, data.X)[0].tolist() == [0, 1]
     frac = forest_vote_fraction(model, data.X)
     assert np.all((frac >= 0) & (frac <= 1))
 

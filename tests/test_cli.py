@@ -282,6 +282,51 @@ def test_simulate_bad_session_secs_exits_2(tmp_path, capsys, secs):
     assert "session duration must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["-1", "0", "9"])
+def test_train_k_best_out_of_range_exits_2(workspace, tmp_path, capsys, k):
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", str(workspace / "features.csv"), "--k-best", k,
+                 "--cv-folds", "4", "--out", str(model)]) == 2
+    assert f"k={k} is outside 1..8" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("secs, shown", [
+    ("0", "0.0"), ("-900", "-900.0"), ("nan", "nan"), ("inf", "inf"),
+])
+def test_train_bad_session_secs_exits_2(workspace, tmp_path, capsys, secs, shown):
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", str(workspace / "features.csv"), "--cv-folds", "4",
+                 "--session-secs", secs, "--out", str(model)]) == 2
+    assert f"--session-secs {shown} is not positive and finite" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_simulate_nan_jitter_exits_2(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert main(["simulate", "--out", str(out), "--n-benign", "1", "--n-malicious", "1",
+                 "--jitter", "nan"]) == 2
+    assert "beacon jitter nan must be in [0, period/4)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["--create-policy", "my policy"], ["--create-policy", ""],
+    ["--add-action", "q", "--dev", "my cam", "--action", "BLOCK_ALL"],
+    ["--add-action", "q", "--dev", "cam", "--action", "RESTRICT_TO_SECURE_DOMAINS",
+     "--allow", "a.com,,b.com"],
+    ["--create-policy", "caf\udce9"],
+], ids=["spaced-name", "empty-name", "spaced-device", "empty-allow-entry", "undecodable-name"])
+def test_policy_token_the_store_cannot_hold_exits_1(tmp_path, capsys, command):
+    store = tmp_path / "store.txt"
+    assert main(["policy", "--store", str(store), "--create-policy", "q"]) == 0
+    before = store.read_bytes()
+    assert main(["policy", "--store", str(store)] + command) == 1
+    assert "is empty or contains whitespace or non-UTF-8" in capsys.readouterr().err
+    assert store.read_bytes() == before
+    assert main(["policy", "--store", str(store), "--create-policy", "other"]) == 0
+
+
 @pytest.mark.parametrize("command, out_flag", [
     ("simulate", "--out"), ("run-pipeline", "--workdir"),
 ], ids=["simulate", "run-pipeline"])

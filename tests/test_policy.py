@@ -1,5 +1,7 @@
 """Policy-engine grammar, store persistence and plan generation."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botgate.errors import DataError, PolicyError
 from botgate.policy import (
@@ -97,6 +99,34 @@ def test_store_round_trip(tmp_path):
     assert loaded.policies["soften"].bindings == store.policies["soften"].bindings
     save_store(loaded, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+# names from a small pool, so that later commands meet earlier ones, plus any
+# short text, often with whitespace or a lone surrogate (an undecodable argv byte)
+_TOKENS = st.sampled_from(["p", "q", "*", "192.168.1.10"]) | st.text(
+    st.characters() | st.sampled_from(" \t\x1c\udcff"), max_size=3)
+_ACTIONS = st.sampled_from([a.value for a in PolicyAction])
+_COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["--create-policy", "--delete-policy"]), _TOKENS).map(list),
+    st.tuples(st.sampled_from(["--add-action", "--delete-action"]), _TOKENS, _TOKENS,
+              _ACTIONS, st.none() | st.lists(_TOKENS, min_size=1, max_size=3)).map(
+        lambda c: [c[0], c[1], "--dev", c[2], "--action", c[3]]
+        + ([] if c[4] is None else ["--allow", ",".join(c[4])])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_COMMANDS, max_size=6))
+def test_accepted_commands_round_trip_through_the_store(tmp_path_factory, commands):
+    path = tmp_path_factory.mktemp("store") / "policies.txt"
+    store = PolicyStore()
+    for tokens in commands:
+        try:
+            store.apply_command(parse_policy_command(tokens))
+        except PolicyError:
+            continue
+        save_store(store, path)
+        assert load_store(path).policies == store.policies
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -98,8 +98,9 @@ def test_select_k_best_order_and_ties():
     scores = np.array([3.0, 1.0, 3.0, 5.0])
     assert select_k_best(scores, 3) == [3, 0, 2]  # tie breaks to the lower index
     assert select_k_best(scores, 4) == [3, 0, 2, 1]
-    with pytest.raises(DataError):
-        select_k_best(scores, 5)
+    for k in (5, 0, -1):
+        with pytest.raises(DataError, match=f"k={k} is outside 1..4"):
+            select_k_best(scores, k)
 
 
 def test_select_k6_drops_the_two_length_extremes():

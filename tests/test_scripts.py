@@ -1,0 +1,38 @@
+"""Smoke runs of the experiment scripts at a tiny size, in process."""
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(capsys, monkeypatch, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_stage1_eval(capsys, monkeypatch):
+    out = _run(capsys, monkeypatch, "stage1_eval.py",
+               "--n-benign", "10", "--n-malicious", "10", "--cv-folds", "2")
+    assert out[0].startswith("corpus: 20 sessions in ")
+    assert sum(line.endswith(" *") for line in out) == 6  # --k-best 6 of 8 features
+    header = out.index("model     accuracy  precision   recall       f1  cv mean   cv std")
+    rows = [line.split() for line in out[header + 1:]]
+    assert [r[0] for r in rows] == ["gnb", "forest"]
+    assert all(0.0 <= float(v) <= 1.0 for r in rows for v in r[1:])
+
+
+def test_stage2_eval(capsys, monkeypatch):
+    out = _run(capsys, monkeypatch, "stage2_eval.py", "--n-traces", "2")
+    assert out[0].split() == ["period", "jitter", "ACF", "DR", "ACF", "MDR", "baseline", "DR"]
+    rows = [line.split() for line in out[1:7]]
+    assert [(r[0], r[1]) for r in rows] == [
+        (p, j) for p in ("60", "210") for j in ("0.0", "2.0", "5.0")]
+    for r in rows:
+        dr, mdr, base = map(float, r[2:])
+        assert dr + mdr == pytest.approx(1.0) and 0.0 <= base <= 1.0
+    assert out[-1].startswith("noise false-positive rate: ")
+    assert out[-1].endswith("/4 traces)")

@@ -10,7 +10,7 @@ import scipy.stats  # oracle only; the implementation under test is scipy-free
 
 from botgate.errors import ConfigError, DataError, DegenerateSignalError
 from botgate.stats import (
-    BdcsParams, bdcs, chi2_quantile, chi2_sf, ljung_box_q, period_detection_prob,
+    BdcsParams, bdcs, chi2_sf, ljung_box_q, period_detection_prob,
 )
 
 
@@ -61,19 +61,6 @@ def test_chi2_sf_edges():
         chi2_sf(-1.0, 2)
     with pytest.raises(DataError):
         chi2_sf(1.0, 0)
-
-
-def test_chi2_quantile_inverts_sf():
-    for df in (1, 5, 20):
-        for p in (0.5, 0.9, 0.95, 0.99):
-            x = chi2_quantile(p, df)
-            assert chi2_sf(x, df) == pytest.approx(1.0 - p, abs=1e-10)
-    assert chi2_quantile(0.95, 20) == pytest.approx(31.410433, abs=1e-5)
-    hits = chi2_quantile.cache_info().hits
-    assert chi2_quantile(0.95, 20) == chi2_quantile(0.95, 20)
-    assert chi2_quantile.cache_info().hits == hits + 2  # memoized
-    with pytest.raises(DataError):
-        chi2_quantile(1.0, 5)
 
 
 def test_period_detection_prob_branches():
