@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ModelFormatError
+from .errors import DataError, ModelFormatError, write_text_atomic
 from .preprocess import Dataset, MinMaxScaler, scaler_transform
 
 MODEL_VERSION = "botgate-model-v1"
@@ -278,9 +278,7 @@ def save_model(trained: TrainedModel, path) -> None:
         "selected": list(map(int, trained.selected_idx)),
         "params": params,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _check_finite(what: str, *arrays) -> None:

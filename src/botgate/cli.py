@@ -7,6 +7,7 @@ policy, run-pipeline. Exit codes: 0 success, 1 usage, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -249,6 +250,7 @@ def cmd_policy(args) -> int:
 
 def cmd_run_pipeline(args) -> int:
     """Convenience chain: simulate -> featurize -> train -> detect."""
+    select_k_best(np.zeros(len(FEATURE_NAMES)), args.k_best)  # train's check, before any write
     workdir = Path(args.workdir)
     corpus = workdir / "corpus"
     config = SynthConfig(seed=args.seed, duration_s=args.session_secs)
@@ -295,6 +297,7 @@ def _add_periodicity_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--payload-cutoff", type=int, default=10)
 
 
+@functools.cache  # built on the first call that needs it, then shared by the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="botgate",
@@ -408,12 +411,11 @@ def _parse_policy_argv(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
         if argv and argv[0] == "policy" and "-h" not in argv and "--help" not in argv:
             args = _parse_policy_argv(argv[1:])
         else:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     except PolicyError as exc:

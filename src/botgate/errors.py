@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the file write that leaves no torn file."""
+import os
+from pathlib import Path
 
 
 class BotgateError(Exception):
@@ -27,3 +29,16 @@ class ModelFormatError(BotgateError):
 
 class PolicyError(BotgateError):
     """Policy command parse error or store violation."""
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a sibling temporary file, then move it over
+    ``path``, so that a write that fails leaves the old file as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

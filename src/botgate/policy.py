@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-from .errors import DataError, PolicyError
+from .errors import DataError, PolicyError, write_text_atomic
 
 STORE_HEADER = "#policies v1"
 WILDCARD = "*"
@@ -180,8 +180,7 @@ def save_store(store: PolicyStore, path) -> None:
             allow = "," .join(b.allowlist)
             lines.append(f"bind {pol.name} {b.device} {b.action.value}"
                          + (f" {allow}" if allow else ""))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_store(path) -> PolicyStore:

@@ -211,12 +211,7 @@ class PacketTable:
         bad = _invalid_rows(wide[0], *wide[3:])
         if bad.any():
             raise ValueError(_record_error(wide, int(np.argmax(bad))))
-        return cls._narrow(wide)
-
-    @classmethod
-    def _narrow(cls, wide: list[np.ndarray]) -> PacketTable:
-        """The table of checked wide columns, each cast to its stored type
-        (one contiguous copy, also of a broadcast view) and flattened."""
+        # each cast to its stored type: one contiguous copy, also of a broadcast view
         return cls(*(v.astype(dtype).ravel() for v, dtype in zip(wide, _DTYPES)))
 
     @classmethod
@@ -329,20 +324,26 @@ def parse_trace(text: str | bytes) -> Trace:
     if header_end < 0:
         header_end = len(data)
     subnet, epoch = _parse_header(data[:header_end].decode())
-    tables = []
-    start, lineno = header_end + 1, 2
+    # a row takes at least 18 bytes: nine 1-byte fields, eight separators and
+    # a line end (which the last line may lack), so blank lines cost no rows
+    capacity = min(data.count(b"\n", header_end + 1) + 1, (len(data) - header_end) // 18)
+    columns = [np.empty(capacity, dtype) for dtype in _DTYPES]
+    n_rows, start, lineno = 0, header_end + 1, 2
     with memoryview(data) as view:  # blocks are views: the body is never copied whole
         while start < len(data):
             end = data.find(b"\n", start + _PARSE_BLOCK)
             end = len(data) if end < 0 else end + 1
-            tables.append(_parse_block(view[start:end], lineno))
-            lineno += data.count(b"\n", start, end)
-            start = end
-    return Trace(packets=PacketTable.concat(tables), internal_subnet=subnet, epoch=epoch)
+            rows, lines = _parse_block(view[start:end], lineno, [c[n_rows:] for c in columns])
+            n_rows, lineno, start = n_rows + rows, lineno + lines, end
+    # a table far smaller than its columns is copied, so the Trace holds no slack
+    columns = [c[:n_rows].copy() if 2 * n_rows < capacity else c[:n_rows] for c in columns]
+    return Trace(packets=PacketTable(*columns), internal_subnet=subnet, epoch=epoch)
 
 
-def _parse_block(block: memoryview, lineno: int) -> PacketTable:
-    """Parse whole body lines; ``lineno`` is the number of the first one.
+def _parse_block(block: memoryview, lineno: int, out: list[np.ndarray]) -> tuple[int, int]:
+    """Parse whole body lines into the starts of the ``out`` columns;
+    ``lineno`` is the number of the first line. Returns the number of rows
+    written and of lines read.
 
     Field counts are checked per line before any value is read, so a short
     row cannot borrow fields from its neighbour."""
@@ -365,12 +366,12 @@ def _parse_block(block: memoryview, lineno: int) -> PacketTable:
     n_rows = int(misfit[0]) if misfit.size else len(rows)
     # rows before the first misfit are parsed first: an earlier bad value wins
     tokens = edges[:2 * N_FIELDS * n_rows].reshape(n_rows, N_FIELDS, 2)
-    table = _parse_rows(b, tokens, block, lineno + rows[:n_rows])
+    _parse_rows(b, tokens, block, lineno + rows[:n_rows], out)
     if misfit.size:
         row = rows[n_rows]
         raise TraceParseError(
             f"line {lineno + row}: expected {N_FIELDS} fields, got {counts[row]}")
-    return table
+    return n_rows, len(counts) - 1  # counts has an entry per newline of the block, and one more
 
 
 def _hex(token: str) -> int:
@@ -405,12 +406,12 @@ def _token_row(line: bytes) -> tuple[list, str | None]:
 
 
 def _parse_rows(b: np.ndarray, tokens: np.ndarray, block: memoryview,
-                linenos: np.ndarray) -> PacketTable:
-    """Columns of the nine-field rows whose token edges are ``tokens``
-    (row, field, start/end as offsets into ``b``, which holds ``block`` from
-    offset 1). Rows in canonical shape are read from the bytes; the others
-    one token at a time. Then the first bad row raises TraceParseError with
-    its line number."""
+                linenos: np.ndarray, out: list[np.ndarray]) -> None:
+    """Write into the starts of the ``out`` columns the nine-field rows whose
+    token edges are ``tokens`` (row, field, start/end as offsets into ``b``,
+    which holds ``block`` from offset 1). Rows in canonical shape are read
+    from the bytes; the others one token at a time. The first bad row raises
+    TraceParseError with its line number before anything is written."""
     values, canonical = _canonical_values(b, tokens)
     other = np.flatnonzero(~canonical)
     # a row's text runs from its first token's start to its last token's end
@@ -425,7 +426,8 @@ def _parse_rows(b: np.ndarray, tokens: np.ndarray, block: memoryview,
         i = int(np.argmax(bad))
         raise TraceParseError(
             f"line {linenos[i]}: {token_errors.get(i) or _record_error(values, i)}")
-    return PacketTable._narrow(values)
+    for column, value in zip(out, values):
+        column[:len(value)] = value  # checked, so the cast to the stored type is exact
 
 
 # The canonical row is what write_trace emits:

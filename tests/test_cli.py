@@ -1,9 +1,11 @@
 """CLI surface: subcommand chains, exit codes, determinism."""
+import builtins
+import errno
 import json
 
 import pytest
 
-from botgate.cli import main
+from botgate.cli import build_parser, main
 
 N_BENIGN, N_MALICIOUS = 6, 6
 SECS = "900"
@@ -291,6 +293,15 @@ def test_train_k_best_out_of_range_exits_2(workspace, tmp_path, capsys, k):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("k", ["-1", "0", "9"])
+def test_run_pipeline_k_best_out_of_range_exits_2(tmp_path, capsys, k):
+    workdir = tmp_path / "w"
+    assert main(["run-pipeline", "--workdir", str(workdir), "--n-benign", "2",
+                 "--n-malicious", "2", "--k-best", k]) == 2
+    assert f"k={k} is outside 1..8" in capsys.readouterr().err
+    assert not workdir.exists()  # refused before the corpus is simulated
+
+
 @pytest.mark.parametrize("secs, shown", [
     ("0", "0.0"), ("-900", "-900.0"), ("nan", "nan"), ("inf", "inf"),
 ])
@@ -356,3 +367,76 @@ def test_bad_policy_store_exits_2(tmp_path, capsys, body, message):
     assert main(["policy", "--store", str(store), "--create-policy", "other"]) == 2
     assert f"data error: policy store {store} {message}" in capsys.readouterr().err
     assert store.read_bytes() == b"#policies v1\n" + body
+
+
+class _FailingWrite:
+    """A text file whose write stores half of the text, then fails as a full
+    disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["policy", "train"])
+def test_failed_write_keeps_the_old_file(workspace, tmp_path, capsys, monkeypatch, command):
+    target = tmp_path / "target"
+    argv = {
+        "policy": ["policy", "--store", str(target), "--create-policy", "other"],
+        "train": ["train", "--features", str(workspace / "features.csv"), "--cv-folds", "4",
+                  "--out", str(target)],
+    }[command]
+    if command == "policy":
+        assert main(["policy", "--store", str(target), "--create-policy", "q"]) == 0
+    else:
+        target.write_bytes((workspace / "model.json").read_bytes())
+    before = target.read_bytes()
+    real_open = builtins.open
+
+    def open_failing_writes(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FailingWrite(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", open_failing_writes)
+    assert main(argv) == 2
+    monkeypatch.undo()
+    assert "i/o error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert target.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [target]  # no temporary file is left
+
+
+def _run(argv, capsys) -> tuple[int, str, str]:
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+def test_parser_reuse_in_one_process(workspace, tmp_path, capsys):
+    """The gateway loop calls main again and again in one process: each call
+    gives what it gives on a freshly built parser, the parser is built once,
+    and policy calls never build it."""
+    detect = ["detect", "--trace", str(workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"),
+              "--model-file", str(workspace / "model.json"), "--out", str(tmp_path / "r.json")]
+    calls = [[*detect, "--no-such-flag"], ["--version"], ["detect", "-h"], detect,
+             ["policy", "--store", str(tmp_path / "store.txt"), "--apply",
+              str(tmp_path / "r.json")], detect]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_run(argv, capsys))
+        if argv[0] == "policy":
+            assert build_parser.cache_info().currsize == 0
+    build_parser.cache_clear()
+    assert [_run(argv, capsys) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 0, 0]
+    assert fresh[1][1] == "botgate 0.1.0\n" and fresh[2][1].startswith("usage: botgate detect")
+    assert "unrecognized arguments: --no-such-flag" in fresh[0][2]

@@ -104,10 +104,23 @@ def test_parse_matches_reference_on_mutated_rows(pkts, mutation, data):
     assert_same_as_reference("\n".join(lines))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(records(), min_size=1, max_size=40), st.sampled_from([24, 64, 200]))
-def test_parse_matches_reference_across_small_blocks(pkts, block):
-    text = write_trace(Trace(packets=pkts, internal_subnet="192.168.1.0/24"))
+BLANK_LINES = st.lists(st.sampled_from(["", " ", "\t", "  \t ", "\v\f"]), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(records(), min_size=1, max_size=40), st.sampled_from([24, 64, 200]),
+       st.sampled_from(["\n", "\r\n"]), st.data())
+def test_parse_matches_reference_across_small_blocks(pkts, block, newline, data):
+    """Rows out of timestamp order, between blank and whitespace-only lines,
+    and maybe a bad row after a run of blank lines long enough to reach a
+    later block: line numbers must carry across every block boundary."""
+    header, *rows = write_trace(Trace(packets=pkts, internal_subnet="192.168.1.0/24")).splitlines()
+    lines = [header]
+    for row in data.draw(st.permutations(rows)):
+        lines += data.draw(BLANK_LINES) + [row]
+    lines += [""] * data.draw(st.integers(0, 250))
+    lines += data.draw(st.sampled_from([[], [BAD_CANONICAL], [BAD_TOKEN], [SHORT_ROW]]))
+    text = newline.join(lines) + newline
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace_module, "_PARSE_BLOCK", block)
         assert_same_as_reference(text)
@@ -126,6 +139,7 @@ def test_canonical_and_fallback_rows_in_one_block(body, token_path_rows):
 BAD_CANONICAL = "2.000 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 41"
 BAD_FALLBACK = "2.0 192.168.1.10 8.8.8.8 +70000 2 TCP 0x02 40 0"
 BAD_TOKEN = "x2.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0"
+SHORT_ROW = "2.000 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40"
 
 
 @pytest.mark.parametrize("first, second, message", [
@@ -142,7 +156,7 @@ def test_first_bad_line_wins_across_paths(first, second, message):
 @pytest.mark.parametrize("bad, message", [
     (BAD_CANONICAL, "line 9: payload_len 41 > ip_len 40"),
     (BAD_TOKEN, "line 9: bad timestamp 'x2.0'"),
-    ("2.000 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40", "line 9: expected 9 fields, got 8"),
+    (SHORT_ROW, "line 9: expected 9 fields, got 8"),
 ])
 def test_bad_row_in_a_later_block(bad, message, monkeypatch):
     monkeypatch.setattr(trace_module, "_PARSE_BLOCK", 100)  # two rows a block
@@ -212,3 +226,20 @@ def test_parse_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5e6
+
+
+def test_blank_lines_cost_no_rows():
+    """The columns are allocated before the parse, sized by the rows the body
+    could hold: a body of blank lines must not reserve a row for each line,
+    and the table of its one row must not hold the allocation."""
+    body = "\n" * 2_000_000 + ROW + "\n"
+    text = f"{HEADER}\n{body}".encode()
+    tracemalloc.start()
+    try:
+        packets = parse_trace(text).packets
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(body)
+    assert len(packets) == 1
+    assert all(column.base is None for column in packets.columns())
