@@ -19,7 +19,7 @@ from botgate.preprocess import (
     Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best,
     shuffle_split,
 )
-from botgate.sessions import TrafficSession
+from botgate.sessions import sessionize
 from botgate.synth import SynthConfig, gen_dataset
 
 
@@ -37,9 +37,9 @@ def main():
     rows, labels = [], []
     config = SynthConfig(seed=args.seed, duration_s=args.session_secs)
     for rec in gen_dataset(config, args.n_benign, args.n_malicious):
-        sess = TrafficSession(0, 0.0, args.session_secs, rec.trace.packets)
-        rows.append(extract_features(sess).values())
-        labels.append(1 if rec.label == MALICIOUS else 0)
+        for sess in sessionize(rec.trace, args.session_secs):
+            rows.append(extract_features(sess).values())
+            labels.append(1 if rec.label == MALICIOUS else 0)
     print(f"corpus: {len(rows)} sessions in {time.monotonic() - t0:.1f}s")
 
     data = Dataset(np.array(rows), np.array(labels))

@@ -8,8 +8,7 @@ Usage:
 """
 import argparse
 
-from botgate.acf import PeriodicityParams, Verdict, analyze_sequence, detect_periodicity, \
-    encode_device
+from botgate.acf import Verdict, analyze_sequence, detect_periodicity, encode_device
 from botgate.baselines import WalkerVerdict, walker_test
 from botgate.sessions import DeviceTrace
 from botgate.synth import gen_cnc_beacon, gen_memoryless_noise
@@ -17,13 +16,13 @@ from botgate.synth import gen_cnc_beacon, gen_memoryless_noise
 DEV = "192.168.1.10"
 
 
-def rates(params, period, jitter, duration, n, seed, gamma):
+def rates(period, jitter, duration, n, seed, gamma):
     acf_hits = walker_hits = 0
     for i in range(n):
         dev = DeviceTrace(DEV, gen_cnc_beacon(period, jitter, duration,
                                               [seed, int(period), int(jitter * 10), i]))
-        seq = encode_device(dev, params, duration)
-        acf_hits += analyze_sequence(seq, params).verdict is Verdict.PERIOD_DETECTED
+        seq = encode_device(dev, duration)
+        acf_hits += analyze_sequence(seq).verdict is Verdict.PERIOD_DETECTED
         walker_hits += walker_test(seq.e, gamma=gamma).verdict is WalkerVerdict.DETECTED
     return acf_hits / n, walker_hits / n
 
@@ -36,12 +35,11 @@ def main():
     ap.add_argument("--gamma", type=float, default=0.1)
     args = ap.parse_args()
 
-    params = PeriodicityParams()
     print(f"{'period':>7} {'jitter':>7} {'ACF DR':>8} {'ACF MDR':>8} {'baseline DR':>12}")
     for period in (60.0, 210.0):
         for jitter in (0.0, 2.0, 5.0):
-            acf_dr, walker_dr = rates(params, period, jitter, args.duration,
-                                      args.n_traces, args.seed, args.gamma)
+            acf_dr, walker_dr = rates(period, jitter, args.duration, args.n_traces,
+                                      args.seed, args.gamma)
             print(f"{period:7.0f} {jitter:7.1f} {acf_dr:8.2f} {1 - acf_dr:8.2f} "
                   f"{walker_dr:12.2f}")
 
@@ -49,7 +47,7 @@ def main():
     for i in range(2 * args.n_traces):
         dev = DeviceTrace(DEV, gen_memoryless_noise(1 / 30, args.duration,
                                                     [args.seed, 999, i]))
-        res = detect_periodicity(dev, params, args.duration)
+        res = detect_periodicity(dev, args.duration)
         fp += res.verdict is Verdict.PERIOD_DETECTED
     print(f"\nnoise false-positive rate: {fp / (2 * args.n_traces):.3f} "
           f"({fp}/{2 * args.n_traces} traces)")

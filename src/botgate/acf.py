@@ -19,32 +19,17 @@ from .trace import ACK, PROTO_TCP, PROTO_UDP, PSH
 
 # Longest encoded sequence: up to it, the exact ACF's integers stay below 2^53.
 MAX_BINS = 2 ** 17
-MIN_PEAKS = 3        # qualifying ACF peaks needed for a periodicity verdict
-MAX_LAG_FRAC = 0.75  # the ACF is searched for peaks up to this fraction of K
+MIN_PEAKS = 3               # qualifying ACF peaks needed for a periodicity verdict
+MAX_LAG_FRAC = 0.75         # the ACF is searched for peaks up to this fraction of K
+SAMPLE_T = 10.0             # bin width in seconds (0.1 Hz sampling)
+PAYLOAD_CUTOFF = 10         # largest command-channel payload, in bytes
+PEAK_HEIGHT_FRAC = 0.7      # of the tallest ACF peak past lag 0
+GAP_VARIANCE_THRESH = 0.01  # inter-peak gap variance below it is periodic (lags^2)
 
 
 class Verdict(str, Enum):
     PERIOD_DETECTED = "PERIOD_DETECTED"
     PERIOD_NOT_DETECTED = "PERIOD_NOT_DETECTED"
-
-
-@dataclass
-class PeriodicityParams:
-    sample_t: float = 10.0            # bin width in seconds (0.1 Hz sampling)
-    peak_height_frac: float = 0.7     # relative to the tallest ACF peak past lag 0
-    gap_variance_thresh: float = 0.01
-    payload_cutoff_bytes: int = 10
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sample_t) and math.isfinite(self.gap_variance_thresh)):
-            raise ConfigError(f"sample_t and gap_variance_thresh must be finite, got "
-                              f"{self.sample_t} and {self.gap_variance_thresh}")
-        if self.sample_t <= 0 or self.payload_cutoff_bytes <= 0:
-            raise ConfigError("periodicity parameters must be positive")
-        if not 0 < self.peak_height_frac <= 1:
-            raise ConfigError("peak_height_frac must be in (0, 1]")
-        if self.gap_variance_thresh <= 0:
-            raise ConfigError("gap_variance_thresh must be positive")
 
 
 @dataclass
@@ -71,7 +56,8 @@ class PeriodicityResult:
     sequence: EncodedSequence | None = field(default=None, repr=False, compare=False)
 
 
-def filter_cnc_candidates(device_trace: DeviceTrace, payload_cutoff: int = 10) -> np.ndarray:
+def filter_cnc_candidates(device_trace: DeviceTrace,
+                          payload_cutoff: int = PAYLOAD_CUTOFF) -> np.ndarray:
     """Arrival times of likely command-channel packets, sorted ascending.
 
     Keeps UDP packets and TCP packets with both PSH and ACK set, excluding
@@ -106,12 +92,10 @@ def encode(arrivals, T: float, duration: float) -> EncodedSequence:
     return EncodedSequence(e=e, T=T, K=K, n_arrivals=len(arrivals))
 
 
-def encode_device(device_trace: DeviceTrace, params: PeriodicityParams,
-                  duration: float) -> EncodedSequence:
+def encode_device(device_trace: DeviceTrace, duration: float) -> EncodedSequence:
     """Stage 2's one per-device encoding, shared by every stage-2 caller: the
-    device's command-channel candidates binned at ``params.sample_t``."""
-    arrivals = filter_cnc_candidates(device_trace, params.payload_cutoff_bytes)
-    return encode(arrivals, params.sample_t, duration)
+    device's command-channel candidates binned at ``SAMPLE_T``."""
+    return encode(filter_cnc_candidates(device_trace), SAMPLE_T, duration)
 
 
 def acf(sequence: EncodedSequence, max_lag: int) -> AcfSeries:
@@ -154,7 +138,7 @@ def find_peaks(series: AcfSeries, height_frac: float) -> list[int]:
     return maxima[heights >= height_frac * heights.max()].tolist()
 
 
-def analyze_sequence(seq: EncodedSequence, params: PeriodicityParams) -> PeriodicityResult:
+def analyze_sequence(seq: EncodedSequence) -> PeriodicityResult:
     """The ACF peak and gap-variance test on one device's encoded sequence.
     The result keeps the sequence, for the confidence score."""
     result = PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED,
@@ -168,28 +152,27 @@ def analyze_sequence(seq: EncodedSequence, params: PeriodicityParams) -> Periodi
     except DegenerateSignalError as exc:
         result.reason = str(exc)
         return result
-    peaks = find_peaks(series, params.peak_height_frac)
+    peaks = find_peaks(series, PEAK_HEIGHT_FRAC)
     result.peak_lags = peaks
     if len(peaks) < MIN_PEAKS:
         result.reason = f"only {len(peaks)} qualifying peaks (need {MIN_PEAKS})"
         return result
     gap_var = float(np.var(np.diff(peaks)))  # population variance, lag units
     result.gap_variance = gap_var
-    if gap_var < params.gap_variance_thresh:
+    if gap_var < GAP_VARIANCE_THRESH:
         result.verdict = Verdict.PERIOD_DETECTED
     else:
         result.reason = f"inter-peak gap variance {gap_var:.4f} above threshold"
     return result
 
 
-def detect_periodicity(device_trace: DeviceTrace, params: PeriodicityParams,
-                       duration: float) -> PeriodicityResult:
+def detect_periodicity(device_trace: DeviceTrace, duration: float) -> PeriodicityResult:
     """Full per-device check; degenerate traffic yields PERIOD_NOT_DETECTED
     with a diagnostic reason rather than an error."""
     try:
-        seq = encode_device(device_trace, params, duration)
+        seq = encode_device(device_trace, duration)
     except ConfigError as exc:
-        n = len(filter_cnc_candidates(device_trace, params.payload_cutoff_bytes))
+        n = len(filter_cnc_candidates(device_trace))
         return PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED, n_candidates=n,
                                  reason=str(exc))
-    return analyze_sequence(seq, params)
+    return analyze_sequence(seq)

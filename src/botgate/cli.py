@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acf import PeriodicityParams, check_bins, encode_device
+from .acf import SAMPLE_T, check_bins, encode_device
 from .baselines import walker_test
 from .classifiers import (
     TrainedModel, cross_validate, forest_fit, gnb_fit, load_model, save_model, stage1_metrics,
@@ -26,13 +26,13 @@ from .features import (
     BENIGN, FEATURE_NAMES, MALICIOUS, FeatureVector, extract_features, read_feature_csv,
     write_feature_csv,
 )
-from .pipeline import DetectionReport, PipelineConfig, detect_iot_bots, run_pipeline
+from .pipeline import DetectionReport, detect_iot_bots, run_pipeline
 from .policy import (
     PolicyStore, apply_policies, load_store, parse_policy_command, save_store,
 )
 from .preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best
 from .sessions import sessionize, split_by_device
-from .stats import BdcsParams, bdcs, period_detection_prob
+from .stats import bdcs, period_detection_prob
 from .synth import BeaconProfile, SynthConfig, gen_dataset
 from .trace import load_trace, save_trace
 
@@ -150,16 +150,12 @@ def cmd_evaluate(args) -> int:
     out = {"stage1": stage1_metrics(pred, data.y)}
 
     if args.traces:
-        params = PeriodicityParams(
-            sample_t=args.sample_t, peak_height_frac=args.peak_frac,
-            gap_variance_thresh=args.gap_var, payload_cutoff_bytes=args.payload_cutoff,
-        )
-        check_bins(args.session_secs, params.sample_t)  # refused once, as detect does
+        check_bins(args.session_secs, SAMPLE_T)  # refused once, as detect does
         entries = [e for e in _read_manifest(Path(args.traces)) if e["label"] == MALICIOUS]
         detected = 0
         for entry in entries:
             trace = load_trace(entry["file"])
-            infected, _ = detect_iot_bots(split_by_device(trace), params, args.session_secs)
+            infected, _ = detect_iot_bots(split_by_device(trace), args.session_secs)
             detected += bool(infected)
         dr = detected / len(entries) if entries else 0.0
         out["stage2"] = {"n_malicious_traces": len(entries), "DR": dr, "MDR": 1.0 - dr}
@@ -171,16 +167,7 @@ def cmd_evaluate(args) -> int:
 def cmd_detect(args) -> int:
     model = load_model(args.model_file)
     trace = load_trace(args.trace)
-    config = PipelineConfig(
-        session_secs=args.session_secs,
-        window=args.window,
-        periodicity=PeriodicityParams(
-            sample_t=args.sample_t, peak_height_frac=args.peak_frac,
-            gap_variance_thresh=args.gap_var, payload_cutoff_bytes=args.payload_cutoff,
-        ),
-        bdcs=BdcsParams(alpha=args.alpha, h=args.lags),
-    )
-    report = run_pipeline(trace, model, config)
+    report = run_pipeline(trace, model, args.session_secs)
     text = report.to_text()
     if args.out:
         Path(args.out).write_text(text)
@@ -192,15 +179,13 @@ def _device_sequences(args):
     """(ip, encoded sequence) per device of ``args.trace``, in string order,
     over the whole capture and at least one bin."""
     trace = load_trace(args.trace)
-    params = PeriodicityParams(sample_t=args.sample_t, payload_cutoff_bytes=args.payload_cutoff)
-    duration = max(trace.span(), args.sample_t)
+    duration = max(trace.span(), SAMPLE_T)
     for ip, dev in sorted(split_by_device(trace).items()):
-        yield ip, encode_device(dev, params, duration)
+        yield ip, encode_device(dev, duration)
 
 
 def cmd_bdcs(args) -> int:
-    params = BdcsParams(alpha=args.alpha, h=args.lags)
-    probs = {ip: period_detection_prob(seq.e, params).prob
+    probs = {ip: period_detection_prob(seq.e).prob
              for ip, seq in _device_sequences(args)}
     out = {"per_device": probs, "bdcs": bdcs(list(probs.values()))}
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -210,7 +195,7 @@ def cmd_bdcs(args) -> int:
 def cmd_baseline(args) -> int:
     out = {}
     for ip, seq in _device_sequences(args):
-        res = walker_test(seq.e, gamma=args.gamma)
+        res = walker_test(seq.e)
         out[ip] = {"verdict": res.verdict.value, "statistic": res.statistic,
                    "threshold": res.threshold}
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -271,7 +256,7 @@ def cmd_run_pipeline(args) -> int:
     if not malicious:
         raise BotgateError("corpus has no malicious sessions to detect on")
     model = load_model(workdir / "model.json")
-    report = run_pipeline(load_trace(malicious[0]["file"]), model, PipelineConfig())
+    report = run_pipeline(load_trace(malicious[0]["file"]), model)
     report_path = workdir / "report.json"
     report_path.write_text(report.to_text())
     print(f"report written to {report_path}")
@@ -288,13 +273,6 @@ def _count(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return n
-
-
-def _add_periodicity_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sample-t", type=float, default=10.0)
-    p.add_argument("--peak-frac", type=float, default=0.7)
-    p.add_argument("--gap-var", type=float, default=0.01)
-    p.add_argument("--payload-cutoff", type=int, default=10)
 
 
 @functools.cache  # built on the first call that needs it, then shared by the process
@@ -336,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", required=True)
     p.add_argument("--traces", help="corpus dir for stage-2 DR/MDR")
     p.add_argument("--session-secs", type=float, default=900.0)
-    _add_periodicity_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("detect", help="run the full two-stage pipeline on one trace")
@@ -344,25 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", required=True)
     p.add_argument("--out")
     p.add_argument("--session-secs", type=float, default=None)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--lags", type=int, default=20)
-    _add_periodicity_flags(p)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("bdcs", help="per-device detection probabilities and their product")
     p.add_argument("--trace", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--lags", type=int, default=20)
-    p.add_argument("--sample-t", type=float, default=10.0)
-    p.add_argument("--payload-cutoff", type=int, default=10)
     p.set_defaults(func=cmd_bdcs)
 
     p = sub.add_parser("baseline", help="Walker's largest sample test per device")
     p.add_argument("--trace", required=True)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--sample-t", type=float, default=10.0)
-    p.add_argument("--payload-cutoff", type=int, default=10)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("policy", help="policy store management and plan generation")

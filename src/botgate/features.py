@@ -7,6 +7,7 @@ max/min/mean. Computed from TCP headers only.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -121,6 +122,13 @@ def write_feature_csv(vectors: Iterable[FeatureVector], path) -> None:
             writer.writerow([*vec.values(), vec.label if vec.label is not None else ""])
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def read_feature_csv(path) -> list[FeatureVector]:
     """The rows ``write_feature_csv`` writes; DataError naming the file, and
     the line, for any other header or row."""
@@ -141,11 +149,11 @@ def read_feature_csv(path) -> list[FeatureVector]:
                         n_uniq_syn_dst=int(float(row[0])),
                         pkts_per_dst_max=int(float(row[1])),
                         pkts_per_dst_min=int(float(row[2])),
-                        pkts_per_dst_mean=float(row[3]),
+                        pkts_per_dst_mean=_finite(row[3]),
                         n_half_open=int(float(row[4])),
                         tcp_len_max=int(float(row[5])),
                         tcp_len_min=int(float(row[6])),
-                        tcp_len_mean=float(row[7]),
+                        tcp_len_mean=_finite(row[7]),
                         label=row[8] or None,
                     )
                 )

@@ -4,32 +4,20 @@ from __future__ import annotations
 
 import ipaddress
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .acf import (
-    PeriodicityParams, PeriodicityResult, Verdict, check_bins, detect_periodicity,
-)
+from .acf import SAMPLE_T, PeriodicityResult, Verdict, check_bins, detect_periodicity
 from .classifiers import LABEL_MALICIOUS, TrainedModel
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .features import BENIGN, MALICIOUS, extract_features
 from .sessions import DeviceTrace, TrafficSession, sessionize, split_by_device
-from .stats import BdcsParams, PeriodProbResult, bdcs, period_detection_prob
+from .stats import PeriodProbResult, bdcs, period_detection_prob
 from .trace import Trace
 
-
-@dataclass
-class PipelineConfig:
-    session_secs: Optional[float] = None   # default: the model's training duration
-    window: int = 5                        # verdict-averaging window
-    periodicity: PeriodicityParams = field(default_factory=PeriodicityParams)
-    bdcs: BdcsParams = field(default_factory=BdcsParams)
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ConfigError(f"verdict window must be at least 1, got {self.window}")
+WINDOW = 5  # sessions per verdict-averaging window
 
 
 @dataclass
@@ -86,31 +74,30 @@ def _sorted_ips(ips) -> list[str]:
     return sorted(ips, key=lambda ip: int(ipaddress.IPv4Address(ip)))
 
 
-def detect_iot_bots(device_traces: dict[str, DeviceTrace], params: PeriodicityParams,
+def detect_iot_bots(device_traces: dict[str, DeviceTrace],
                     duration: float) -> tuple[list[str], dict[str, PeriodicityResult]]:
     """Stage 2: one periodicity test per device, in IP order. Each device is
     filtered and encoded once; its result keeps the encoded sequence."""
-    results = {ip: detect_periodicity(device_traces[ip], params, duration)
+    results = {ip: detect_periodicity(device_traces[ip], duration)
                for ip in _sorted_ips(device_traces)}
     infected = [ip for ip, res in results.items() if res.verdict is Verdict.PERIOD_DETECTED]
     return infected, results
 
 
 def run_pipeline(trace: Trace, model: TrainedModel,
-                 config: Optional[PipelineConfig] = None) -> DetectionReport:
-    """Stage 1 on session windows; stage 2 (device sweep + confidence score)
+                 session_secs: Optional[float] = None) -> DetectionReport:
+    """Stage 1 on session windows (of the model's training duration unless
+    ``session_secs`` is given); stage 2 (device sweep + confidence score)
     only when the averaged stage-1 verdict is malicious."""
-    config = config or PipelineConfig()
-    session_secs = config.session_secs or model.session_secs
+    session_secs = session_secs or model.session_secs
     sessions = sessionize(trace, session_secs)
     classified = classify_sessions(sessions, model)
     verdicts = [v for v, _ in classified]
 
-    # consecutive windows of size W; the trace is flagged when any window
+    # consecutive windows of WINDOW sessions; the trace is flagged when any window
     # averages malicious (the last, possibly shorter window uses what it has)
-    w = config.window
     window_verdicts = [
-        averaged_verdict(verdicts[i:i + w]) for i in range(0, len(verdicts), w)
+        averaged_verdict(verdicts[i:i + WINDOW]) for i in range(0, len(verdicts), WINDOW)
     ] if verdicts else []
     overall = MALICIOUS if MALICIOUS in window_verdicts else BENIGN
 
@@ -120,7 +107,7 @@ def run_pipeline(trace: Trace, model: TrainedModel,
             for s, (v, c) in zip(sessions, classified)
         ],
         averaged_verdict=overall,
-        window=w,
+        window=WINDOW,
         stage2_ran=False,
         infected_devices=[],
         device_diagnostics={},
@@ -133,9 +120,9 @@ def run_pipeline(trace: Trace, model: TrainedModel,
     report.stage2_ran = True
     analyzed = len(sessions) * session_secs
     # too many bins is wrong for every device alike: refuse the run, not each device
-    check_bins(analyzed, config.periodicity.sample_t)
+    check_bins(analyzed, SAMPLE_T)
     devices = split_by_device(trace)
-    infected, results = detect_iot_bots(devices, config.periodicity, analyzed)
+    infected, results = detect_iot_bots(devices, analyzed)
     infected_probs = []
     for ip, res in results.items():
         diag = {
@@ -146,7 +133,7 @@ def run_pipeline(trace: Trace, model: TrainedModel,
             "reason": res.reason,
         }
         prob = PeriodProbResult(prob=0.0) if res.sequence is None else \
-            period_detection_prob(res.sequence.e, config.bdcs)  # None: not encodable
+            period_detection_prob(res.sequence.e)  # None: not encodable
         diag.update(period_prob=prob.prob, q=prob.q, pvalue=prob.pvalue)
         if res.verdict is Verdict.PERIOD_DETECTED:
             infected_probs.append(prob.prob)

@@ -8,22 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateSignalError
+from .errors import DataError, DegenerateSignalError
 
 _MAX_ITER = 500
 _TINY = 1e-300
-
-
-@dataclass
-class BdcsParams:
-    alpha: float = 0.05
-    h: int = 20             # lags in the Q statistic, capped at K-2
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ConfigError("alpha must be in (0, 1)")
-        if self.h < 1:
-            raise ConfigError("h must be >= 1")
+ALPHA = 0.05  # p-value below which a device scores 1.0
+LAGS = 20     # lags in the Q statistic, capped at K-2
 
 
 def ljung_box_q(sequence: np.ndarray, h: int) -> float:
@@ -105,14 +95,14 @@ class PeriodProbResult:
     note: str = ""
 
 
-def period_detection_prob(sequence: np.ndarray, params: BdcsParams) -> PeriodProbResult:
+def period_detection_prob(sequence: np.ndarray) -> PeriodProbResult:
     """Probability of periodicity detection for one device's encoded sequence.
 
-    A p-value below alpha (Q beyond the (1-alpha) chi-square quantile, since
+    A p-value below ALPHA (Q beyond the (1-ALPHA) chi-square quantile, since
     chi2_sf decreases) maps to 1.0; otherwise the observed p-value is
     returned. Degenerate (constant) sequences score 0.0 with a diagnostic."""
     e = np.asarray(sequence, dtype=float)
-    h = min(params.h, len(e) - 2)
+    h = min(LAGS, len(e) - 2)
     if h < 1:
         return PeriodProbResult(prob=0.0, note="sequence too short")
     try:
@@ -120,7 +110,7 @@ def period_detection_prob(sequence: np.ndarray, params: BdcsParams) -> PeriodPro
     except DegenerateSignalError:
         return PeriodProbResult(prob=0.0, note="degenerate (constant) sequence")
     pvalue = chi2_sf(q, h)
-    if pvalue < params.alpha:
+    if pvalue < ALPHA:
         return PeriodProbResult(prob=1.0, q=q, pvalue=pvalue, h=h, note="p-value below alpha")
     return PeriodProbResult(prob=pvalue, q=q, pvalue=pvalue, h=h)
 

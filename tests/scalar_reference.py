@@ -13,6 +13,7 @@ import socket
 
 import numpy as np
 
+from botgate.acf import GAP_VARIANCE_THRESH, PAYLOAD_CUTOFF, PEAK_HEIGHT_FRAC, SAMPLE_T
 from botgate.errors import ConfigError, TraceParseError
 from botgate.synth import _EXTERNAL_FIRST_OCTETS, IP_HEADER_TCP, IP_HEADER_UDP
 from botgate.trace import (
@@ -140,18 +141,17 @@ def find_peaks(r, max_lag, height_frac):
     return [l for l in maxima if r[l] >= thresh]
 
 
-def detect_periodicity(packets, params, duration):
+def detect_periodicity(packets, duration):
     """(detected, peak lags) of one device by the loops above."""
-    K = int(math.floor(duration / params.sample_t))
+    K = int(math.floor(duration / SAMPLE_T))
     max_lag = int(math.floor(K * 0.75))
-    e = encode(filter_cnc_candidates(packets, params.payload_cutoff_bytes),
-               params.sample_t, duration)
+    e = encode(filter_cnc_candidates(packets, PAYLOAD_CUTOFF), SAMPLE_T, duration)
     if max_lag < 2 or e.min() == e.max():
         return False, []
-    peaks = find_peaks(acf_exact(e, max_lag), max_lag, params.peak_height_frac)
+    peaks = find_peaks(acf_exact(e, max_lag), max_lag, PEAK_HEIGHT_FRAC)
     if len(peaks) < 3:
         return False, peaks
-    return float(np.var(np.diff(peaks))) < params.gap_variance_thresh, peaks
+    return float(np.var(np.diff(peaks))) < GAP_VARIANCE_THRESH, peaks
 
 
 # The token-level parser: every field of every row goes through float, int

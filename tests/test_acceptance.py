@@ -13,7 +13,7 @@ import scipy.integrate
 
 import scalar_reference as ref
 from botgate.acf import (
-    EncodedSequence, PeriodicityParams, Verdict, acf, detect_periodicity,
+    SAMPLE_T, EncodedSequence, Verdict, acf, detect_periodicity,
     encode, filter_cnc_candidates,
 )
 from botgate.baselines import WalkerVerdict, walker_test
@@ -26,7 +26,7 @@ from botgate.preprocess import (
     shuffle_split,
 )
 from botgate.sessions import DeviceTrace, TrafficSession
-from botgate.stats import BdcsParams, bdcs, chi2_sf, ljung_box_q, \
+from botgate.stats import bdcs, chi2_sf, ljung_box_q, \
     period_detection_prob
 from botgate.synth import (
     SynthConfig, gen_cnc_beacon, gen_dataset, gen_memoryless_noise,
@@ -84,14 +84,13 @@ def test_criterion_1_stage1_metrics(capsys):
 # Criterion 2: stage-2 DR/MDR on zero-jitter beacons; FP rate on noise
 
 def test_criterion_2_stage2_rates(capsys):
-    params = PeriodicityParams()
     detected = {60.0: 0, 210.0: 0}
     for period in detected:
         for i in range(50):
             dev = DeviceTrace("192.168.1.10",
                               gen_cnc_beacon(period, 0.0, SESSION_SECS,
                                              [7, i, int(period)]))
-            res = detect_periodicity(dev, params, SESSION_SECS)
+            res = detect_periodicity(dev, SESSION_SECS)
             detected[period] += res.verdict is Verdict.PERIOD_DETECTED
     dr_fast, dr_slow = detected[60.0] / 50, detected[210.0] / 50
 
@@ -99,7 +98,7 @@ def test_criterion_2_stage2_rates(capsys):
     for i in range(100):
         dev = DeviceTrace("192.168.1.10",
                           gen_memoryless_noise(1 / 30, SESSION_SECS, [11, i]))
-        res = detect_periodicity(dev, params, SESSION_SECS)
+        res = detect_periodicity(dev, SESSION_SECS)
         false_pos += res.verdict is Verdict.PERIOD_DETECTED
     fp_rate = false_pos / 100
 
@@ -114,15 +113,14 @@ def test_criterion_2_stage2_rates(capsys):
 # Criterion 3: ACF gap-variance test vs the periodogram baseline on jitter
 
 def test_criterion_3_beats_baseline_on_jitter(capsys):
-    params = PeriodicityParams()
     acf_hits = walker_hits = 0
     n = 25
     for i in range(n):
         dev = DeviceTrace("192.168.1.10",
                           gen_cnc_beacon(210.0, 5.0, SESSION_SECS, [13, i]))
-        if detect_periodicity(dev, params, SESSION_SECS).verdict is Verdict.PERIOD_DETECTED:
+        if detect_periodicity(dev, SESSION_SECS).verdict is Verdict.PERIOD_DETECTED:
             acf_hits += 1
-        seq = encode(filter_cnc_candidates(dev), params.sample_t, SESSION_SECS)
+        seq = encode(filter_cnc_candidates(dev), SAMPLE_T, SESSION_SECS)
         if walker_test(seq.e).verdict is WalkerVerdict.DETECTED:
             walker_hits += 1
     acf_dr, walker_dr = acf_hits / n, walker_hits / n
@@ -259,7 +257,7 @@ def test_criterion_7_bdcs_properties(capsys):
 
     strong = np.zeros(90)
     strong[::6] = 1
-    prob = period_detection_prob(strong, BdcsParams()).prob
+    prob = period_detection_prob(strong).prob
     periodic_ok = prob == 1.0 and bdcs([prob]) == 1.0
 
     ok = product_ok and range_ok and empty_ok and periodic_ok
@@ -299,7 +297,6 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
 
 def test_criterion_9_sweep_matches_scalar_reference(capsys):
     rng = np.random.default_rng(91)
-    params = PeriodicityParams()
     agreed = 0
     n_scen = 50
     for s in range(n_scen):
@@ -316,9 +313,9 @@ def test_criterion_9_sweep_matches_scalar_reference(capsys):
             else:
                 devices[ip] = DeviceTrace(ip, gen_memoryless_noise(
                     1 / 30, SESSION_SECS, [92, s, i], device_ip=ip))
-        found, results = detect_iot_bots(devices, params, SESSION_SECS)
+        found, results = detect_iot_bots(devices, SESSION_SECS)
         # devices are added in IP order, which is the sweep's order
-        expected = {ip: ref.detect_periodicity(list(dev.packets), params, SESSION_SECS)
+        expected = {ip: ref.detect_periodicity(list(dev.packets), SESSION_SECS)
                     for ip, dev in devices.items()}
         agreed += found == [ip for ip, (hit, _) in expected.items() if hit] and \
             {ip: (r.verdict is Verdict.PERIOD_DETECTED, r.peak_lags)

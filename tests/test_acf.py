@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from botgate.acf import (
-    AcfSeries, EncodedSequence, PeriodicityParams, Verdict, acf,
+    AcfSeries, EncodedSequence, Verdict, acf,
     detect_periodicity, encode, filter_cnc_candidates, find_peaks,
 )
 from botgate.errors import ConfigError, DegenerateSignalError
@@ -92,36 +92,25 @@ def test_find_peaks_threshold_and_boundary():
 
 
 def test_detect_periodicity_beacons():
-    params = PeriodicityParams()
     for period, lag in ((60.0, 6), (210.0, 21)):
         dev = DeviceTrace("192.168.1.10", gen_cnc_beacon(period, 0.0, 900.0, [1, int(period)]))
-        res = detect_periodicity(dev, params, 900.0)
+        res = detect_periodicity(dev, 900.0)
         assert res.verdict is Verdict.PERIOD_DETECTED
         assert res.gap_variance == 0.0
         assert all(l % lag == 0 for l in res.peak_lags)
 
 
 def test_detect_periodicity_degenerate_and_noise():
-    params = PeriodicityParams()
     empty = DeviceTrace("192.168.1.10", PacketTable.from_records([]))
-    res = detect_periodicity(empty, params, 900.0)
+    res = detect_periodicity(empty, 900.0)
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED
     assert "constant" in res.reason
     assert res.n_candidates == 0
     # too-short capture
-    res = detect_periodicity(empty, params, 5.0)
+    res = detect_periodicity(empty, 5.0)
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED
     assert res.reason
     # a single burst has no repeating structure
     burst = gen_memoryless_noise(2.0, 30.0, 3)
-    res = detect_periodicity(DeviceTrace("192.168.1.10", burst), params, 900.0)
+    res = detect_periodicity(DeviceTrace("192.168.1.10", burst), 900.0)
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED
-
-
-def test_params_validation():
-    with pytest.raises(ConfigError):
-        PeriodicityParams(sample_t=0.0)
-    with pytest.raises(ConfigError):
-        PeriodicityParams(peak_height_frac=1.5)
-    with pytest.raises(ConfigError):
-        PeriodicityParams(gap_variance_thresh=0.0)

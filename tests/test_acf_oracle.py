@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from botgate.acf import (
-    MAX_BINS, AcfSeries, EncodedSequence, PeriodicityParams, Verdict, acf,
+    MAX_BINS, AcfSeries, EncodedSequence, Verdict, acf,
     analyze_sequence, encode, find_peaks,
 )
 from botgate.errors import ConfigError, DegenerateSignalError
@@ -65,7 +65,7 @@ def test_exact_threshold_tie_is_a_peak():
     assert series.r[50] == 5 / 16 and series.r[58] == 7 / 32
     assert series.r[58] == 0.7 * series.r[50]
     assert find_peaks(series, 0.7) == [50, 58, 66]
-    res = analyze_sequence(seq, PeriodicityParams())
+    res = analyze_sequence(seq)
     assert res.verdict is Verdict.PERIOD_DETECTED and res.gap_variance == 0.0
     # the per-lag float loop lands just below the threshold
     assert ref.find_peaks(ref.acf_float(seq.e, 67), 67, 0.7) == [50, 66]
@@ -102,7 +102,7 @@ def test_constant_sequences_are_degenerate(bit):
     seq = sequence([bit] * 20)
     with pytest.raises(DegenerateSignalError):
         acf(seq, 10)
-    res = analyze_sequence(seq, PeriodicityParams())
+    res = analyze_sequence(seq)
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED and "constant" in res.reason
 
 

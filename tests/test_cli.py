@@ -2,10 +2,14 @@
 import builtins
 import errno
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from botgate.cli import build_parser, main
+from botgate.cli import _parse_policy_argv, build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 N_BENIGN, N_MALICIOUS = 6, 6
 SECS = "900"
@@ -127,14 +131,6 @@ def test_malformed_trace_exits_2(workspace, tmp_path, capsys, body):
     assert "data error: line 3:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("window", ["0", "-3"])
-def test_window_below_one_exits_2(workspace, capsys, window):
-    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
-    assert main(["detect", "--trace", str(trace), "--model-file",
-                 str(workspace / "model.json"), "--window", window]) == 2
-    assert f"verdict window must be at least 1, got {window}" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", ["bdcs", "baseline"])
 def test_too_many_bins_exits_2(tmp_path, capsys, command):
     # one packet at ts=1e12 would need 1e11 bins of 10 s
@@ -156,26 +152,32 @@ def test_simulate_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--sample-t", "nan"), ("--sample-t", "inf"), ("--gap-var", "nan"),
-])
-def test_non_finite_periodicity_flags_exit_2(workspace, capsys, flag, value):
-    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
-    assert main(["detect", "--trace", str(trace), "--model-file",
-                 str(workspace / "model.json"), flag, value]) == 2
-    assert "must be finite" in capsys.readouterr().err
-    if flag == "--sample-t":  # the stage-2 tools reject the same values
-        for command in ("bdcs", "baseline"):
-            assert main([command, "--trace", str(trace), flag, value]) == 2
-        capsys.readouterr()
+# The stage-2 design values are constants of acf, stats and pipeline, not
+# flags; each command's required flags, then the flags it no longer takes.
+STAGE2_COMMANDS = {
+    "evaluate": (["--features", "f.csv", "--model-file", "m.json"],
+                 ["--sample-t", "--peak-frac", "--gap-var", "--payload-cutoff"]),
+    "detect": (["--trace", "t.trace", "--model-file", "m.json"],
+               ["--sample-t", "--peak-frac", "--gap-var", "--payload-cutoff",
+                "--window", "--alpha", "--lags"]),
+    "bdcs": (["--trace", "t.trace"], ["--alpha", "--lags", "--sample-t", "--payload-cutoff"]),
+    "baseline": (["--trace", "t.trace"], ["--gamma", "--sample-t", "--payload-cutoff"]),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, flags) in STAGE2_COMMANDS.items() for flag in flags])
+def test_stage2_design_value_flag_exits_1(capsys, command, flag):
+    assert main([command, *STAGE2_COMMANDS[command][0], flag, "1"]) == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_analyzed_span_beyond_bin_bound_exits_2(workspace, capsys):
-    # 900 s at 1 ms bins is 900000 bins: refused once, before the sweep
+    # 2000000 s at 10 s bins is 200000 bins: refused once, before the sweep
     trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
     assert main(["detect", "--trace", str(trace), "--model-file",
-                 str(workspace / "model.json"), "--sample-t", "0.001"]) == 2
-    assert "duration 900.0 s at sampling interval 0.001 s needs more than 131072 bins" in \
+                 str(workspace / "model.json"), "--session-secs", "2000000"]) == 2
+    assert "duration 2000000.0 s at sampling interval 10.0 s needs more than 131072 bins" in \
         capsys.readouterr().err
 
 
@@ -215,13 +217,13 @@ def test_malformed_manifest_row_exits_2(workspace, tmp_path, capsys, row, messag
 
 
 def test_evaluate_stage2_beyond_bin_bound_exits_2(workspace, capsys):
-    # the same bound detect refuses: 900 s at 1 ms bins
+    # the same bound detect refuses: 2000000 s at 10 s bins
     assert main(["evaluate", "--features", str(workspace / "features.csv"),
                  "--model-file", str(workspace / "model.json"),
-                 "--traces", str(workspace / "corpus"), "--sample-t", "0.001"]) == 2
+                 "--traces", str(workspace / "corpus"), "--session-secs", "2000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "duration 900.0 s at sampling interval 0.001 s needs more than 131072 bins" in \
+    assert "duration 2000000.0 s at sampling interval 10.0 s needs more than 131072 bins" in \
         captured.err
 
 
@@ -440,3 +442,19 @@ def test_parser_reuse_in_one_process(workspace, tmp_path, capsys):
     assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 0, 0]
     assert fresh[1][1] == "botgate 0.1.0\n" and fresh[2][1].startswith("usage: botgate detect")
     assert "unrecognized arguments: --no-such-flag" in fresh[0][2]
+
+
+def test_readme_cli_lines_parse():
+    """Every ``botgate ...`` line of README's CLI block parses, and the block
+    shows every subcommand."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("botgate ")]
+    for argv in lines:
+        if argv[0] == "policy":
+            _parse_policy_argv(argv[1:])
+        else:
+            build_parser().parse_args(argv)
+    assert {argv[0] for argv in lines} == {
+        "simulate", "featurize", "train", "evaluate", "detect", "bdcs", "baseline", "policy",
+        "run-pipeline"}

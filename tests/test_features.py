@@ -111,8 +111,13 @@ def test_csv_rejects_foreign_header(tmp_path):
     ("1,2,3", "line 3: expected 9 fields, got 3"),
     ("1,2,1,1.5,0,60,40,x,BENIGN", "line 3: could not convert string to float: 'x'"),
     ("inf,2,1,1.5,0,60,40,50.0,BENIGN", "line 3: cannot convert float infinity"),
+    ("3,nan,1,1.5,0,60,40,50.0,BENIGN", "line 3: cannot convert float NaN"),
+    # a non-finite mean used to pass and reach the model file's scaler
+    ("3,2,1,nan,0,60,40,50.0,BENIGN", "line 3: non-finite value 'nan'"),
+    ("3,2,1,1.5,0,60,40,-inf,BENIGN", "line 3: non-finite value '-inf'"),
     ("3,2,1,1.5,0,60,40,50.0,WHATEVER", "line 3: bad label 'WHATEVER'"),
-], ids=["short", "not-a-number", "infinite-count", "unknown-label"])
+], ids=["short", "not-a-number", "infinite-count", "nan-count", "nan-mean", "infinite-mean",
+        "unknown-label"])
 def test_csv_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     good = "3,2,1,1.5,0,60,40,50.0,MALICIOUS"

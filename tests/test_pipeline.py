@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from botgate.acf import PeriodicityParams, Verdict
+from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, Verdict
 from botgate.classifiers import TrainedModel, forest_fit
 from botgate.errors import DataError
 from botgate.features import BENIGN, MALICIOUS, extract_features
 from botgate.pipeline import (
-    DetectionReport, PipelineConfig, averaged_verdict, classify_sessions,
+    DetectionReport, averaged_verdict, classify_sessions,
     detect_iot_bots, run_pipeline,
 )
 from botgate.preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, \
@@ -74,23 +74,22 @@ def test_detect_iot_bots_matches_scalar_reference():
         else:
             devices[ip] = DeviceTrace(ip, gen_memoryless_noise(1 / 30, 900.0, [2, i],
                                                                device_ip=ip))
-    params = PeriodicityParams()
-    infected, results = detect_iot_bots(devices, params, 900.0)
+    infected, results = detect_iot_bots(devices, 900.0)
     assert infected == ["192.168.1.10", "192.168.1.13", "192.168.1.16"]
     assert list(results) == list(devices)  # IP order
     for ip, dev in devices.items():
         res = results[ip]
-        hit, peaks = ref.detect_periodicity(list(dev.packets), params, 900.0)
+        hit, peaks = ref.detect_periodicity(list(dev.packets), 900.0)
         assert (res.verdict is Verdict.PERIOD_DETECTED, res.peak_lags) == (hit, peaks)
         assert res.sequence.e.tolist() == ref.encode(
-            ref.filter_cnc_candidates(list(dev.packets), params.payload_cutoff_bytes),
-            params.sample_t, 900.0).tolist()
-    assert detect_iot_bots({}, params, 900.0) == ([], {})
+            ref.filter_cnc_candidates(list(dev.packets), PAYLOAD_CUTOFF),
+            SAMPLE_T, 900.0).tolist()
+    assert detect_iot_bots({}, 900.0) == ([], {})
 
 
 def test_run_pipeline_malicious(model):
     rec = gen_session(CFG, 400, "fast")
-    report = run_pipeline(rec.trace, model, PipelineConfig())
+    report = run_pipeline(rec.trace, model)
     assert report.averaged_verdict == MALICIOUS
     assert report.stage2_ran
     assert report.infected_devices == ["192.168.1.10"]
@@ -104,7 +103,7 @@ def test_run_pipeline_malicious(model):
 
 def test_run_pipeline_benign(model):
     rec = gen_session(CFG, 401, "benign")
-    report = run_pipeline(rec.trace, model, PipelineConfig())
+    report = run_pipeline(rec.trace, model)
     assert report.averaged_verdict == BENIGN
     assert not report.stage2_ran
     assert report.infected_devices == []
@@ -116,7 +115,7 @@ def test_run_pipeline_scan_only_is_stage1_false_positive(model):
     trace = Trace(PacketTable.concat([base.packets,
                                       gen_scanning(CFG, [5, 402, 9], "192.168.1.10")]),
                   base.internal_subnet)
-    report = run_pipeline(trace, model, PipelineConfig())
+    report = run_pipeline(trace, model)
     assert report.averaged_verdict == MALICIOUS
     assert report.stage2_ran
     assert report.infected_devices == []
@@ -126,7 +125,7 @@ def test_run_pipeline_scan_only_is_stage1_false_positive(model):
 
 def test_report_round_trip(model):
     rec = gen_session(CFG, 403, "fast")
-    report = run_pipeline(rec.trace, model, PipelineConfig())
+    report = run_pipeline(rec.trace, model)
     back = DetectionReport.from_text(report.to_text())
     assert back == report
     assert back.to_text() == report.to_text()

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import scipy.stats  # oracle only; the implementation under test is scipy-free
 
-from botgate.errors import ConfigError, DataError, DegenerateSignalError
+from botgate.errors import DataError, DegenerateSignalError
 from botgate.stats import (
-    BdcsParams, bdcs, chi2_sf, ljung_box_q, period_detection_prob,
+    bdcs, chi2_sf, ljung_box_q, period_detection_prob,
 )
 
 
@@ -64,27 +64,25 @@ def test_chi2_sf_edges():
 
 
 def test_period_detection_prob_branches():
-    params = BdcsParams()
     strong = np.zeros(90)
     strong[::6] = 1
-    res = period_detection_prob(strong, params)
+    res = period_detection_prob(strong)
     assert res.prob == 1.0 and res.pvalue < 1e-40
 
     rng = np.random.default_rng(3)
     noise = (rng.random(90) < 0.3).astype(float)
-    res = period_detection_prob(noise, params)
+    res = period_detection_prob(noise)
     assert 0.0 < res.prob < 1.0
     assert res.prob == res.pvalue == pytest.approx(chi2_sf(res.q, res.h))
 
-    res = period_detection_prob(np.zeros(90), params)
+    res = period_detection_prob(np.zeros(90))
     assert res.prob == 0.0 and "degenerate" in res.note
-    assert period_detection_prob(np.array([1.0, 0.0]), params).prob == 0.0
+    assert period_detection_prob(np.array([1.0, 0.0])).prob == 0.0
 
 
 def test_period_detection_prob_caps_h():
-    res = period_detection_prob(np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0.0]),
-                                BdcsParams(h=20))
-    assert res.h == 8  # capped at K - 2
+    res = period_detection_prob(np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0.0]))
+    assert res.h == 8  # LAGS = 20, capped at K - 2
 
 
 def test_bdcs_product():
@@ -107,10 +105,3 @@ def test_bdcs_properties(probs):
         assert score <= min(probs) + 1e-12
     # appending a device can never raise the confidence
     assert bdcs(probs + [0.5]) <= score + 1e-12
-
-
-def test_params_validation():
-    with pytest.raises(ConfigError):
-        BdcsParams(alpha=0.0)
-    with pytest.raises(ConfigError):
-        BdcsParams(h=0)
