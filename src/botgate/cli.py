@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: simulate, featurize, train, evaluate, detect, bdcs, baseline,
-policy, run-pipeline. Exit codes: 0 success, 1 usage, 2 data error,
-3 internal error.
+Subcommands: simulate, featurize, train, evaluate, detect, baseline, policy,
+run-pipeline. Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
+Stage 2 (``evaluate --traces``, ``detect``, ``baseline``) analyzes each trace
+through ``pipeline.analyze_devices``, over the trace's whole session windows:
+of the model's duration, or of ``SESSION_SECS`` for ``baseline``.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acf import SAMPLE_T, check_bins, encode_device
 from .baselines import walker_test
 from .classifiers import (
     TrainedModel, cross_validate, forest_fit, gnb_fit, load_model, save_model, stage1_metrics,
@@ -26,13 +27,12 @@ from .features import (
     BENIGN, FEATURE_NAMES, MALICIOUS, FeatureVector, extract_features, read_feature_csv,
     write_feature_csv,
 )
-from .pipeline import DetectionReport, detect_iot_bots, run_pipeline
+from .pipeline import DetectionReport, analyze_devices, run_pipeline
 from .policy import (
     PolicyStore, apply_policies, load_store, parse_policy_command, save_store,
 )
 from .preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best
-from .sessions import sessionize, split_by_device
-from .stats import bdcs, period_detection_prob
+from .sessions import SESSION_SECS, sessionize
 from .synth import BeaconProfile, SynthConfig, gen_dataset
 from .trace import load_trace, save_trace
 
@@ -150,12 +150,10 @@ def cmd_evaluate(args) -> int:
     out = {"stage1": stage1_metrics(pred, data.y)}
 
     if args.traces:
-        check_bins(args.session_secs, SAMPLE_T)  # refused once, as detect does
         entries = [e for e in _read_manifest(Path(args.traces)) if e["label"] == MALICIOUS]
         detected = 0
         for entry in entries:
-            trace = load_trace(entry["file"])
-            infected, _ = detect_iot_bots(split_by_device(trace), args.session_secs)
+            infected, _ = analyze_devices(load_trace(entry["file"]), model.session_secs)
             detected += bool(infected)
         dr = detected / len(entries) if entries else 0.0
         out["stage2"] = {"n_malicious_traces": len(entries), "DR": dr, "MDR": 1.0 - dr}
@@ -167,7 +165,7 @@ def cmd_evaluate(args) -> int:
 def cmd_detect(args) -> int:
     model = load_model(args.model_file)
     trace = load_trace(args.trace)
-    report = run_pipeline(trace, model, args.session_secs)
+    report = run_pipeline(trace, model)
     text = report.to_text()
     if args.out:
         Path(args.out).write_text(text)
@@ -175,29 +173,15 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _device_sequences(args):
-    """(ip, encoded sequence) per device of ``args.trace``, in string order,
-    over the whole capture and at least one bin."""
-    trace = load_trace(args.trace)
-    duration = max(trace.span(), SAMPLE_T)
-    for ip, dev in sorted(split_by_device(trace).items()):
-        yield ip, encode_device(dev, duration)
-
-
-def cmd_bdcs(args) -> int:
-    probs = {ip: period_detection_prob(seq.e).prob
-             for ip, seq in _device_sequences(args)}
-    out = {"per_device": probs, "bdcs": bdcs(list(probs.values()))}
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return 0
-
-
 def cmd_baseline(args) -> int:
+    """Walker's test on each device's sequence from the stage-2 pass that
+    ``detect`` makes, over whole windows of ``SESSION_SECS``."""
     out = {}
-    for ip, seq in _device_sequences(args):
-        res = walker_test(seq.e)
-        out[ip] = {"verdict": res.verdict.value, "statistic": res.statistic,
-                   "threshold": res.threshold}
+    _, results = analyze_devices(load_trace(args.trace), SESSION_SECS)
+    for ip, res in results.items():
+        walker = walker_test(res.sequence.e)
+        out[ip] = {"verdict": walker.verdict.value, "statistic": walker.statistic,
+                   "threshold": walker.threshold}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
@@ -289,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-benign", type=_count, default=1000)
     p.add_argument("--n-malicious", type=_count, default=1000)
-    p.add_argument("--session-secs", type=float, default=900.0)
+    p.add_argument("--session-secs", type=float, default=SESSION_SECS)
     p.add_argument("--jitter", type=float, default=0.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("featurize", help="extract per-session feature CSV from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--session-secs", type=float, default=900.0)
+    p.add_argument("--session-secs", type=float, default=SESSION_SECS)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="fit scaler + feature selection + classifier")
@@ -305,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-best", type=int, default=6)
     p.add_argument("--cv-folds", type=int, default=10)
-    p.add_argument("--session-secs", type=float, default=900.0)
+    p.add_argument("--session-secs", type=float, default=SESSION_SECS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -313,19 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--model-file", required=True)
     p.add_argument("--traces", help="corpus dir for stage-2 DR/MDR")
-    p.add_argument("--session-secs", type=float, default=900.0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("detect", help="run the full two-stage pipeline on one trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--model-file", required=True)
     p.add_argument("--out")
-    p.add_argument("--session-secs", type=float, default=None)
     p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("bdcs", help="per-device detection probabilities and their product")
-    p.add_argument("--trace", required=True)
-    p.set_defaults(func=cmd_bdcs)
 
     p = sub.add_parser("baseline", help="Walker's largest sample test per device")
     p.add_argument("--trace", required=True)
@@ -346,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-malicious", type=_count, default=20)
     p.add_argument("--model", choices=["gnb", "forest"], default="forest")
     p.add_argument("--k-best", type=int, default=6)
-    p.add_argument("--session-secs", type=float, default=900.0)
+    p.add_argument("--session-secs", type=float, default=SESSION_SECS)
     p.set_defaults(func=cmd_run_pipeline)
 
     return parser

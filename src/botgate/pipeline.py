@@ -13,7 +13,7 @@ from .acf import SAMPLE_T, PeriodicityResult, Verdict, check_bins, detect_period
 from .classifiers import LABEL_MALICIOUS, TrainedModel
 from .errors import DataError
 from .features import BENIGN, MALICIOUS, extract_features
-from .sessions import DeviceTrace, TrafficSession, sessionize, split_by_device
+from .sessions import DeviceTrace, TrafficSession, sessionize, split_by_device, window_count
 from .stats import PeriodProbResult, bdcs, period_detection_prob
 from .trace import Trace
 
@@ -84,13 +84,22 @@ def detect_iot_bots(device_traces: dict[str, DeviceTrace],
     return infected, results
 
 
-def run_pipeline(trace: Trace, model: TrainedModel,
-                 session_secs: Optional[float] = None) -> DetectionReport:
-    """Stage 1 on session windows (of the model's training duration unless
-    ``session_secs`` is given); stage 2 (device sweep + confidence score)
-    only when the averaged stage-1 verdict is malicious."""
-    session_secs = session_secs or model.session_secs
-    sessions = sessionize(trace, session_secs)
+def analyze_devices(trace: Trace,
+                    session_secs: float) -> tuple[list[str], dict[str, PeriodicityResult]]:
+    """Stage 2 on a whole trace: ``detect_iot_bots`` over the span of the
+    trace's whole session windows of ``session_secs``, the windows stage 1
+    classifies. Too many bins is wrong for every device alike, so the span is
+    refused once, before the sweep."""
+    analyzed = window_count(trace, session_secs) * session_secs
+    check_bins(analyzed, SAMPLE_T)
+    return detect_iot_bots(split_by_device(trace), analyzed)
+
+
+def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
+    """Stage 1 on session windows of the model's training duration; stage 2
+    (device sweep + confidence score) only when the averaged stage-1 verdict
+    is malicious."""
+    sessions = sessionize(trace, model.session_secs)
     classified = classify_sessions(sessions, model)
     verdicts = [v for v, _ in classified]
 
@@ -118,11 +127,7 @@ def run_pipeline(trace: Trace, model: TrainedModel,
         return report
 
     report.stage2_ran = True
-    analyzed = len(sessions) * session_secs
-    # too many bins is wrong for every device alike: refuse the run, not each device
-    check_bins(analyzed, SAMPLE_T)
-    devices = split_by_device(trace)
-    infected, results = detect_iot_bots(devices, analyzed)
+    infected, results = analyze_devices(trace, model.session_secs)
     infected_probs = []
     for ip, res in results.items():
         diag = {

@@ -13,6 +13,7 @@ from .trace import PROTO_TCP, PacketTable, Trace, format_ip
 # Most windows one trace may be cut into (~1.3 KB each before any feature is
 # extracted): a year of 15-minute windows, or three weeks of 1-minute ones.
 MAX_SESSIONS = 2 ** 15
+SESSION_SECS = 900.0  # the 15-minute window of the paper's sessions
 
 
 @dataclass(slots=True)
@@ -29,13 +30,13 @@ class DeviceTrace:
     packets: PacketTable
 
 
-def sessionize(trace: Trace, duration_s: float, span_s: float | None = None) -> list[TrafficSession]:
-    """Split a trace into consecutive [i*d, (i+1)*d) windows aligned to t=0.
+def window_count(trace: Trace, duration_s: float, span_s: float | None = None) -> int:
+    """The number of whole [i*d, (i+1)*d) windows, aligned to t=0, in a
+    trace; a trailing partial window does not count.
 
-    A trailing partial window is dropped. ``span_s`` is the nominal capture
-    duration; when the caller does not know it, it is the last packet
-    timestamp, but at least one window, so that a short capture is still
-    analyzed. Each session's packets are a view of the trace's columns.
+    ``span_s`` is the nominal capture duration; when the caller does not know
+    it, it is the last packet timestamp, but at least one window, so that a
+    short capture is still analyzed.
     """
     if not duration_s > 0:
         raise ConfigError(f"session duration must be positive, got {duration_s}")
@@ -43,7 +44,13 @@ def sessionize(trace: Trace, duration_s: float, span_s: float | None = None) -> 
     if not span / duration_s < MAX_SESSIONS + 1:  # also nan; before any allocation
         raise ConfigError(f"span {span} s in windows of {duration_s} s is more than "
                           f"MAX_SESSIONS = {MAX_SESSIONS} sessions")
-    n_sessions = int(math.floor(span / duration_s))
+    return int(math.floor(span / duration_s))
+
+
+def sessionize(trace: Trace, duration_s: float, span_s: float | None = None) -> list[TrafficSession]:
+    """Split a trace into its ``window_count`` consecutive [i*d, (i+1)*d)
+    windows. Each session's packets are a view of the trace's columns."""
+    n_sessions = window_count(trace, duration_s, span_s)
     packets = trace.packets
     # window numbers rise with ts, since a trace is in timestamp order
     bounds = np.searchsorted(packets.ts // duration_s, np.arange(n_sessions + 1))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import BENIGN, MALICIOUS
+from .sessions import SESSION_SECS
 from .trace import (
     ACK, FIN, PROTO_TCP, PROTO_UDP, PSH, SYN, PacketTable, Trace, parse_ip, quantize_ts,
 )
@@ -70,7 +71,7 @@ class SynthConfig:
     seed: int = 0
     n_iot_devices: int = 10
     n_pc_devices: int = 5
-    duration_s: float = 900.0
+    duration_s: float = SESSION_SECS
     subnet: str = "192.168.1.0/24"
     scan: ScanProfile = field(default_factory=ScanProfile)
     beacon: BeaconProfile = field(default_factory=BeaconProfile)

@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from botgate.baselines import walker_test
 from botgate.cli import _parse_policy_argv, build_parser, main
+from botgate.pipeline import analyze_devices
+from botgate.sessions import SESSION_SECS
+from botgate.trace import load_trace
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,7 +54,7 @@ def test_featurize_output(workspace):
 def test_evaluate(workspace, capsys):
     assert main(["evaluate", "--features", str(workspace / "features.csv"),
                  "--model-file", str(workspace / "model.json"),
-                 "--traces", str(workspace / "corpus"), "--session-secs", SECS]) == 0
+                 "--traces", str(workspace / "corpus")]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["stage1"]["accuracy"] == 1.0
     assert out["stage2"]["n_malicious_traces"] == N_MALICIOUS
@@ -82,15 +86,25 @@ def test_detect_and_policy_apply(workspace, capsys):
 
 def test_bdcs_and_baseline_commands(workspace, capsys):
     trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
-    assert main(["bdcs", "--trace", str(trace)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["per_device"]["192.168.1.10"] == 1.0
-    assert 0.0 <= out["bdcs"] <= 1.0
-
     assert main(["baseline", "--trace", str(trace)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["192.168.1.10"]["verdict"] in ("DETECTED", "NOT_DETECTED")
     assert out["192.168.1.10"]["threshold"] > 0
+
+
+def test_baseline_tests_the_sequence_detect_encodes(workspace, capsys):
+    # a 899.949 s capture: its one whole 900 s window is K = 90 bins of 10 s,
+    # where the capture's own span would give 89
+    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
+    _, results = analyze_devices(load_trace(trace), 900.0)
+    assert main(["baseline", "--trace", str(trace)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(out) == sorted(results)
+    for ip, res in results.items():
+        assert res.sequence.K == 90
+        walker = walker_test(res.sequence.e)
+        assert (out[ip]["statistic"], out[ip]["verdict"]) == \
+            (walker.statistic, walker.verdict.value), ip
 
 
 def test_usage_exit_codes(capsys):
@@ -131,16 +145,18 @@ def test_malformed_trace_exits_2(workspace, tmp_path, capsys, body):
     assert "data error: line 3:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["bdcs", "baseline"])
+@pytest.mark.parametrize("command", ["baseline"])
 def test_too_many_bins_exits_2(tmp_path, capsys, command):
-    # one packet at ts=1e12 would need 1e11 bins of 10 s
+    # one packet at ts=1e12 would need 1e11 bins of 10 s; baseline cuts the
+    # capture into 900 s windows as detect does, so it is refused at the
+    # window count before any bins are made
     trace = tmp_path / "far.trace"
     trace.write_text("#trace v1 subnet=192.168.1.0/24 epoch=0\n"
                      "1000000000000.000 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n")
     assert main([command, "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
-    assert "duration 1000000000000.0 s at sampling interval 10.0 s" in err
-    assert "131072 bins" in err
+    assert f"span 1000000000000.0 s in windows of {SESSION_SECS} s" in err
+    assert "MAX_SESSIONS = 32768" in err
 
 
 def test_simulate_deterministic(tmp_path):
@@ -153,14 +169,15 @@ def test_simulate_deterministic(tmp_path):
 
 
 # The stage-2 design values are constants of acf, stats and pipeline, not
-# flags; each command's required flags, then the flags it no longer takes.
+# flags, and the analyzed windows are the model's; each command's required
+# flags, then the flags it does not take.
 STAGE2_COMMANDS = {
     "evaluate": (["--features", "f.csv", "--model-file", "m.json"],
-                 ["--sample-t", "--peak-frac", "--gap-var", "--payload-cutoff"]),
+                 ["--sample-t", "--peak-frac", "--gap-var", "--payload-cutoff",
+                  "--session-secs"]),
     "detect": (["--trace", "t.trace", "--model-file", "m.json"],
                ["--sample-t", "--peak-frac", "--gap-var", "--payload-cutoff",
-                "--window", "--alpha", "--lags"]),
-    "bdcs": (["--trace", "t.trace"], ["--alpha", "--lags", "--sample-t", "--payload-cutoff"]),
+                "--window", "--alpha", "--lags", "--session-secs"]),
     "baseline": (["--trace", "t.trace"], ["--gamma", "--sample-t", "--payload-cutoff"]),
 }
 
@@ -172,28 +189,36 @@ def test_stage2_design_value_flag_exits_1(capsys, command, flag):
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
-def test_analyzed_span_beyond_bin_bound_exits_2(workspace, capsys):
+def _model_with_window(workspace, tmp_path, session_secs):
+    """A copy of the workspace model that was trained on windows of
+    ``session_secs``, as far as its file says."""
+    doc = json.loads((workspace / "model.json").read_text())
+    doc["session_secs"] = session_secs
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    return model
+
+
+def test_analyzed_span_beyond_bin_bound_exits_2(workspace, tmp_path, capsys):
     # 2000000 s at 10 s bins is 200000 bins: refused once, before the sweep
     trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
-    assert main(["detect", "--trace", str(trace), "--model-file",
-                 str(workspace / "model.json"), "--session-secs", "2000000"]) == 2
+    model = _model_with_window(workspace, tmp_path, 2000000)
+    assert main(["detect", "--trace", str(trace), "--model-file", str(model)]) == 2
     assert "duration 2000000.0 s at sampling interval 10.0 s needs more than 131072 bins" in \
         capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ts, session_secs, message", [
-    ("1000000000000.000", None, "span 1000000000000.0 s in windows of 900.0 s"),
-    ("1.000", "0.0001", "span 900.0 s in windows of 0.0001 s"),
+    ("1000000000000.000", 900.0, "span 1000000000000.0 s in windows of 900.0 s"),
+    ("1.000", 0.0001, "span 900.0 s in windows of 0.0001 s"),
 ], ids=["far-packet", "tiny-window"])
 def test_session_count_bound_exits_2(workspace, tmp_path, capsys, ts, session_secs, message):
     trace = tmp_path / "t.trace"
     trace.write_text("#trace v1 subnet=192.168.1.0/24 epoch=0\n"
                      f"{ts} 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n"
                      "900.000 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n")
-    argv = ["detect", "--trace", str(trace), "--model-file", str(workspace / "model.json")]
-    if session_secs:
-        argv += ["--session-secs", session_secs]
-    assert main(argv) == 2
+    model = _model_with_window(workspace, tmp_path, session_secs)
+    assert main(["detect", "--trace", str(trace), "--model-file", str(model)]) == 2
     err = capsys.readouterr().err
     assert message in err and "MAX_SESSIONS = 32768" in err
 
@@ -216,11 +241,11 @@ def test_malformed_manifest_row_exits_2(workspace, tmp_path, capsys, row, messag
     assert f"{manifest} {message}" in capsys.readouterr().err
 
 
-def test_evaluate_stage2_beyond_bin_bound_exits_2(workspace, capsys):
+def test_evaluate_stage2_beyond_bin_bound_exits_2(workspace, tmp_path, capsys):
     # the same bound detect refuses: 2000000 s at 10 s bins
+    model = _model_with_window(workspace, tmp_path, 2000000)
     assert main(["evaluate", "--features", str(workspace / "features.csv"),
-                 "--model-file", str(workspace / "model.json"),
-                 "--traces", str(workspace / "corpus"), "--session-secs", "2000000"]) == 2
+                 "--model-file", str(model), "--traces", str(workspace / "corpus")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "duration 2000000.0 s at sampling interval 10.0 s needs more than 131072 bins" in \
@@ -446,7 +471,7 @@ def test_parser_reuse_in_one_process(workspace, tmp_path, capsys):
 
 def test_readme_cli_lines_parse():
     """Every ``botgate ...`` line of README's CLI block parses, and the block
-    shows every subcommand."""
+    shows exactly the parser's subcommands."""
     block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line)[1:] for line in block.splitlines()
              if line.startswith("botgate ")]
@@ -455,6 +480,5 @@ def test_readme_cli_lines_parse():
             _parse_policy_argv(argv[1:])
         else:
             build_parser().parse_args(argv)
-    assert {argv[0] for argv in lines} == {
-        "simulate", "featurize", "train", "evaluate", "detect", "bdcs", "baseline", "policy",
-        "run-pipeline"}
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command_name")
+    assert {argv[0] for argv in lines} == set(commands)
