@@ -8,22 +8,21 @@ Usage:
 """
 import argparse
 
-from botgate.acf import Verdict, analyze_sequence, detect_periodicity, encode_device
+from botgate.acf import Verdict, detect_periodicity
 from botgate.baselines import WalkerVerdict, walker_test
-from botgate.sessions import DeviceTrace
+from botgate.errors import ConfigError
 from botgate.synth import gen_cnc_beacon, gen_memoryless_noise
-
-DEV = "192.168.1.10"
 
 
 def rates(period, jitter, duration, n, seed, gamma):
     acf_hits = walker_hits = 0
     for i in range(n):
-        dev = DeviceTrace(DEV, gen_cnc_beacon(period, jitter, duration,
-                                              [seed, int(period), int(jitter * 10), i]))
-        seq = encode_device(dev, duration)
-        acf_hits += analyze_sequence(seq).verdict is Verdict.PERIOD_DETECTED
-        walker_hits += walker_test(seq.e, gamma=gamma).verdict is WalkerVerdict.DETECTED
+        packets = gen_cnc_beacon(period, jitter, duration, [seed, int(period), int(jitter * 10), i])
+        res = detect_periodicity(packets, duration)
+        if res.sequence is None:  # the duration could not be encoded
+            raise ConfigError(res.reason)
+        acf_hits += res.verdict is Verdict.PERIOD_DETECTED
+        walker_hits += walker_test(res.sequence, gamma=gamma).verdict is WalkerVerdict.DETECTED
     return acf_hits / n, walker_hits / n
 
 
@@ -45,9 +44,8 @@ def main():
 
     fp = 0
     for i in range(2 * args.n_traces):
-        dev = DeviceTrace(DEV, gen_memoryless_noise(1 / 30, args.duration,
-                                                    [args.seed, 999, i]))
-        res = detect_periodicity(dev, args.duration)
+        noise = gen_memoryless_noise(1 / 30, args.duration, [args.seed, 999, i])
+        res = detect_periodicity(noise, args.duration)
         fp += res.verdict is Verdict.PERIOD_DETECTED
     print(f"\nnoise false-positive rate: {fp / (2 * args.n_traces):.3f} "
           f"({fp}/{2 * args.n_traces} traces)")

@@ -1,9 +1,10 @@
 """Per-device beacon-periodicity detection.
 
 Pipeline: filter candidate command-channel packets (UDP, or TCP PSH+ACK with
-a tiny payload), bin arrival times into a binary sequence, compute the
-unbiased autocorrelation, find dominant peaks, and declare periodicity when
-at least ``MIN_PEAKS`` peaks sit at (almost) equal gaps.
+a tiny payload), bin arrival times into a 0/1 int8 array, compute the
+unbiased autocorrelation array, find dominant peaks, and declare periodicity
+when at least ``MIN_PEAKS`` peaks sit at (almost) equal gaps. Each step takes
+and returns plain arrays, and the design values are the constants below.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateSignalError
-from .sessions import DeviceTrace
-from .trace import ACK, PROTO_TCP, PROTO_UDP, PSH
+from .trace import ACK, PROTO_TCP, PROTO_UDP, PSH, PacketTable
 
 # Longest encoded sequence: up to it, the exact ACF's integers stay below 2^53.
 MAX_BINS = 2 ** 17
@@ -33,72 +33,49 @@ class Verdict(str, Enum):
 
 
 @dataclass
-class EncodedSequence:
-    e: np.ndarray  # K binary values
-    T: float
-    K: int
-    n_arrivals: int = 0  # arrival times given to encode, inside [0, K*T) or not
-
-
-@dataclass
-class AcfSeries:
-    r: np.ndarray  # values at lags 0..max_lag
-    max_lag: int
-
-
-@dataclass
 class PeriodicityResult:
     verdict: Verdict
     peak_lags: list[int] = field(default_factory=list)
     gap_variance: float | None = None
     n_candidates: int = 0
     reason: str = ""
-    sequence: EncodedSequence | None = field(default=None, repr=False, compare=False)
+    sequence: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def filter_cnc_candidates(device_trace: DeviceTrace,
-                          payload_cutoff: int = PAYLOAD_CUTOFF) -> np.ndarray:
+def filter_cnc_candidates(packets: PacketTable) -> np.ndarray:
     """Arrival times of likely command-channel packets, sorted ascending.
 
     Keeps UDP packets and TCP packets with both PSH and ACK set, excluding
-    anything whose transport payload exceeds the cutoff (application data)."""
-    p = device_trace.packets
-    psh_ack = (p.flags & (PSH | ACK)) == (PSH | ACK)
-    keep = (p.payload_len <= payload_cutoff) & (
-        (p.proto == PROTO_UDP) | ((p.proto == PROTO_TCP) & psh_ack))
-    return np.sort(p.ts[keep])
+    anything whose transport payload exceeds PAYLOAD_CUTOFF (application data)."""
+    psh_ack = (packets.flags & (PSH | ACK)) == (PSH | ACK)
+    keep = (packets.payload_len <= PAYLOAD_CUTOFF) & (
+        (packets.proto == PROTO_UDP) | ((packets.proto == PROTO_TCP) & psh_ack))
+    return np.sort(packets.ts[keep])
 
 
-def check_bins(duration: float, T: float) -> float:
-    """duration / T, the number of bins before flooring; ConfigError when
-    there are more than MAX_BINS of them (also for inf and nan)."""
-    n_bins = duration / T
+def check_bins(duration: float) -> float:
+    """duration / SAMPLE_T, the number of bins before flooring; ConfigError
+    when there are more than MAX_BINS of them (also for inf and nan)."""
+    n_bins = duration / SAMPLE_T
     if not n_bins < MAX_BINS + 1:
-        raise ConfigError(f"duration {duration} s at sampling interval {T} s needs more "
+        raise ConfigError(f"duration {duration} s at sampling interval {SAMPLE_T} s needs more "
                           f"than {MAX_BINS} bins")
     return n_bins
 
 
-def encode(arrivals, T: float, duration: float) -> EncodedSequence:
-    """Bin arrival times into K = floor(duration/T) half-open [iT, (i+1)T) bins."""
-    if T <= 0:
-        raise ConfigError(f"sampling interval must be positive, got {T}")
-    K = int(math.floor(check_bins(duration, T)))  # checked before any allocation
+def encode(arrivals, duration: float) -> np.ndarray:
+    """Bin arrival times into the K = floor(duration/SAMPLE_T) half-open bins
+    [i*SAMPLE_T, (i+1)*SAMPLE_T): an int8 0/1 sequence."""
+    K = int(math.floor(check_bins(duration)))  # checked before any allocation
     if K < 1:
-        raise ConfigError(f"duration {duration} shorter than sampling interval {T}")
-    bins = np.asarray(arrivals, dtype=np.float64) // T
+        raise ConfigError(f"duration {duration} shorter than sampling interval {SAMPLE_T}")
+    bins = np.asarray(arrivals, dtype=np.float64) // SAMPLE_T
     e = np.zeros(K, dtype=np.int8)
     e[bins[(bins >= 0) & (bins < K)].astype(np.intp)] = 1
-    return EncodedSequence(e=e, T=T, K=K, n_arrivals=len(arrivals))
+    return e
 
 
-def encode_device(device_trace: DeviceTrace, duration: float) -> EncodedSequence:
-    """Stage 2's one per-device encoding, shared by every stage-2 caller: the
-    device's command-channel candidates binned at ``SAMPLE_T``."""
-    return encode(filter_cnc_candidates(device_trace), SAMPLE_T, duration)
-
-
-def acf(sequence: EncodedSequence, max_lag: int) -> AcfSeries:
+def acf(e, max_lag: int) -> np.ndarray:
     """Unbiased autocorrelation of a 0/1 sequence at lags 0..max_lag:
     R(l) = K/(K-l) * sum_{i}(e_i - mean)(e_{i+l} - mean) / sum_i (e_i - mean)^2
 
@@ -107,7 +84,7 @@ def acf(sequence: EncodedSequence, max_lag: int) -> AcfSeries:
     R(l) = (K^2 C_l - K S (A_l + B_l) + (K-l) S^2) / ((K-l) S (K-S)), one
     division of integers below 2^53 (for K <= MAX_BINS): correctly rounded.
     """
-    e = np.asarray(sequence.e)
+    e = np.asarray(e)
     K = len(e)
     if max_lag >= K:
         raise ConfigError(f"max_lag {max_lag} must be below sequence length {K}")
@@ -123,36 +100,37 @@ def acf(sequence: EncodedSequence, max_lag: int) -> AcfSeries:
     cum = np.concatenate(([0], np.cumsum(e)))
     A, B = cum[K - lags], S - cum[lags]
     num = K * K * C.astype(np.int64) - K * S * (A + B) + (K - lags) * S * S
-    r = num / ((K - lags) * S * (K - S))
-    return AcfSeries(r=r, max_lag=max_lag)
+    return num / ((K - lags) * S * (K - S))
 
 
-def find_peaks(series: AcfSeries, height_frac: float) -> list[int]:
-    """Strict local maxima at lags >= 1 whose height reaches ``height_frac``
-    times the tallest local maximum (boundary lag tested one-sided)."""
-    r = np.append(series.r[: series.max_lag + 1], -np.inf)  # sentinel below every lag
+def find_peaks(r: np.ndarray) -> list[int]:
+    """Strict local maxima of ``r`` at lags >= 1 whose height reaches
+    PEAK_HEIGHT_FRAC times the tallest local maximum (the last lag tested
+    one-sided)."""
+    r = np.append(r, -np.inf)  # sentinel below every lag
     maxima = np.flatnonzero((r[1:-1] > r[:-2]) & (r[1:-1] > r[2:])) + 1
     if not maxima.size:
         return []
     heights = r[maxima]
-    return maxima[heights >= height_frac * heights.max()].tolist()
+    return maxima[heights >= PEAK_HEIGHT_FRAC * heights.max()].tolist()
 
 
-def analyze_sequence(seq: EncodedSequence) -> PeriodicityResult:
-    """The ACF peak and gap-variance test on one device's encoded sequence.
-    The result keeps the sequence, for the confidence score."""
+def analyze_sequence(e: np.ndarray, n_candidates: int) -> PeriodicityResult:
+    """The ACF peak and gap-variance test on one device's encoded sequence,
+    binned from ``n_candidates`` arrivals. The result keeps the sequence, for
+    the confidence score."""
     result = PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED,
-                               n_candidates=seq.n_arrivals, sequence=seq)
-    max_lag = int(math.floor(seq.K * MAX_LAG_FRAC))
+                               n_candidates=n_candidates, sequence=e)
+    max_lag = int(math.floor(len(e) * MAX_LAG_FRAC))
     if max_lag < 2:
         result.reason = "sequence too short for peak analysis"
         return result
     try:
-        series = acf(seq, max_lag)
+        r = acf(e, max_lag)
     except DegenerateSignalError as exc:
         result.reason = str(exc)
         return result
-    peaks = find_peaks(series, PEAK_HEIGHT_FRAC)
+    peaks = find_peaks(r)
     result.peak_lags = peaks
     if len(peaks) < MIN_PEAKS:
         result.reason = f"only {len(peaks)} qualifying peaks (need {MIN_PEAKS})"
@@ -166,13 +144,14 @@ def analyze_sequence(seq: EncodedSequence) -> PeriodicityResult:
     return result
 
 
-def detect_periodicity(device_trace: DeviceTrace, duration: float) -> PeriodicityResult:
-    """Full per-device check; degenerate traffic yields PERIOD_NOT_DETECTED
-    with a diagnostic reason rather than an error."""
+def detect_periodicity(packets: PacketTable, duration: float) -> PeriodicityResult:
+    """Stage 2's one per-device pass: filter the command-channel candidates,
+    encode them over ``duration`` and test the sequence. Degenerate traffic
+    yields PERIOD_NOT_DETECTED with a diagnostic reason rather than an error."""
+    arrivals = filter_cnc_candidates(packets)
     try:
-        seq = encode_device(device_trace, duration)
+        e = encode(arrivals, duration)
     except ConfigError as exc:
-        n = len(filter_cnc_candidates(device_trace))
-        return PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED, n_candidates=n,
-                                 reason=str(exc))
-    return analyze_sequence(seq)
+        return PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED,
+                                 n_candidates=len(arrivals), reason=str(exc))
+    return analyze_sequence(e, len(arrivals))

@@ -179,7 +179,7 @@ def cmd_baseline(args) -> int:
     out = {}
     _, results = analyze_devices(load_trace(args.trace), SESSION_SECS)
     for ip, res in results.items():
-        walker = walker_test(res.sequence.e)
+        walker = walker_test(res.sequence)
         out[ip] = {"verdict": walker.verdict.value, "statistic": walker.statistic,
                    "threshold": walker.threshold}
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -342,6 +342,8 @@ def _parse_policy_argv(argv: list[str]) -> argparse.Namespace:
         if key in flags:
             if i + 1 >= len(argv):
                 raise PolicyError(f"{tok} needs a value")
+            if flags[key] is not None:
+                raise PolicyError(f"duplicate flag {tok}")
             flags[key] = argv[i + 1]
             i += 2
         else:
@@ -349,6 +351,8 @@ def _parse_policy_argv(argv: list[str]) -> argparse.Namespace:
             i += 1
     if flags["store"] is None:
         raise PolicyError("policy requires --store")
+    if flags["apply"] is not None and command:
+        raise PolicyError(f"--apply takes no policy command, got {' '.join(command)}")
     return argparse.Namespace(func=cmd_policy, command=command, **flags)
 
 

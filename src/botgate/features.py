@@ -14,8 +14,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DataError
-from .sessions import TrafficSession, filter_tcp
-from .trace import ACK, SYN, PacketTable
+from .sessions import TrafficSession
+from .trace import ACK, PROTO_TCP, SYN, PacketTable
 
 BENIGN = "BENIGN"
 MALICIOUS = "MALICIOUS"
@@ -63,9 +63,14 @@ def _syn_only(flags: np.ndarray) -> np.ndarray:
     return (flags & SYN != 0) & (flags & ACK == 0)
 
 
-def _half_open(packets: PacketTable) -> int:
-    """Connection keys whose first SYN-only packet no later initiator packet
-    carrying ACK follows."""
+def count_half_open(packets: PacketTable) -> int:
+    """Count connections opened by a SYN the initiator never ACKed.
+
+    A connection key is (initiator_ip, initiator_port, responder_ip,
+    responder_port), established by the first SYN-only packet on it;
+    retransmitted SYNs on the same key count once, and an ACK sent before
+    that first SYN does not complete it.
+    """
     n = len(packets)
     initiator = np.unique((packets.src.astype(np.uint64) << 16) | packets.sport,
                           return_inverse=True)[1]
@@ -82,20 +87,9 @@ def _half_open(packets: PacketTable) -> int:
     return int(np.count_nonzero((first_syn < n) & (last_ack < first_syn)))
 
 
-def count_half_open(session: TrafficSession) -> int:
-    """Count connections opened by a SYN the initiator never ACKed.
-
-    A connection key is (initiator_ip, initiator_port, responder_ip,
-    responder_port), established by the first SYN-only packet on it;
-    retransmitted SYNs on the same key count once, and an ACK sent before
-    that first SYN does not complete it.
-    """
-    return _half_open(session.packets)
-
-
 def extract_features(session: TrafficSession, label: Optional[str] = None) -> FeatureVector:
     """Compute the 8 scanning features; an empty session maps to all zeros."""
-    packets = filter_tcp(session).packets
+    packets = session.packets[session.packets.proto == PROTO_TCP]
     n = len(packets)
     if not n:
         return FeatureVector(0, 0, 0, 0.0, 0, 0, 0, 0.0, label=label)
@@ -106,7 +100,7 @@ def extract_features(session: TrafficSession, label: Optional[str] = None) -> Fe
         pkts_per_dst_min=int(per_dst.min()),
         # means are Python int / int, not np.mean: the CSV bytes depend on it
         pkts_per_dst_mean=n / len(per_dst),
-        n_half_open=_half_open(packets),
+        n_half_open=count_half_open(packets),
         tcp_len_max=int(packets.ip_len.max()),
         tcp_len_min=int(packets.ip_len.min()),
         tcp_len_mean=int(packets.ip_len.sum(dtype=np.int64)) / n,

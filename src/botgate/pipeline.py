@@ -9,13 +9,13 @@ from typing import Optional
 
 import numpy as np
 
-from .acf import SAMPLE_T, PeriodicityResult, Verdict, check_bins, detect_periodicity
+from .acf import PeriodicityResult, Verdict, check_bins, detect_periodicity
 from .classifiers import LABEL_MALICIOUS, TrainedModel
 from .errors import DataError
 from .features import BENIGN, MALICIOUS, extract_features
-from .sessions import DeviceTrace, TrafficSession, sessionize, split_by_device, window_count
+from .sessions import TrafficSession, sessionize, split_by_device, window_count
 from .stats import PeriodProbResult, bdcs, period_detection_prob
-from .trace import Trace
+from .trace import PacketTable, Trace
 
 WINDOW = 5  # sessions per verdict-averaging window
 
@@ -74,12 +74,11 @@ def _sorted_ips(ips) -> list[str]:
     return sorted(ips, key=lambda ip: int(ipaddress.IPv4Address(ip)))
 
 
-def detect_iot_bots(device_traces: dict[str, DeviceTrace],
+def detect_iot_bots(devices: dict[str, PacketTable],
                     duration: float) -> tuple[list[str], dict[str, PeriodicityResult]]:
-    """Stage 2: one periodicity test per device, in IP order. Each device is
-    filtered and encoded once; its result keeps the encoded sequence."""
-    results = {ip: detect_periodicity(device_traces[ip], duration)
-               for ip in _sorted_ips(device_traces)}
+    """Stage 2: one periodicity test per device's packets, in IP order. Each
+    device is filtered and encoded once; its result keeps the sequence."""
+    results = {ip: detect_periodicity(devices[ip], duration) for ip in _sorted_ips(devices)}
     infected = [ip for ip, res in results.items() if res.verdict is Verdict.PERIOD_DETECTED]
     return infected, results
 
@@ -91,7 +90,7 @@ def analyze_devices(trace: Trace,
     classifies. Too many bins is wrong for every device alike, so the span is
     refused once, before the sweep."""
     analyzed = window_count(trace, session_secs) * session_secs
-    check_bins(analyzed, SAMPLE_T)
+    check_bins(analyzed)
     return detect_iot_bots(split_by_device(trace), analyzed)
 
 
@@ -138,7 +137,7 @@ def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
             "reason": res.reason,
         }
         prob = PeriodProbResult(prob=0.0) if res.sequence is None else \
-            period_detection_prob(res.sequence.e)  # None: not encodable
+            period_detection_prob(res.sequence)  # None: not encodable
         diag.update(period_prob=prob.prob, q=prob.q, pvalue=prob.pvalue)
         if res.verdict is Verdict.PERIOD_DETECTED:
             infected_probs.append(prob.prob)

@@ -122,7 +122,8 @@ def parse_policy_command(text: Union[str, list[str]]) -> Command:
     if "--dev" not in flags or "--action" not in flags:
         raise PolicyError(f"{verb} requires --dev and --action")
     device = _field(flags["--dev"], "device")
-    action = _parse_action(flags["--action"], 0)
+    # rest alternates flag, value; the verb is token 1, so rest[j] is token j + 3
+    action = _parse_action(flags["--action"], 2 * rest[::2].index("--action") + 4)
     allow = [_field(d, "allowlist entry") for d in flags["--allow"].split(",")] \
         if "--allow" in flags else []
     if verb == "--add-action":

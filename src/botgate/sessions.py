@@ -1,14 +1,15 @@
-"""Session windowing, TCP filtering and per-device splitting."""
+"""Session windowing and per-device splitting. A session and a device's
+traffic are each a ``PacketTable`` cut from the trace's columns."""
 from __future__ import annotations
 
 import ipaddress
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .trace import PROTO_TCP, PacketTable, Trace, format_ip
+from .trace import PacketTable, Trace, format_ip
 
 # Most windows one trace may be cut into (~1.3 KB each before any feature is
 # extracted): a year of 15-minute windows, or three weeks of 1-minute ones.
@@ -18,58 +19,39 @@ SESSION_SECS = 900.0  # the 15-minute window of the paper's sessions
 
 @dataclass(slots=True)
 class TrafficSession:
-    index: int
-    t_start: float
-    t_end: float
+    index: int  # window i spans [i*d, (i+1)*d)
     packets: PacketTable
 
 
-@dataclass(slots=True)
-class DeviceTrace:
-    device_ip: str
-    packets: PacketTable
-
-
-def window_count(trace: Trace, duration_s: float, span_s: float | None = None) -> int:
-    """The number of whole [i*d, (i+1)*d) windows, aligned to t=0, in a
-    trace; a trailing partial window does not count.
-
-    ``span_s`` is the nominal capture duration; when the caller does not know
-    it, it is the last packet timestamp, but at least one window, so that a
-    short capture is still analyzed.
-    """
+def window_count(trace: Trace, duration_s: float) -> int:
+    """The number of whole [i*d, (i+1)*d) windows, aligned to t=0, up to the
+    trace's last packet timestamp; a trailing partial window does not count,
+    but a capture shorter than one window is still one window."""
     if not duration_s > 0:
         raise ConfigError(f"session duration must be positive, got {duration_s}")
-    span = max(trace.span(), duration_s) if span_s is None else span_s
+    span = max(trace.span(), duration_s)
     if not span / duration_s < MAX_SESSIONS + 1:  # also nan; before any allocation
         raise ConfigError(f"span {span} s in windows of {duration_s} s is more than "
                           f"MAX_SESSIONS = {MAX_SESSIONS} sessions")
     return int(math.floor(span / duration_s))
 
 
-def sessionize(trace: Trace, duration_s: float, span_s: float | None = None) -> list[TrafficSession]:
+def sessionize(trace: Trace, duration_s: float) -> list[TrafficSession]:
     """Split a trace into its ``window_count`` consecutive [i*d, (i+1)*d)
     windows. Each session's packets are a view of the trace's columns."""
-    n_sessions = window_count(trace, duration_s, span_s)
+    n_sessions = window_count(trace, duration_s)
     packets = trace.packets
     # window numbers rise with ts, since a trace is in timestamp order
     bounds = np.searchsorted(packets.ts // duration_s, np.arange(n_sessions + 1))
-    return [
-        TrafficSession(index=i, t_start=i * duration_s, t_end=(i + 1) * duration_s,
-                       packets=packets[bounds[i]:bounds[i + 1]])
-        for i in range(n_sessions)
-    ]
+    return [TrafficSession(index=i, packets=packets[bounds[i]:bounds[i + 1]])
+            for i in range(n_sessions)]
 
 
-def filter_tcp(session: TrafficSession) -> TrafficSession:
-    return replace(session, packets=session.packets[session.packets.proto == PROTO_TCP])
+def split_by_device(trace: Trace) -> dict[str, PacketTable]:
+    """Each internal IP seen in the trace, in order of first appearance,
+    mapped to the table of its packets.
 
-
-def split_by_device(trace: Trace) -> dict[str, DeviceTrace]:
-    """One DeviceTrace per internal IP seen in the trace, in order of first
-    appearance.
-
-    A packet between two internal IPs shows up in both device traces.
+    A packet between two internal IPs shows up in both devices' tables.
     """
     net = ipaddress.IPv4Network(trace.internal_subnet)
     prefix, mask = int(net.network_address), int(net.netmask)
@@ -82,4 +64,4 @@ def split_by_device(trace: Trace) -> dict[str, DeviceTrace]:
     rows = np.split(internal // 2, starts[1:])
     names = list(map(format_ip, devices.tolist()))
     first_seen = np.argsort(internal[starts])
-    return {names[d]: DeviceTrace(names[d], packets[rows[d]]) for d in first_seen.tolist()}
+    return {names[d]: packets[rows[d]] for d in first_seen.tolist()}

@@ -43,17 +43,19 @@ class ScanProfile:
     pkt_len_max: int = 60
 
 
+# the two beacon periods observed for the replayed malware families
+PERIOD_FAST = 60.0
+PERIOD_SLOW = 210.0
+
+
 @dataclass
 class BeaconProfile:
-    period_s: float = 60.0
-    jitter_s: float = 0.0
+    jitter_s: float = 0.0  # below a quarter of the shorter period
     payload_bytes: int = 4
     protocol: str = "TCP"  # "TCP" (PSH+ACK exchange) or "UDP"
 
     def __post_init__(self):
-        if self.period_s <= 0:
-            raise ConfigError("beacon period must be positive")
-        if not 0 <= self.jitter_s < self.period_s / 4:
+        if not 0 <= self.jitter_s < PERIOD_FAST / 4:
             raise ConfigError(f"beacon jitter {self.jitter_s} must be in [0, period/4)")
 
 
@@ -234,11 +236,6 @@ class SessionRecord:
     label: str
     ingredients: list[str]
     trace: Trace
-
-
-# the two beacon periods observed for the replayed malware families
-PERIOD_FAST = 60.0
-PERIOD_SLOW = 210.0
 
 
 def _malicious_plan(n_malicious: int) -> list[str]:

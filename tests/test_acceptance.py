@@ -12,10 +12,7 @@ import pytest
 import scipy.integrate
 
 import scalar_reference as ref
-from botgate.acf import (
-    SAMPLE_T, EncodedSequence, Verdict, acf, detect_periodicity,
-    encode, filter_cnc_candidates,
-)
+from botgate.acf import Verdict, acf, detect_periodicity
 from botgate.baselines import WalkerVerdict, walker_test
 from botgate.classifiers import forest_fit, gnb_fit, predict
 from botgate.cli import main
@@ -25,7 +22,7 @@ from botgate.preprocess import (
     Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best,
     shuffle_split,
 )
-from botgate.sessions import DeviceTrace, TrafficSession
+from botgate.sessions import TrafficSession
 from botgate.stats import bdcs, chi2_sf, ljung_box_q, \
     period_detection_prob
 from botgate.synth import (
@@ -47,7 +44,7 @@ def test_criterion_1_stage1_metrics(capsys):
     t0 = time.monotonic()
     rows, labels = [], []
     for rec in gen_dataset(SynthConfig(seed=0), 1000, 1000):
-        sess = TrafficSession(0, 0.0, SESSION_SECS, rec.trace.packets)
+        sess = TrafficSession(0, rec.trace.packets)
         rows.append(extract_features(sess).values())
         labels.append(1 if rec.label == MALICIOUS else 0)
     data = Dataset(np.array(rows), np.array(labels))
@@ -87,18 +84,15 @@ def test_criterion_2_stage2_rates(capsys):
     detected = {60.0: 0, 210.0: 0}
     for period in detected:
         for i in range(50):
-            dev = DeviceTrace("192.168.1.10",
-                              gen_cnc_beacon(period, 0.0, SESSION_SECS,
-                                             [7, i, int(period)]))
-            res = detect_periodicity(dev, SESSION_SECS)
+            beacon = gen_cnc_beacon(period, 0.0, SESSION_SECS, [7, i, int(period)])
+            res = detect_periodicity(beacon, SESSION_SECS)
             detected[period] += res.verdict is Verdict.PERIOD_DETECTED
     dr_fast, dr_slow = detected[60.0] / 50, detected[210.0] / 50
 
     false_pos = 0
     for i in range(100):
-        dev = DeviceTrace("192.168.1.10",
-                          gen_memoryless_noise(1 / 30, SESSION_SECS, [11, i]))
-        res = detect_periodicity(dev, SESSION_SECS)
+        noise = gen_memoryless_noise(1 / 30, SESSION_SECS, [11, i])
+        res = detect_periodicity(noise, SESSION_SECS)
         false_pos += res.verdict is Verdict.PERIOD_DETECTED
     fp_rate = false_pos / 100
 
@@ -116,12 +110,11 @@ def test_criterion_3_beats_baseline_on_jitter(capsys):
     acf_hits = walker_hits = 0
     n = 25
     for i in range(n):
-        dev = DeviceTrace("192.168.1.10",
-                          gen_cnc_beacon(210.0, 5.0, SESSION_SECS, [13, i]))
-        if detect_periodicity(dev, SESSION_SECS).verdict is Verdict.PERIOD_DETECTED:
+        res = detect_periodicity(gen_cnc_beacon(210.0, 5.0, SESSION_SECS, [13, i]),
+                                 SESSION_SECS)
+        if res.verdict is Verdict.PERIOD_DETECTED:
             acf_hits += 1
-        seq = encode(filter_cnc_candidates(dev), SAMPLE_T, SESSION_SECS)
-        if walker_test(seq.e).verdict is WalkerVerdict.DETECTED:
+        if walker_test(res.sequence).verdict is WalkerVerdict.DETECTED:
             walker_hits += 1
     acf_dr, walker_dr = acf_hits / n, walker_hits / n
     ok = acf_dr >= walker_dr
@@ -142,13 +135,13 @@ def test_criterion_4_acf_oracle(capsys):
         if e.min() == e.max():
             e[int(rng.integers(K))] ^= 1
         max_lag = K // 2
-        series = acf(EncodedSequence(e=e, T=10.0, K=K), max_lag)
+        r = acf(e, max_lag)
         mean = e.mean()
         d = e - mean
         denom = float(np.dot(d, d))
         brute = [K / (K - l) * sum(d[i] * d[i + l] for i in range(K - l)) / denom
                  for l in range(max_lag + 1)]
-        worst = max(worst, float(np.abs(series.r - np.array(brute)).max()))
+        worst = max(worst, float(np.abs(r - np.array(brute)).max()))
     ok = worst <= 1e-12
     report(capsys, 4, ok, f"200 sequences, max |ACF - brute| = {worst:.2e} <= 1e-12")
     assert ok
@@ -308,15 +301,15 @@ def test_criterion_9_sweep_matches_scalar_reference(capsys):
             ip = f"192.168.1.{10 + i}"
             if i in infected:
                 period = float(rng.choice([60, 210]))
-                devices[ip] = DeviceTrace(ip, gen_cnc_beacon(
-                    period, 0.0, SESSION_SECS, [91, s, i], device_ip=ip))
+                devices[ip] = gen_cnc_beacon(period, 0.0, SESSION_SECS, [91, s, i],
+                                             device_ip=ip)
             else:
-                devices[ip] = DeviceTrace(ip, gen_memoryless_noise(
-                    1 / 30, SESSION_SECS, [92, s, i], device_ip=ip))
+                devices[ip] = gen_memoryless_noise(1 / 30, SESSION_SECS, [92, s, i],
+                                                   device_ip=ip)
         found, results = detect_iot_bots(devices, SESSION_SECS)
         # devices are added in IP order, which is the sweep's order
-        expected = {ip: ref.detect_periodicity(list(dev.packets), SESSION_SECS)
-                    for ip, dev in devices.items()}
+        expected = {ip: ref.detect_periodicity(list(packets), SESSION_SECS)
+                    for ip, packets in devices.items()}
         agreed += found == [ip for ip, (hit, _) in expected.items() if hit] and \
             {ip: (r.verdict is Verdict.PERIOD_DETECTED, r.peak_lags)
              for ip, r in results.items()} == expected

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from botgate.acf import (
-    MAX_BINS, AcfSeries, EncodedSequence, Verdict, acf,
-    analyze_sequence, encode, find_peaks,
+    MAX_BINS, PEAK_HEIGHT_FRAC, SAMPLE_T, Verdict, acf, analyze_sequence, check_bins, encode,
+    find_peaks,
 )
 from botgate.errors import ConfigError, DegenerateSignalError
 
@@ -24,77 +24,74 @@ PLATEAU_TIE = [1, 2, 4, 13, 14, 21, 37, 38, 43, 46, 50, 52, 53, 63, 69, 71, 75, 
 
 
 def sequence(e):
-    e = np.asarray(e, dtype=np.int8)
-    return EncodedSequence(e=e, T=10.0, K=len(e))
+    return np.asarray(e, dtype=np.int8)
 
 
 def from_ones(ones, K=90):
     e = np.zeros(K, dtype=np.int8)
     e[ones] = 1
-    return sequence(e)
+    return e
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=3, max_size=400), st.data())
 def test_acf_and_peaks_equal_reference(bits, data):
     seq = sequence(bits)
-    max_lag = data.draw(st.integers(0, seq.K - 1))
+    max_lag = data.draw(st.integers(0, len(seq) - 1))
     if min(bits) == max(bits):
         with pytest.raises(DegenerateSignalError):
             acf(seq, max_lag)
         return
-    series = acf(seq, max_lag)
+    r = acf(seq, max_lag)
     expected = ref.acf_exact(bits, max_lag)
-    assert series.r.tobytes() == expected.tobytes()  # bit for bit
-    frac = data.draw(st.sampled_from([0.1, 0.5, 0.7, 1.0]))
-    assert find_peaks(series, frac) == ref.find_peaks(expected, max_lag, frac)
+    assert r.tobytes() == expected.tobytes()  # bit for bit
+    assert find_peaks(r) == ref.find_peaks(expected, max_lag, PEAK_HEIGHT_FRAC)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
-       st.sampled_from([0.1, 0.5, 0.7, 1.0]))
-def test_find_peaks_with_ties_equals_reference(values, frac):
+@given(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.35, 0.5, 0.7, 1.0]), min_size=1,
+                max_size=30))
+def test_find_peaks_with_ties_equals_reference(values):
     r = np.array(values)
     L = len(r) - 1
-    assert find_peaks(AcfSeries(r=r, max_lag=L), frac) == ref.find_peaks(r, L, frac)
+    assert find_peaks(r) == ref.find_peaks(r, L, PEAK_HEIGHT_FRAC)
 
 
 def test_exact_threshold_tie_is_a_peak():
     seq = from_ones(THRESHOLD_TIE)
-    series = acf(seq, 67)
-    assert series.r[50] == 5 / 16 and series.r[58] == 7 / 32
-    assert series.r[58] == 0.7 * series.r[50]
-    assert find_peaks(series, 0.7) == [50, 58, 66]
-    res = analyze_sequence(seq)
+    r = acf(seq, 67)
+    assert r[50] == 5 / 16 and r[58] == 7 / 32
+    assert r[58] == PEAK_HEIGHT_FRAC * r[50]
+    assert find_peaks(r) == [50, 58, 66]
+    res = analyze_sequence(seq, len(THRESHOLD_TIE))
     assert res.verdict is Verdict.PERIOD_DETECTED and res.gap_variance == 0.0
     # the per-lag float loop lands just below the threshold
-    assert ref.find_peaks(ref.acf_float(seq.e, 67), 67, 0.7) == [50, 66]
+    assert ref.find_peaks(ref.acf_float(seq, 67), 67, PEAK_HEIGHT_FRAC) == [50, 66]
 
 
 def test_plateau_tie_is_no_peak():
     seq = from_ones(PLATEAU_TIE)
-    series = acf(seq, 67)
-    assert series.r[49] == series.r[50] == 2 / 7
-    assert find_peaks(series, 0.7) == [25, 32]
+    r = acf(seq, 67)
+    assert r[49] == r[50] == 2 / 7
+    assert find_peaks(r) == [25, 32]
     # the per-lag float loop breaks the tie and finds a maximum at 49
-    assert ref.find_peaks(ref.acf_float(seq.e, 67), 67, 0.7) == [25, 32, 49]
+    assert ref.find_peaks(ref.acf_float(seq, 67), 67, PEAK_HEIGHT_FRAC) == [25, 32, 49]
 
 
 def test_exact_values_are_correctly_rounded():
     seq = from_ones(THRESHOLD_TIE)
-    K, S = seq.K, len(THRESHOLD_TIE)
-    e = seq.e.tolist()
-    for l, r in enumerate(acf(seq, 67).r):
+    K, S = len(seq), len(THRESHOLD_TIE)
+    e = seq.tolist()
+    for l, r in enumerate(acf(seq, 67)):
         C = sum(e[i] * e[i + l] for i in range(K - l))
         num = K * K * C - K * S * (sum(e[:K - l]) + sum(e[l:])) + (K - l) * S * S
         assert r == float(Fraction(num, (K - l) * S * (K - S)))
 
 
 def test_peak_at_last_lag():
-    seq = sequence([1, 0, 0, 0] * 3)
-    series = acf(seq, 8)
-    assert series.r[8] > series.r[7]
-    assert find_peaks(series, 0.7) == ref.find_peaks(series.r, 8, 0.7) == [4, 8]
+    r = acf(sequence([1, 0, 0, 0] * 3), 8)
+    assert r[8] > r[7]
+    assert find_peaks(r) == ref.find_peaks(r, 8, PEAK_HEIGHT_FRAC) == [4, 8]
 
 
 @pytest.mark.parametrize("bit", [0, 1])
@@ -102,7 +99,7 @@ def test_constant_sequences_are_degenerate(bit):
     seq = sequence([bit] * 20)
     with pytest.raises(DegenerateSignalError):
         acf(seq, 10)
-    res = analyze_sequence(seq)
+    res = analyze_sequence(seq, 20 * bit)
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED and "constant" in res.reason
 
 
@@ -110,9 +107,9 @@ def test_day_length_sequence_matches_float_loop():
     rng = np.random.default_rng(8640)
     e = (rng.random(8640) < 0.05).astype(np.int8)
     max_lag = 6480
-    series = acf(sequence(e), max_lag)
-    assert np.abs(series.r - ref.acf_float(e, max_lag)).max() <= 1e-12
-    assert series.r.tobytes() == ref.acf_exact(e, max_lag).tobytes()
+    r = acf(e, max_lag)
+    assert np.abs(r - ref.acf_float(e, max_lag)).max() <= 1e-12
+    assert r.tobytes() == ref.acf_exact(e, max_lag).tobytes()
 
 
 def test_acf_rejects_non_binary_sequences():
@@ -121,7 +118,9 @@ def test_acf_rejects_non_binary_sequences():
 
 
 def test_encode_bounds_the_bin_count():
-    assert encode([1.0], 1.0, float(MAX_BINS)).K == MAX_BINS
-    for duration in (MAX_BINS + 1.0, 1e12, float("inf"), float("nan")):
-        with pytest.raises(ConfigError, match=f"sampling interval 1.0 s .*{MAX_BINS} bins"):
-            encode([1.0], 1.0, duration)
+    longest = MAX_BINS * SAMPLE_T
+    assert len(encode([1.0], longest)) == MAX_BINS
+    assert check_bins(longest + SAMPLE_T - 1) < MAX_BINS + 1  # floors to MAX_BINS
+    for duration in (longest + SAMPLE_T, 1e12, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match=f"sampling interval 10.0 s .*{MAX_BINS} bins"):
+            encode([1.0], duration)

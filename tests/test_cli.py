@@ -101,8 +101,8 @@ def test_baseline_tests_the_sequence_detect_encodes(workspace, capsys):
     out = json.loads(capsys.readouterr().out)
     assert sorted(out) == sorted(results)
     for ip, res in results.items():
-        assert res.sequence.K == 90
-        walker = walker_test(res.sequence.e)
+        assert len(res.sequence) == 90
+        walker = walker_test(res.sequence)
         assert (out[ip]["statistic"], out[ip]["verdict"]) == \
             (walker.statistic, walker.verdict.value), ip
 
@@ -348,6 +348,17 @@ def test_simulate_nan_jitter_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_jitter_is_bounded_by_the_fast_period(tmp_path, capsys):
+    out = tmp_path / "c"
+    argv = ["simulate", "--out", str(out), "--n-benign", "1", "--n-malicious", "1"]
+    for jitter in ("15", "20"):
+        assert main([*argv, "--jitter", jitter]) == 2
+        assert f"beacon jitter {float(jitter)} must be in [0, period/4)" in \
+            capsys.readouterr().err
+        assert not out.exists()
+    assert main([*argv, "--jitter", "14.9"]) == 0  # below PERIOD_FAST / 4
+
+
 @pytest.mark.parametrize("command", [
     ["--create-policy", "my policy"], ["--create-policy", ""],
     ["--add-action", "q", "--dev", "my cam", "--action", "BLOCK_ALL"],
@@ -363,6 +374,44 @@ def test_policy_token_the_store_cannot_hold_exits_1(tmp_path, capsys, command):
     assert "is empty or contains whitespace or non-UTF-8" in capsys.readouterr().err
     assert store.read_bytes() == before
     assert main(["policy", "--store", str(store), "--create-policy", "other"]) == 0
+
+
+def test_policy_apply_with_a_command_exits_1(workspace, tmp_path, capsys):
+    store, report = tmp_path / "store.txt", tmp_path / "report.json"
+    assert main(["policy", "--store", str(store), "--create-policy", "q"]) == 0
+    assert main(["detect", "--trace", str(workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"),
+                 "--model-file", str(workspace / "model.json"), "--out", str(report)]) == 0
+    before = store.read_bytes()
+    capsys.readouterr()
+    assert main(["policy", "--store", str(store), "--apply", str(report),
+                 "--create-policy", "Q"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: --apply takes no policy command, got --create-policy Q" in captured.err
+    assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("flag", ["--store", "--apply", "--name-map"])
+def test_policy_repeated_flag_exits_1(tmp_path, capsys, flag):
+    paths = [tmp_path / name for name in ("store.txt", "a", "b")]
+    argv = ["policy", "--store", str(paths[0]), flag, str(paths[1]), flag, str(paths[2])]
+    if flag != "--apply":
+        argv += ["--create-policy", "q"]
+    assert main(argv) == 1
+    assert f"usage error: duplicate flag {flag}" in capsys.readouterr().err
+    assert not any(p.exists() for p in paths)
+
+
+@pytest.mark.parametrize("command, token", [
+    (["--add-action", "P", "--dev", "x", "--action", "NOPE"], 6),
+    (["--add-action", "P", "--action", "NOPE", "--dev", "x"], 4),
+    (["--delete-action", "P", "--dev", "--action", "--action", "NOPE"], 6),
+], ids=["add-action", "action-first", "action-as-device"])
+def test_policy_unknown_action_names_its_token(tmp_path, capsys, command, token):
+    store = tmp_path / "store.txt"
+    assert main(["policy", "--store", str(store), *command]) == 1
+    assert f"usage error: token {token}: unknown action 'NOPE'" in capsys.readouterr().err
+    assert not store.exists()
 
 
 @pytest.mark.parametrize("command, out_flag", [

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from botgate.acf import encode, filter_cnc_candidates
+from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, encode, filter_cnc_candidates
 from botgate.features import count_half_open, extract_features
 from botgate.sessions import sessionize, split_by_device
 from botgate.trace import ACK, FIN, PSH, RST, SYN, PacketRecord, Proto, Trace, quantize_ts
@@ -12,14 +12,15 @@ from botgate.trace import ACK, FIN, PSH, RST, SYN, PacketRecord, Proto, Trace, q
 SUBNET = "192.168.1.0/24"
 INTERNAL = ["192.168.1.10", "192.168.1.11", "192.168.1.200"]
 EXTERNAL = ["8.8.8.8", "5.5.5.1", "203.0.113.9"]
-# 0.3 s windows have boundaries i*d that binary floating point cannot hold exactly
+# 0.3 s windows have boundaries i*d that binary floating point cannot hold
+# exactly; 10 s windows share their boundaries with the SAMPLE_T bins
 DURATIONS = [10.0, 7.5, 0.3]
 FLAGS = [SYN, SYN | ACK, ACK, PSH | ACK, FIN | ACK, PSH, RST, 0]
 
 
 @st.composite
 def traces(draw):
-    """(records in input order, window length, span) with packets between
+    """(records in input order, window length, encoded span) with packets between
     internal hosts, timestamps on window boundaries and repeated timestamps,
     windows left empty; on one connection key an ACK before the first SYN, a
     retransmitted SYN and the responder's SYN|ACK, and on others a SYN that
@@ -73,25 +74,22 @@ def test_columnar_matches_scalar_reference(case):
     rows = sorted(records, key=lambda p: p.ts)  # stable: equal timestamps keep input order
     assert list(trace.packets) == rows
 
-    sessions = sessionize(trace, d, span_s=span)
-    expected = ref.sessionize(rows, d, span)
+    sessions = sessionize(trace, d)
+    expected = ref.sessionize(rows, d, max(rows[-1].ts, d))
     assert [s.index for s in sessions] == list(range(len(expected)))
     for session, want in zip(sessions, expected):
-        assert (session.t_start, session.t_end) == (session.index * d, (session.index + 1) * d)
         assert list(session.packets) == want
         assert extract_features(session).values() == ref.extract_features(want)
-        assert count_half_open(session) == ref.count_half_open(want)
+        assert count_half_open(session.packets) == ref.count_half_open(want)
 
     devices = split_by_device(trace)
     expected = ref.split_by_device(rows, SUBNET)
     assert list(devices) == list(expected)
+    span = max(span, SAMPLE_T)  # at least one bin
     for ip, want in expected.items():
-        assert devices[ip].device_ip == ip
-        assert list(devices[ip].packets) == want
-        for cutoff in (4, 10):
-            arrivals = filter_cnc_candidates(devices[ip], cutoff)
-            want_arrivals = ref.filter_cnc_candidates(want, cutoff)
-            assert list(arrivals) == want_arrivals
-            for T in (d, 0.7 * d):
-                assert encode(arrivals, T, span).e.tolist() == \
-                    ref.encode(want_arrivals, T, span).tolist()
+        assert list(devices[ip]) == want
+        arrivals = filter_cnc_candidates(devices[ip])
+        want_arrivals = ref.filter_cnc_candidates(want, PAYLOAD_CUTOFF)
+        assert list(arrivals) == want_arrivals
+        assert encode(arrivals, span).tolist() == \
+            ref.encode(want_arrivals, SAMPLE_T, span).tolist()

@@ -17,8 +17,7 @@ def tcp(ts, src, dst, sport, dport, flags, ip_len=40, payload=0):
 
 
 def session(packets):
-    return TrafficSession(0, 0.0, 900.0,
-                          PacketTable.from_records(sorted(packets, key=lambda p: p.ts)))
+    return TrafficSession(0, PacketTable.from_records(sorted(packets, key=lambda p: p.ts)))
 
 
 DEV = "192.168.1.10"
@@ -59,19 +58,26 @@ def test_half_open_semantics():
         tcp(1.0, DEV, "5.5.5.1", 40000, 23, SYN),
         tcp(1.3, DEV, "5.5.5.1", 40000, 23, SYN),
     ])
-    assert count_half_open(s) == 1
+    assert count_half_open(s.packets) == 1
     # responder's SYN+ACK alone does not complete the handshake
     s = session([
         tcp(1.0, DEV, "5.5.5.1", 40000, 23, SYN),
         tcp(1.1, "5.5.5.1", DEV, 23, 40000, SYN | ACK),
     ])
-    assert count_half_open(s) == 1
+    assert count_half_open(s.packets) == 1
     # any later initiator packet with ACK does (even FIN+ACK)
     s = session([
         tcp(1.0, DEV, "5.5.5.1", 40000, 23, SYN),
         tcp(1.2, DEV, "5.5.5.1", 40000, 23, FIN | ACK),
     ])
-    assert count_half_open(s) == 0
+    assert count_half_open(s.packets) == 0
+
+
+def test_non_tcp_packets_are_ignored():
+    scan = [tcp(1.0, DEV, "5.5.5.1", 40000, 23, SYN), tcp(3.0, DEV, "5.5.5.2", 40001, 23, SYN)]
+    s = session([*scan, PacketRecord(2.0, DEV, "8.8.8.8", 5000, 53, Proto.UDP, 0, 60, 10)])
+    assert extract_features(s).values() == extract_features(session(scan)).values()
+    assert len(s.packets) == 3  # input untouched
 
 
 def test_empty_session_is_all_zero():

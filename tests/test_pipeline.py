@@ -1,9 +1,12 @@
 """Two-stage pipeline: verdict averaging, the device sweep and reports."""
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import scalar_reference as ref
-from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, Verdict
+from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, Verdict, filter_cnc_candidates
 from botgate.classifiers import TrainedModel, forest_fit
 from botgate.errors import DataError
 from botgate.features import BENIGN, MALICIOUS, extract_features
@@ -13,7 +16,7 @@ from botgate.pipeline import (
 )
 from botgate.preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, \
     select_k_best
-from botgate.sessions import DeviceTrace, TrafficSession
+from botgate.sessions import TrafficSession, split_by_device
 from botgate.synth import (
     SynthConfig, gen_cnc_beacon, gen_dataset, gen_memoryless_noise, gen_scanning,
     gen_session,
@@ -27,7 +30,7 @@ CFG = SynthConfig(seed=5)
 def model():
     rows, y = [], []
     for rec in gen_dataset(CFG, 16, 16):
-        sess = TrafficSession(0, 0.0, 900.0, rec.trace.packets)
+        sess = TrafficSession(0, rec.trace.packets)
         rows.append(extract_features(sess).values())
         y.append(1 if rec.label == MALICIOUS else 0)
     X, y = np.array(rows), np.array(y)
@@ -52,8 +55,8 @@ def test_classify_sessions(model):
     mal = gen_session(CFG, 300, "fast").trace
     ben = gen_session(CFG, 301, "benign").trace
     sessions = [
-        TrafficSession(0, 0.0, 900.0, mal.packets),
-        TrafficSession(1, 0.0, 900.0, ben.packets),
+        TrafficSession(0, mal.packets),
+        TrafficSession(1, ben.packets),
     ]
     verdicts = classify_sessions(sessions, model)
     assert verdicts[0][0] == MALICIOUS and verdicts[0][1] > 0.5
@@ -61,28 +64,24 @@ def test_classify_sessions(model):
     assert classify_sessions([], model) == []
 
 
-def _beacon_device(ip, period, seed):
-    return DeviceTrace(ip, gen_cnc_beacon(period, 0.0, 900.0, seed, device_ip=ip))
-
-
 def test_detect_iot_bots_matches_scalar_reference():
     devices = {}
     for i in range(9):
         ip = f"192.168.1.{10 + i}"
         if i % 3 == 0:
-            devices[ip] = _beacon_device(ip, 60.0, [1, i])
+            devices[ip] = gen_cnc_beacon(60.0, 0.0, 900.0, [1, i], device_ip=ip)
         else:
-            devices[ip] = DeviceTrace(ip, gen_memoryless_noise(1 / 30, 900.0, [2, i],
-                                                               device_ip=ip))
+            devices[ip] = gen_memoryless_noise(1 / 30, 900.0, [2, i], device_ip=ip)
     infected, results = detect_iot_bots(devices, 900.0)
     assert infected == ["192.168.1.10", "192.168.1.13", "192.168.1.16"]
     assert list(results) == list(devices)  # IP order
-    for ip, dev in devices.items():
+    for ip, packets in devices.items():
         res = results[ip]
-        hit, peaks = ref.detect_periodicity(list(dev.packets), 900.0)
+        hit, peaks = ref.detect_periodicity(list(packets), 900.0)
         assert (res.verdict is Verdict.PERIOD_DETECTED, res.peak_lags) == (hit, peaks)
-        assert res.sequence.e.tolist() == ref.encode(
-            ref.filter_cnc_candidates(list(dev.packets), PAYLOAD_CUTOFF),
+        assert res.sequence.dtype == np.int8
+        assert res.sequence.tolist() == ref.encode(
+            ref.filter_cnc_candidates(list(packets), PAYLOAD_CUTOFF),
             SAMPLE_T, 900.0).tolist()
     assert detect_iot_bots({}, 900.0) == ([], {})
 
@@ -129,3 +128,28 @@ def test_report_round_trip(model):
     back = DetectionReport.from_text(report.to_text())
     assert back == report
     assert back.to_text() == report.to_text()
+
+
+def test_benchmark_hooks_read_the_stage2_results(monkeypatch):
+    """The benchmark's tracer finds a function for every layer it reports,
+    and its device-split and sweep counters read what the library returns.
+    The perfbench modules are imported, not changed."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    t = tracer.Tracer()
+    installed = tracer.Instrumentation(t).installed
+    assert [name for name, _unit, spans, _stat in tracer.LAYER_METRICS
+            if not installed.intersection(spans)] == []
+
+    trace = gen_session(CFG, 400, "fast").trace
+    devices = t.wrap(split_by_device, "sessions.split_by_device")(trace)
+    _, results = t.wrap(detect_iot_bots, "pipeline.detect_iot_bots")(devices, 900.0)
+    assert t.warnings == []
+    counts = {span[0]: span[5] for span in t.spans if span[0] != "bench.count"}
+    packets = trace.packets
+    assert counts["sessions.split_by_device"] == {
+        "unique_ips": len(np.union1d(packets.src, packets.dst)), "devices": len(devices)}
+    sweep = counts["pipeline.detect_iot_bots"]
+    assert sweep["swept"] == len(devices) == len(results)
+    assert sweep["candidates"] == sum(len(filter_cnc_candidates(p)) for p in devices.values())
+    assert 1 <= sweep["reached"] <= sweep["swept"]

@@ -2,18 +2,12 @@
 import pytest
 
 from botgate.errors import ConfigError
-from botgate.sessions import (
-    TrafficSession, filter_tcp, sessionize, split_by_device,
-)
-from botgate.trace import ACK, SYN, PacketRecord, PacketTable, Proto, Trace
+from botgate.sessions import sessionize, split_by_device
+from botgate.trace import SYN, PacketRecord, Proto, Trace
 
 
 def tcp(ts, src="192.168.1.10", dst="8.8.8.8"):
     return PacketRecord(ts, src, dst, 40000, 80, Proto.TCP, SYN, 40, 0)
-
-
-def udp(ts):
-    return PacketRecord(ts, "192.168.1.10", "8.8.8.8", 5000, 53, Proto.UDP, 0, 60, 10)
 
 
 def make_trace(packets, subnet="192.168.1.0/24"):
@@ -22,11 +16,10 @@ def make_trace(packets, subnet="192.168.1.0/24"):
 
 def test_sessionize_window_assignment():
     trace = make_trace([tcp(0.0), tcp(9.999), tcp(10.0), tcp(25.0), tcp(31.0)])
-    sessions = sessionize(trace, 10.0, span_s=30.0)
+    sessions = sessionize(trace, 10.0)
     assert [s.index for s in sessions] == [0, 1, 2]
-    assert [len(s.packets) for s in sessions] == [2, 1, 1]  # 31.0 is past the span
+    assert [len(s.packets) for s in sessions] == [2, 1, 1]  # 31.0 is in a partial window
     assert sessions[1].packets[0].ts == 10.0  # boundary goes to the next window
-    assert (sessions[0].t_start, sessions[0].t_end) == (0.0, 10.0)
 
 
 def test_sessionize_span_defaults_to_last_packet():
@@ -42,14 +35,6 @@ def test_sessionize_rejects_bad_duration():
         sessionize(trace, 0.0)
 
 
-def test_filter_tcp():
-    s = TrafficSession(0, 0.0, 10.0, PacketTable.from_records([tcp(1.0), udp(2.0), tcp(3.0)]))
-    kept = filter_tcp(s)
-    assert all(p.proto is Proto.TCP for p in kept.packets)
-    assert len(kept.packets) == 2
-    assert len(s.packets) == 3  # input untouched
-
-
 def test_split_by_device():
     trace = make_trace([
         tcp(1.0, src="192.168.1.10", dst="8.8.8.8"),
@@ -58,8 +43,8 @@ def test_split_by_device():
     ])
     devices = split_by_device(trace)
     assert set(devices) == {"192.168.1.10", "192.168.1.11"}
-    assert len(devices["192.168.1.10"].packets) == 2
-    assert len(devices["192.168.1.11"].packets) == 2
+    assert [p.ts for p in devices["192.168.1.10"]] == [1.0, 3.0]
+    assert [p.ts for p in devices["192.168.1.11"]] == [2.0, 3.0]
 
 
 def test_split_by_device_subnet_mask():

@@ -5,7 +5,7 @@ import pytest
 from botgate.errors import ConfigError
 from botgate.features import BENIGN, MALICIOUS
 from botgate.synth import (
-    BeaconProfile, ScanProfile, SynthConfig, _malicious_plan, gen_benign,
+    PERIOD_FAST, BeaconProfile, ScanProfile, SynthConfig, _malicious_plan, gen_benign,
     gen_cnc_beacon, gen_dataset, gen_memoryless_noise, gen_scanning, gen_session,
 )
 from botgate.trace import ACK, PSH, SYN, Proto, write_trace
@@ -65,9 +65,10 @@ def test_beacon_counts_and_shape():
 
 def test_beacon_jitter_validation_and_spread():
     with pytest.raises(ConfigError):
-        BeaconProfile(period_s=60.0, jitter_s=20.0)  # >= period/4
+        BeaconProfile(jitter_s=PERIOD_FAST / 4)  # a quarter of the shorter period
     with pytest.raises(ConfigError, match="beacon jitter nan"):
-        BeaconProfile(period_s=60.0, jitter_s=float("nan"))
+        BeaconProfile(jitter_s=float("nan"))
+    assert BeaconProfile(jitter_s=14.9).jitter_s == 14.9
     pkts = gen_cnc_beacon(60.0, 5.0, 900.0, [9, 9])
     outbound = [p for p in pkts if p.src_ip == "192.168.1.10"]
     for k, p in enumerate(outbound):
