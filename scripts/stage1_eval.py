@@ -28,17 +28,15 @@ def main():
     ap.add_argument("--n-benign", type=int, default=500)
     ap.add_argument("--n-malicious", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--session-secs", type=float, default=900.0)
     ap.add_argument("--k-best", type=int, default=6)
     ap.add_argument("--cv-folds", type=int, default=10)
     args = ap.parse_args()
 
     t0 = time.monotonic()
     rows, labels = [], []
-    config = SynthConfig(seed=args.seed, duration_s=args.session_secs)
-    for rec in gen_dataset(config, args.n_benign, args.n_malicious):
-        for sess in sessionize(rec.trace, args.session_secs):
-            rows.append(extract_features(sess).values())
+    for rec in gen_dataset(SynthConfig(seed=args.seed), args.n_benign, args.n_malicious):
+        for sess in sessionize(rec.trace):
+            rows.append(extract_features(sess))
             labels.append(1 if rec.label == MALICIOUS else 0)
     print(f"corpus: {len(rows)} sessions in {time.monotonic() - t0:.1f}s")
 

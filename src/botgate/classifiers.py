@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataError, ModelFormatError, write_text_atomic
 from .preprocess import Dataset, MinMaxScaler, scaler_transform
+from .sessions import SESSION_SECS
 
 MODEL_VERSION = "botgate-model-v1"
 
@@ -227,7 +228,6 @@ class TrainedModel:
     model: object                  # GNBModel | ForestModel
     scaler: MinMaxScaler
     selected_idx: list[int]
-    session_secs: float
 
     def predict_with_confidence(self, raw_X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Apply scaler + feature selection, then ``predict``."""
@@ -273,7 +273,7 @@ def save_model(trained: TrainedModel, path) -> None:
     doc = {
         "version": MODEL_VERSION,
         "kind": trained.kind,
-        "session_secs": trained.session_secs,
+        "session_secs": SESSION_SECS,  # the one window, which load_model checks
         "scaler": {"mins": trained.scaler.mins.tolist(), "maxs": trained.scaler.maxs.tolist()},
         "selected": list(map(int, trained.selected_idx)),
         "params": params,
@@ -331,10 +331,10 @@ def load_model(path) -> TrainedModel:
         else:
             raise ModelFormatError(f"unknown model kind {kind!r}")
         session_secs = float(doc["session_secs"])
-        if not 0 < session_secs < math.inf:
-            raise ModelFormatError(f"session_secs {session_secs} is not positive and finite")
-        return TrainedModel(kind=kind, model=model, scaler=scaler, selected_idx=selected,
-                            session_secs=session_secs)
+        if session_secs != SESSION_SECS:
+            raise ModelFormatError(f"session_secs {session_secs} is not the session window "
+                                   f"{SESSION_SECS}")
+        return TrainedModel(kind=kind, model=model, scaler=scaler, selected_idx=selected)
     except ModelFormatError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:

@@ -2,16 +2,15 @@
 
 Subcommands: simulate, featurize, train, evaluate, detect, baseline, policy,
 run-pipeline. Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
+Every command cuts traces into the one session window, ``SESSION_SECS``.
 Stage 2 (``evaluate --traces``, ``detect``, ``baseline``) analyzes each trace
-through ``pipeline.analyze_devices``, over the trace's whole session windows:
-of the model's duration, or of ``SESSION_SECS`` for ``baseline``.
+through ``pipeline.analyze_devices``, over the trace's whole session windows.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -24,15 +23,14 @@ from .classifiers import (
 )
 from .errors import BotgateError, DataError, PolicyError
 from .features import (
-    BENIGN, FEATURE_NAMES, MALICIOUS, FeatureVector, extract_features, read_feature_csv,
-    write_feature_csv,
+    BENIGN, FEATURE_NAMES, MALICIOUS, extract_features, read_feature_csv, write_feature_csv,
 )
 from .pipeline import DetectionReport, analyze_devices, run_pipeline
 from .policy import (
     PolicyStore, apply_policies, load_store, parse_policy_command, save_store,
 )
 from .preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best
-from .sessions import SESSION_SECS, sessionize
+from .sessions import sessionize
 from .synth import BeaconProfile, SynthConfig, gen_dataset
 from .trace import load_trace, save_trace
 
@@ -79,46 +77,33 @@ def _read_manifest(corpus_dir: Path) -> list[dict]:
     return entries
 
 
-def _corpus_features(corpus: Path, session_secs: float) -> list[FeatureVector]:
-    """Labeled feature rows for every session window of every corpus trace."""
-    vectors = []
+def _write_corpus_features(corpus: Path, path) -> int:
+    """Write the labeled feature row of every session window of every corpus
+    trace; the number of rows."""
+    rows, labels = [], []
     for entry in _read_manifest(corpus):
-        sessions = sessionize(load_trace(entry["file"]), session_secs)
-        vectors.extend(extract_features(s, label=entry["label"]) for s in sessions)
-    return vectors
+        sessions = sessionize(load_trace(entry["file"]))
+        rows.extend(extract_features(s) for s in sessions)
+        labels.extend([entry["label"]] * len(sessions))
+    write_feature_csv(rows, labels, path)
+    return len(rows)
 
 
 def cmd_simulate(args) -> int:
-    config = SynthConfig(
-        seed=args.seed,
-        duration_s=args.session_secs,
-        beacon=BeaconProfile(jitter_s=args.jitter),
-    )
+    config = SynthConfig(seed=args.seed, beacon=BeaconProfile(jitter_s=args.jitter))
     _write_corpus(Path(args.out), config, args.n_benign, args.n_malicious)
     print(f"wrote {args.n_benign + args.n_malicious} sessions to {args.out}")
     return 0
 
 
 def cmd_featurize(args) -> int:
-    vectors = _corpus_features(Path(args.corpus), args.session_secs)
-    write_feature_csv(vectors, args.out)
-    print(f"wrote {len(vectors)} feature rows to {args.out}")
+    n_rows = _write_corpus_features(Path(args.corpus), args.out)
+    print(f"wrote {n_rows} feature rows to {args.out}")
     return 0
 
 
-def _load_dataset(features_csv) -> Dataset:
-    vectors = read_feature_csv(features_csv)
-    if any(v.label is None for v in vectors):
-        raise BotgateError("training requires labeled feature rows")
-    X = np.array([v.values() for v in vectors])
-    y = np.array([1 if v.label == MALICIOUS else 0 for v in vectors])
-    return Dataset(X, y)
-
-
 def cmd_train(args) -> int:
-    if not 0 < args.session_secs < math.inf:
-        raise DataError(f"--session-secs {args.session_secs} is not positive and finite")
-    data = _load_dataset(args.features)
+    data = read_feature_csv(args.features)
     scaler = scaler_fit(data.X)
     Xs = scaler_transform(scaler, data.X)
     scores = chi2_scores(Xs, data.y)
@@ -129,10 +114,7 @@ def cmd_train(args) -> int:
     else:
         model = forest_fit(train, seed=args.seed)
     mean, std = cross_validate(train, args.cv_folds, args.model, seed=args.seed)
-    trained = TrainedModel(
-        kind=args.model, model=model, scaler=scaler,
-        selected_idx=selected, session_secs=args.session_secs,
-    )
+    trained = TrainedModel(kind=args.model, model=model, scaler=scaler, selected_idx=selected)
     save_model(trained, args.out)
     print(f"chi2 scores: {[round(float(s), 3) for s in scores]}")
     print(f"selected features: {[FEATURE_NAMES[i] for i in selected]}")
@@ -142,9 +124,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    data = _load_dataset(args.features)
-    if data.X.shape[0] == 0:
-        raise BotgateError("empty corpus")
+    data = read_feature_csv(args.features)
     model = load_model(args.model_file)
     pred, _ = model.predict_with_confidence(data.X)
     out = {"stage1": stage1_metrics(pred, data.y)}
@@ -153,7 +133,7 @@ def cmd_evaluate(args) -> int:
         entries = [e for e in _read_manifest(Path(args.traces)) if e["label"] == MALICIOUS]
         detected = 0
         for entry in entries:
-            infected, _ = analyze_devices(load_trace(entry["file"]), model.session_secs)
+            infected, _ = analyze_devices(load_trace(entry["file"]))
             detected += bool(infected)
         dr = detected / len(entries) if entries else 0.0
         out["stage2"] = {"n_malicious_traces": len(entries), "DR": dr, "MDR": 1.0 - dr}
@@ -175,9 +155,9 @@ def cmd_detect(args) -> int:
 
 def cmd_baseline(args) -> int:
     """Walker's test on each device's sequence from the stage-2 pass that
-    ``detect`` makes, over whole windows of ``SESSION_SECS``."""
+    ``detect`` makes."""
     out = {}
-    _, results = analyze_devices(load_trace(args.trace), SESSION_SECS)
+    _, results = analyze_devices(load_trace(args.trace))
     for ip, res in results.items():
         walker = walker_test(res.sequence)
         out[ip] = {"verdict": walker.verdict.value, "statistic": walker.statistic,
@@ -222,16 +202,14 @@ def cmd_run_pipeline(args) -> int:
     select_k_best(np.zeros(len(FEATURE_NAMES)), args.k_best)  # train's check, before any write
     workdir = Path(args.workdir)
     corpus = workdir / "corpus"
-    config = SynthConfig(seed=args.seed, duration_s=args.session_secs)
-    _write_corpus(corpus, config, args.n_benign, args.n_malicious)
+    _write_corpus(corpus, SynthConfig(seed=args.seed), args.n_benign, args.n_malicious)
 
     features_csv = workdir / "features.csv"
-    write_feature_csv(_corpus_features(corpus, args.session_secs), features_csv)
+    _write_corpus_features(corpus, features_csv)
 
     train_args = argparse.Namespace(
         features=features_csv, model=args.model, seed=args.seed,
-        k_best=args.k_best, cv_folds=5, session_secs=args.session_secs,
-        out=workdir / "model.json",
+        k_best=args.k_best, cv_folds=5, out=workdir / "model.json",
     )
     cmd_train(train_args)
 
@@ -273,14 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-benign", type=_count, default=1000)
     p.add_argument("--n-malicious", type=_count, default=1000)
-    p.add_argument("--session-secs", type=float, default=SESSION_SECS)
     p.add_argument("--jitter", type=float, default=0.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("featurize", help="extract per-session feature CSV from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--session-secs", type=float, default=SESSION_SECS)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="fit scaler + feature selection + classifier")
@@ -289,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-best", type=int, default=6)
     p.add_argument("--cv-folds", type=int, default=10)
-    p.add_argument("--session-secs", type=float, default=SESSION_SECS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -324,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-malicious", type=_count, default=20)
     p.add_argument("--model", choices=["gnb", "forest"], default="forest")
     p.add_argument("--k-best", type=int, default=6)
-    p.add_argument("--session-secs", type=float, default=SESSION_SECS)
     p.set_defaults(func=cmd_run_pipeline)
 
     return parser
@@ -351,6 +325,8 @@ def _parse_policy_argv(argv: list[str]) -> argparse.Namespace:
             i += 1
     if flags["store"] is None:
         raise PolicyError("policy requires --store")
+    if flags["name_map"] is not None and flags["apply"] is None:
+        raise PolicyError("--name-map needs --apply")
     if flags["apply"] is not None and command:
         raise PolicyError(f"--apply takes no policy command, got {' '.join(command)}")
     return argparse.Namespace(func=cmd_policy, command=command, **flags)

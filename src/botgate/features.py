@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError
+from .preprocess import Dataset
 from .sessions import TrafficSession
 from .trace import ACK, PROTO_TCP, SYN, PacketTable
 
@@ -32,31 +32,6 @@ FEATURE_NAMES = [
 ]
 
 CSV_HEADER = FEATURE_NAMES + ["label"]
-
-
-@dataclass(slots=True)
-class FeatureVector:
-    n_uniq_syn_dst: int
-    pkts_per_dst_max: int
-    pkts_per_dst_min: int
-    pkts_per_dst_mean: float
-    n_half_open: int
-    tcp_len_max: int
-    tcp_len_min: int
-    tcp_len_mean: float
-    label: Optional[str] = None
-
-    def values(self) -> list[float]:
-        return [
-            self.n_uniq_syn_dst,
-            self.pkts_per_dst_max,
-            self.pkts_per_dst_min,
-            self.pkts_per_dst_mean,
-            self.n_half_open,
-            self.tcp_len_max,
-            self.tcp_len_min,
-            self.tcp_len_mean,
-        ]
 
 
 def _syn_only(flags: np.ndarray) -> np.ndarray:
@@ -87,33 +62,34 @@ def count_half_open(packets: PacketTable) -> int:
     return int(np.count_nonzero((first_syn < n) & (last_ack < first_syn)))
 
 
-def extract_features(session: TrafficSession, label: Optional[str] = None) -> FeatureVector:
-    """Compute the 8 scanning features; an empty session maps to all zeros."""
+def extract_features(session: TrafficSession) -> list:
+    """The 8 scanning features, in FEATURE_NAMES order, as Python ints and
+    floats; an empty session maps to all zeros."""
     packets = session.packets[session.packets.proto == PROTO_TCP]
     n = len(packets)
     if not n:
-        return FeatureVector(0, 0, 0, 0.0, 0, 0, 0, 0.0, label=label)
+        return [0, 0, 0, 0.0, 0, 0, 0, 0.0]
     per_dst = np.unique(packets.dst, return_counts=True)[1]
-    return FeatureVector(
-        n_uniq_syn_dst=len(np.unique(packets.dst[_syn_only(packets.flags)])),
-        pkts_per_dst_max=int(per_dst.max()),
-        pkts_per_dst_min=int(per_dst.min()),
+    return [
+        len(np.unique(packets.dst[_syn_only(packets.flags)])),
+        int(per_dst.max()),
+        int(per_dst.min()),
         # means are Python int / int, not np.mean: the CSV bytes depend on it
-        pkts_per_dst_mean=n / len(per_dst),
-        n_half_open=count_half_open(packets),
-        tcp_len_max=int(packets.ip_len.max()),
-        tcp_len_min=int(packets.ip_len.min()),
-        tcp_len_mean=int(packets.ip_len.sum(dtype=np.int64)) / n,
-        label=label,
-    )
+        n / len(per_dst),
+        count_half_open(packets),
+        int(packets.ip_len.max()),
+        int(packets.ip_len.min()),
+        int(packets.ip_len.sum(dtype=np.int64)) / n,
+    ]
 
 
-def write_feature_csv(vectors: Iterable[FeatureVector], path) -> None:
+def write_feature_csv(rows: Iterable[list], labels: Iterable[str], path) -> None:
+    """One CSV row per feature row, with its BENIGN or MALICIOUS label."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for vec in vectors:
-            writer.writerow([*vec.values(), vec.label if vec.label is not None else ""])
+        for row, label in zip(rows, labels, strict=True):
+            writer.writerow([*row, label])
 
 
 def _finite(text: str) -> float:
@@ -123,10 +99,11 @@ def _finite(text: str) -> float:
     return value
 
 
-def read_feature_csv(path) -> list[FeatureVector]:
-    """The rows ``write_feature_csv`` writes; DataError naming the file, and
-    the line, for any other header or row."""
-    out = []
+def read_feature_csv(path) -> Dataset:
+    """The labeled rows ``write_feature_csv`` writes, as X and y (1 for
+    MALICIOUS); DataError naming the file, and the line, for any other
+    header or row, and for a file with no rows."""
+    X, y = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -136,21 +113,14 @@ def read_feature_csv(path) -> list[FeatureVector]:
             for row in reader:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                if row[8] not in ("", BENIGN, MALICIOUS):
+                if row[8] not in (BENIGN, MALICIOUS):
                     raise ValueError(f"bad label {row[8]!r}")
-                out.append(
-                    FeatureVector(
-                        n_uniq_syn_dst=int(float(row[0])),
-                        pkts_per_dst_max=int(float(row[1])),
-                        pkts_per_dst_min=int(float(row[2])),
-                        pkts_per_dst_mean=_finite(row[3]),
-                        n_half_open=int(float(row[4])),
-                        tcp_len_max=int(float(row[5])),
-                        tcp_len_min=int(float(row[6])),
-                        tcp_len_mean=_finite(row[7]),
-                        label=row[8] or None,
-                    )
-                )
+                # columns 3 and 7 are means; the others are counts
+                X.append([_finite(v) if j in (3, 7) else int(float(v))
+                          for j, v in enumerate(row[:8])])
+                y.append(int(row[8] == MALICIOUS))
         except (ValueError, OverflowError, csv.Error) as exc:
             raise DataError(f"{path} line {reader.line_num}: {exc}") from None
-    return out
+    if not X:
+        raise DataError(f"{path}: no feature rows")
+    return Dataset(np.array(X), np.array(y))

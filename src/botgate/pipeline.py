@@ -13,7 +13,7 @@ from .acf import PeriodicityResult, Verdict, check_bins, detect_periodicity
 from .classifiers import LABEL_MALICIOUS, TrainedModel
 from .errors import DataError
 from .features import BENIGN, MALICIOUS, extract_features
-from .sessions import TrafficSession, sessionize, split_by_device, window_count
+from .sessions import SESSION_SECS, TrafficSession, sessionize, split_by_device, window_count
 from .stats import PeriodProbResult, bdcs, period_detection_prob
 from .trace import PacketTable, Trace
 
@@ -54,7 +54,7 @@ def classify_sessions(sessions: list[TrafficSession], model: TrainedModel) -> li
     """One (verdict, confidence) per session, order-preserving."""
     if not sessions:
         return []
-    X = np.array([extract_features(s).values() for s in sessions])
+    X = np.array([extract_features(s) for s in sessions])
     labels, conf = model.predict_with_confidence(X)
     return [
         (MALICIOUS if lab == LABEL_MALICIOUS else BENIGN, float(c))
@@ -83,22 +83,20 @@ def detect_iot_bots(devices: dict[str, PacketTable],
     return infected, results
 
 
-def analyze_devices(trace: Trace,
-                    session_secs: float) -> tuple[list[str], dict[str, PeriodicityResult]]:
+def analyze_devices(trace: Trace) -> tuple[list[str], dict[str, PeriodicityResult]]:
     """Stage 2 on a whole trace: ``detect_iot_bots`` over the span of the
-    trace's whole session windows of ``session_secs``, the windows stage 1
-    classifies. Too many bins is wrong for every device alike, so the span is
-    refused once, before the sweep."""
-    analyzed = window_count(trace, session_secs) * session_secs
+    trace's whole session windows, the windows stage 1 classifies. Too many
+    bins is wrong for every device alike, so the span is refused once, before
+    the sweep."""
+    analyzed = window_count(trace) * SESSION_SECS
     check_bins(analyzed)
     return detect_iot_bots(split_by_device(trace), analyzed)
 
 
 def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
-    """Stage 1 on session windows of the model's training duration; stage 2
-    (device sweep + confidence score) only when the averaged stage-1 verdict
-    is malicious."""
-    sessions = sessionize(trace, model.session_secs)
+    """Stage 1 on the trace's session windows; stage 2 (device sweep +
+    confidence score) only when the averaged stage-1 verdict is malicious."""
+    sessions = sessionize(trace)
     classified = classify_sessions(sessions, model)
     verdicts = [v for v, _ in classified]
 
@@ -126,7 +124,7 @@ def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
         return report
 
     report.stage2_ran = True
-    infected, results = analyze_devices(trace, model.session_secs)
+    infected, results = analyze_devices(trace)
     infected_probs = []
     for ip, res in results.items():
         diag = {

@@ -12,37 +12,35 @@ from .errors import ConfigError
 from .trace import PacketTable, Trace, format_ip
 
 # Most windows one trace may be cut into (~1.3 KB each before any feature is
-# extracted): a year of 15-minute windows, or three weeks of 1-minute ones.
+# extracted): about 341 days of 15-minute windows.
 MAX_SESSIONS = 2 ** 15
-SESSION_SECS = 900.0  # the 15-minute window of the paper's sessions
+SESSION_SECS = 900.0  # the 15-minute window of the paper's sessions, the only window
 
 
 @dataclass(slots=True)
 class TrafficSession:
-    index: int  # window i spans [i*d, (i+1)*d)
+    index: int  # window i spans [i*SESSION_SECS, (i+1)*SESSION_SECS)
     packets: PacketTable
 
 
-def window_count(trace: Trace, duration_s: float) -> int:
-    """The number of whole [i*d, (i+1)*d) windows, aligned to t=0, up to the
+def window_count(trace: Trace) -> int:
+    """The number of whole SESSION_SECS windows, aligned to t=0, up to the
     trace's last packet timestamp; a trailing partial window does not count,
     but a capture shorter than one window is still one window."""
-    if not duration_s > 0:
-        raise ConfigError(f"session duration must be positive, got {duration_s}")
-    span = max(trace.span(), duration_s)
-    if not span / duration_s < MAX_SESSIONS + 1:  # also nan; before any allocation
-        raise ConfigError(f"span {span} s in windows of {duration_s} s is more than "
+    span = max(trace.span(), SESSION_SECS)
+    if not span / SESSION_SECS < MAX_SESSIONS + 1:  # also nan; before any allocation
+        raise ConfigError(f"span {span} s in windows of {SESSION_SECS} s is more than "
                           f"MAX_SESSIONS = {MAX_SESSIONS} sessions")
-    return int(math.floor(span / duration_s))
+    return int(math.floor(span / SESSION_SECS))
 
 
-def sessionize(trace: Trace, duration_s: float) -> list[TrafficSession]:
-    """Split a trace into its ``window_count`` consecutive [i*d, (i+1)*d)
+def sessionize(trace: Trace) -> list[TrafficSession]:
+    """Split a trace into its ``window_count`` consecutive SESSION_SECS
     windows. Each session's packets are a view of the trace's columns."""
-    n_sessions = window_count(trace, duration_s)
+    n_sessions = window_count(trace)
     packets = trace.packets
     # window numbers rise with ts, since a trace is in timestamp order
-    bounds = np.searchsorted(packets.ts // duration_s, np.arange(n_sessions + 1))
+    bounds = np.searchsorted(packets.ts // SESSION_SECS, np.arange(n_sessions + 1))
     return [TrafficSession(index=i, packets=packets[bounds[i]:bounds[i + 1]])
             for i in range(n_sessions)]
 

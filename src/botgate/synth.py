@@ -51,8 +51,6 @@ PERIOD_SLOW = 210.0
 @dataclass
 class BeaconProfile:
     jitter_s: float = 0.0  # below a quarter of the shorter period
-    payload_bytes: int = 4
-    protocol: str = "TCP"  # "TCP" (PSH+ACK exchange) or "UDP"
 
     def __post_init__(self):
         if not 0 <= self.jitter_s < PERIOD_FAST / 4:
@@ -65,7 +63,9 @@ class BenignProfile:
     app_interval_max_s: float = 120.0
     app_payload_min: int = 100
     app_payload_max: int = 1000
-    browse_burst_rate: float = 0.01  # bursts per second per PC
+
+
+BROWSE_BURST_RATE = 0.01  # browsing bursts per second per PC
 
 
 @dataclass
@@ -78,7 +78,6 @@ class SynthConfig:
     scan: ScanProfile = field(default_factory=ScanProfile)
     beacon: BeaconProfile = field(default_factory=BeaconProfile)
     benign: BenignProfile = field(default_factory=BenignProfile)
-    infected_devices: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not 0 < self.duration_s < math.inf:
@@ -153,7 +152,7 @@ def gen_benign(config: SynthConfig, seed) -> Trace:
                           *rng.integers(p.app_payload_min, p.app_payload_max + 1, (2, n)))
     # each PC browses in Poisson bursts: one exchange, then 2-5 more response segments
     pcs = [parse_ip(ip) for ip in config.pc_ips()]
-    bursts = rng.poisson(p.browse_burst_rate * config.duration_s, len(pcs))
+    bursts = rng.poisson(BROWSE_BURST_RATE * config.duration_s, len(pcs))
     n = int(bursts.sum())
     t0 = rng.uniform(0, config.duration_s - 2.0, n)
     pc, srv = np.repeat(pcs, bursts), _external_ips(rng, n)
@@ -251,9 +250,8 @@ def gen_session(config: SynthConfig, index: int, kind: str) -> SessionRecord:
     base = gen_benign(config, [config.seed, index])
     if kind == "benign":
         return SessionRecord(index, BENIGN, ["benign"], base)
-    infected = config.infected_devices or config.iot_ips()[:2]
-    dev_a = infected[0]
-    dev_b = infected[1] if len(infected) > 1 else infected[0]
+    infected = config.iot_ips()[:2]
+    dev_a, dev_b = infected[0], infected[-1]  # one device plays both with one IoT device
     bots = {"fast": [(PERIOD_FAST, dev_a)], "slow": [(PERIOD_SLOW, dev_a)],
             "both": [(PERIOD_FAST, dev_a), (PERIOD_SLOW, dev_b)]}[kind]
     parts, ingredients = [base.packets], ["benign"]
@@ -262,8 +260,7 @@ def gen_session(config: SynthConfig, index: int, kind: str) -> SessionRecord:
         parts += [
             gen_scanning(config, [config.seed, index, stream], dev),
             gen_cnc_beacon(period, config.beacon.jitter_s, config.duration_s,
-                           [config.seed, index, stream + 1], config.beacon.protocol,
-                           config.beacon.payload_bytes, device_ip=dev),
+                           [config.seed, index, stream + 1], device_ip=dev),
         ]
         ingredients += [f"scan:{dev}", f"beacon:{dev}:{period:g}"]
     # the Trace restores timestamp order, base packets first among equal timestamps

@@ -15,7 +15,9 @@ import numpy as np
 
 from botgate.acf import GAP_VARIANCE_THRESH, PAYLOAD_CUTOFF, PEAK_HEIGHT_FRAC, SAMPLE_T
 from botgate.errors import ConfigError, TraceParseError
-from botgate.synth import _EXTERNAL_FIRST_OCTETS, IP_HEADER_TCP, IP_HEADER_UDP
+from botgate.synth import (
+    _EXTERNAL_FIRST_OCTETS, BROWSE_BURST_RATE, IP_HEADER_TCP, IP_HEADER_UDP,
+)
 from botgate.trace import (
     ACK, FIN, N_FIELDS, PROTOS, PSH, SYN, PacketRecord, PacketTable, Proto, Trace,
     _invalid_rows, _parse_header, format_ip,
@@ -59,7 +61,7 @@ def count_half_open(packets):
 
 
 def extract_features(packets):
-    """The eight feature values, in FeatureVector.values() order."""
+    """The eight feature values, in FEATURE_NAMES order."""
     packets = [p for p in packets if p.proto is Proto.TCP]
     if not packets:
         return [0, 0, 0, 0.0, 0, 0, 0, 0.0]
@@ -376,7 +378,7 @@ def gen_benign(config, seed):
             packets.extend(_app_exchange(t, dev, srv, sport, up, down))
             t += float(rng.uniform(p.app_interval_min_s, p.app_interval_max_s))
     for pc in config.pc_ips():
-        n_bursts = int(rng.poisson(p.browse_burst_rate * config.duration_s))
+        n_bursts = int(rng.poisson(BROWSE_BURST_RATE * config.duration_s))
         for t in sorted(rng.uniform(0, config.duration_s - 2.0, size=n_bursts)):
             srv = _external_ip(rng)
             sport = int(rng.integers(32768, 61000))

@@ -45,7 +45,7 @@ def test_criterion_1_stage1_metrics(capsys):
     rows, labels = [], []
     for rec in gen_dataset(SynthConfig(seed=0), 1000, 1000):
         sess = TrafficSession(0, rec.trace.packets)
-        rows.append(extract_features(sess).values())
+        rows.append(extract_features(sess))
         labels.append(1 if rec.label == MALICIOUS else 0)
     data = Dataset(np.array(rows), np.array(labels))
     train, test = shuffle_split(data, 0.8, seed=0)
@@ -268,8 +268,7 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
     for sub in ("run1", "run2"):
         workdir = tmp_path / sub
         code = main(["run-pipeline", "--workdir", str(workdir), "--seed", "0",
-                     "--n-benign", "6", "--n-malicious", "6",
-                     "--session-secs", "900"])
+                     "--n-benign", "6", "--n-malicious", "6"])
         assert code == 0
         blob = {}
         for name in ("features.csv", "model.json", "report.json"):

@@ -101,7 +101,7 @@ def _trained(kind, seed=11):
     data = Dataset(X[:, :4], y)
     model = gnb_fit(data) if kind == "gnb" else forest_fit(data, seed=seed)
     scaler = MinMaxScaler(mins=np.zeros(8), maxs=np.ones(8))
-    return TrainedModel(kind, model, scaler, [0, 1, 2, 3], 900.0), X
+    return TrainedModel(kind, model, scaler, [0, 1, 2, 3]), X
 
 
 @pytest.mark.parametrize("kind", ["gnb", "forest"])
@@ -111,7 +111,7 @@ def test_save_load_round_trip(kind, tmp_path):
     save_model(trained, path)
     loaded = load_model(path)
     assert loaded.kind == kind
-    assert loaded.session_secs == 900.0
+    assert json.loads(path.read_text())["session_secs"] == 900.0  # the one window
     assert loaded.selected_idx == [0, 1, 2, 3]
     l1, c1 = trained.predict_with_confidence(X)
     l2, c2 = loaded.predict_with_confidence(X)
@@ -174,15 +174,18 @@ def _deepest_split(doc):
     ("gnb", lambda d: d["params"].update(var_smoothing=math.nan),
      "non-finite number in the GNB parameters"),
     ("forest", lambda d: _deepest_split(d).update(t=math.inf), "a tree threshold is inf"),
-    ("forest", lambda d: d.update(session_secs=0), "session_secs 0.0 is not positive and finite"),
-    ("gnb", lambda d: d.update(session_secs=-900), "session_secs -900.0 is not positive"),
-    ("gnb", lambda d: d.update(session_secs=math.inf), "session_secs inf is not positive"),
-    ("forest", lambda d: d.update(session_secs=math.nan), "session_secs nan is not positive"),
+    # every model is trained on the one session window, 900 s
+    ("forest", lambda d: d.update(session_secs=0),
+     "session_secs 0.0 is not the session window 900.0"),
+    ("gnb", lambda d: d.update(session_secs=-900), "session_secs -900.0 is not the session"),
+    ("gnb", lambda d: d.update(session_secs=math.inf), "session_secs inf is not the session"),
+    ("forest", lambda d: d.update(session_secs=math.nan), "session_secs nan is not the session"),
+    ("gnb", lambda d: d.update(session_secs=300.0), "session_secs 300.0 is not the session"),
 ], ids=["feature-99", "negative-feature", "leaf-2", "n-features", "no-trees",
         "selected-range", "scaler-lengths", "gnb-width", "gnb-priors", "scaler-inf",
         "scaler-nan", "priors-nan", "theta-inf", "var-inf", "var-smoothing-nan",
         "threshold-inf", "session-secs-0", "session-secs-negative", "session-secs-inf",
-        "session-secs-nan"])
+        "session-secs-nan", "session-secs-300"])
 def test_load_rejects_inconsistent_model(tmp_path, kind, edit, message):
     path = _edited_model(tmp_path, kind, edit)
     with pytest.raises(ModelFormatError, match=f"model file {path}: .*{message}"):

@@ -1,6 +1,7 @@
 """CLI surface: subcommand chains, exit codes, determinism."""
 import builtins
 import errno
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -16,7 +17,6 @@ from botgate.trace import load_trace
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 N_BENIGN, N_MALICIOUS = 6, 6
-SECS = "900"
 
 
 @pytest.fixture(scope="module")
@@ -25,15 +25,12 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     corpus = root / "corpus"
     assert main(["simulate", "--out", str(corpus), "--seed", "0",
-                 "--n-benign", str(N_BENIGN), "--n-malicious", str(N_MALICIOUS),
-                 "--session-secs", SECS]) == 0
+                 "--n-benign", str(N_BENIGN), "--n-malicious", str(N_MALICIOUS)]) == 0
     features = root / "features.csv"
-    assert main(["featurize", "--corpus", str(corpus), "--out", str(features),
-                 "--session-secs", SECS]) == 0
+    assert main(["featurize", "--corpus", str(corpus), "--out", str(features)]) == 0
     model = root / "model.json"
     assert main(["train", "--features", str(features), "--model", "forest",
-                 "--seed", "0", "--cv-folds", "4", "--session-secs", SECS,
-                 "--out", str(model)]) == 0
+                 "--seed", "0", "--cv-folds", "4", "--out", str(model)]) == 0
     return root
 
 
@@ -96,7 +93,7 @@ def test_baseline_tests_the_sequence_detect_encodes(workspace, capsys):
     # a 899.949 s capture: its one whole 900 s window is K = 90 bins of 10 s,
     # where the capture's own span would give 89
     trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
-    _, results = analyze_devices(load_trace(trace), 900.0)
+    _, results = analyze_devices(load_trace(trace))
     assert main(["baseline", "--trace", str(trace)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert sorted(out) == sorted(results)
@@ -162,16 +159,15 @@ def test_too_many_bins_exits_2(tmp_path, capsys, command):
 def test_simulate_deterministic(tmp_path):
     for sub in ("a", "b"):
         assert main(["simulate", "--out", str(tmp_path / sub), "--seed", "9",
-                     "--n-benign", "2", "--n-malicious", "2",
-                     "--session-secs", "300"]) == 0
+                     "--n-benign", "2", "--n-malicious", "2"]) == 0
     for name in ["manifest.tsv"] + [f"session_{i:05d}.trace" for i in range(4)]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 # The stage-2 design values are constants of acf, stats and pipeline, not
-# flags, and the analyzed windows are the model's; each command's required
-# flags, then the flags it does not take.
-STAGE2_COMMANDS = {
+# flags, and every command cuts the one session window, SESSION_SECS; each
+# command's required flags, then the flags it does not take.
+REMOVED_FLAGS = {
     "evaluate": (["--features", "f.csv", "--model-file", "m.json"],
                  ["--sample-t", "--peak-frac", "--gap-var", "--payload-cutoff",
                   "--session-secs"]),
@@ -179,46 +175,52 @@ STAGE2_COMMANDS = {
                ["--sample-t", "--peak-frac", "--gap-var", "--payload-cutoff",
                 "--window", "--alpha", "--lags", "--session-secs"]),
     "baseline": (["--trace", "t.trace"], ["--gamma", "--sample-t", "--payload-cutoff"]),
+    "simulate": (["--out", "c"], ["--session-secs"]),
+    "featurize": (["--corpus", "c", "--out", "f.csv"], ["--session-secs"]),
+    "train": (["--features", "f.csv", "--out", "m.json"], ["--session-secs"]),
+    "run-pipeline": (["--workdir", "w"], ["--session-secs"]),
 }
 
 
 @pytest.mark.parametrize("command, flag", [
-    (command, flag) for command, (_, flags) in STAGE2_COMMANDS.items() for flag in flags])
+    (command, flag) for command, (_, flags) in REMOVED_FLAGS.items() for flag in flags])
 def test_stage2_design_value_flag_exits_1(capsys, command, flag):
-    assert main([command, *STAGE2_COMMANDS[command][0], flag, "1"]) == 1
+    assert main([command, *REMOVED_FLAGS[command][0], flag, "1"]) == 1
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
-def _model_with_window(workspace, tmp_path, session_secs):
-    """A copy of the workspace model that was trained on windows of
-    ``session_secs``, as far as its file says."""
-    doc = json.loads((workspace / "model.json").read_text())
-    doc["session_secs"] = session_secs
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
-    return model
+# A packet at 1399500 s ends the 1555th 900 s window: 1399500 s at 10 s bins
+# is 139950 bins, more than 131072
+FAR_ROW = "1399500.000 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n"
+FAR_BINS = "duration 1399500.0 s at sampling interval 10.0 s needs more than 131072 bins"
 
 
 def test_analyzed_span_beyond_bin_bound_exits_2(workspace, tmp_path, capsys):
-    # 2000000 s at 10 s bins is 200000 bins: refused once, before the sweep
-    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
-    model = _model_with_window(workspace, tmp_path, 2000000)
-    assert main(["detect", "--trace", str(trace), "--model-file", str(model)]) == 2
-    assert "duration 2000000.0 s at sampling interval 10.0 s needs more than 131072 bins" in \
-        capsys.readouterr().err
+    # three malicious windows in the first five make stage 2 run; the far
+    # packet's span is refused once, before the sweep
+    text = (workspace / "corpus" / f"session_{N_BENIGN:05d}.trace").read_text()
+    header, rows = text.split("\n", 1)
+    shifted = [f"{float(ts) + k * 900:.3f} {rest}\n" for k in range(3)
+               for ts, rest in (row.split(" ", 1) for row in rows.splitlines())]
+    trace = tmp_path / "t.trace"
+    trace.write_text(header + "\n" + "".join(shifted) + FAR_ROW)
+    assert main(["detect", "--trace", str(trace),
+                 "--model-file", str(workspace / "model.json")]) == 2
+    assert FAR_BINS in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ts, session_secs, message", [
-    ("1000000000000.000", 900.0, "span 1000000000000.0 s in windows of 900.0 s"),
-    ("1.000", 0.0001, "span 900.0 s in windows of 0.0001 s"),
-], ids=["far-packet", "tiny-window"])
-def test_session_count_bound_exits_2(workspace, tmp_path, capsys, ts, session_secs, message):
+@pytest.mark.parametrize("ts, message", [
+    ("1000000000000.000", "span 1000000000000.0 s in windows of 900.0 s"),
+    # 32769 whole windows, one more than MAX_SESSIONS
+    ("29492100.000", "span 29492100.0 s in windows of 900.0 s"),
+], ids=["far-packet", "one-window-past-bound"])
+def test_session_count_bound_exits_2(workspace, tmp_path, capsys, ts, message):
     trace = tmp_path / "t.trace"
     trace.write_text("#trace v1 subnet=192.168.1.0/24 epoch=0\n"
-                     f"{ts} 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n"
-                     "900.000 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n")
-    model = _model_with_window(workspace, tmp_path, session_secs)
-    assert main(["detect", "--trace", str(trace), "--model-file", str(model)]) == 2
+                     "900.000 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n"
+                     f"{ts} 192.168.1.10 8.8.8.8 5000 53 UDP 0x00 32 4\n")
+    assert main(["detect", "--trace", str(trace),
+                 "--model-file", str(workspace / "model.json")]) == 2
     err = capsys.readouterr().err
     assert message in err and "MAX_SESSIONS = 32768" in err
 
@@ -242,14 +244,18 @@ def test_malformed_manifest_row_exits_2(workspace, tmp_path, capsys, row, messag
 
 
 def test_evaluate_stage2_beyond_bin_bound_exits_2(workspace, tmp_path, capsys):
-    # the same bound detect refuses: 2000000 s at 10 s bins
-    model = _model_with_window(workspace, tmp_path, 2000000)
+    # the same bound detect refuses, on a malicious corpus trace with a far packet
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    name = f"session_{N_BENIGN:05d}.trace"
+    (corpus / name).write_text((workspace / "corpus" / name).read_text() + FAR_ROW)
+    manifest = (workspace / "corpus" / "manifest.tsv").read_text().splitlines()
+    (corpus / "manifest.tsv").write_text(f"{manifest[0]}\n{manifest[1 + N_BENIGN]}\n")
     assert main(["evaluate", "--features", str(workspace / "features.csv"),
-                 "--model-file", str(model), "--traces", str(workspace / "corpus")]) == 2
+                 "--model-file", str(workspace / "model.json"), "--traces", str(corpus)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "duration 2000000.0 s at sampling interval 10.0 s needs more than 131072 bins" in \
-        captured.err
+    assert FAR_BINS in captured.err
 
 
 def test_evaluate_foreign_feature_header_exits_2(workspace, tmp_path, capsys):
@@ -304,13 +310,6 @@ def test_detect_model_with_unknown_feature_exits_2(workspace, tmp_path, capsys):
     assert f"model file {model}: a tree splits on feature 99 of 6" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("secs", ["inf", "nan", "0", "-5"])
-def test_simulate_bad_session_secs_exits_2(tmp_path, capsys, secs):
-    assert main(["simulate", "--out", str(tmp_path / "c"), "--n-benign", "1",
-                 "--n-malicious", "1", "--session-secs", secs]) == 2
-    assert "session duration must be positive and finite" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("k", ["-1", "0", "9"])
 def test_train_k_best_out_of_range_exits_2(workspace, tmp_path, capsys, k):
     model = tmp_path / "model.json"
@@ -329,15 +328,34 @@ def test_run_pipeline_k_best_out_of_range_exits_2(tmp_path, capsys, k):
     assert not workdir.exists()  # refused before the corpus is simulated
 
 
-@pytest.mark.parametrize("secs, shown", [
-    ("0", "0.0"), ("-900", "-900.0"), ("nan", "nan"), ("inf", "inf"),
-])
-def test_train_bad_session_secs_exits_2(workspace, tmp_path, capsys, secs, shown):
+def test_run_pipeline_workdir_digest(tmp_path, capsys):
+    # criterion 8's run: every file it writes, byte for byte, hashed as the
+    # benchmark's corpus op hashes its directory (sorted relative paths and bytes)
+    workdir = tmp_path / "w"
+    assert main(["run-pipeline", "--workdir", str(workdir), "--seed", "0",
+                 "--n-benign", "6", "--n-malicious", "6"]) == 0
+    h = hashlib.sha256()
+    for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(workdir)).encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == "0e3d97a0105f83fa4ae601f2783a0e8062320ef1c8fa495cf711f8afacc008f5"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", ": no feature rows"),
+    ("3,2,1,1.5,0,60,40,50.0,\n", " line 2: bad label ''"),
+], ids=["no-rows", "unlabeled-row"])
+def test_train_and_evaluate_refuse_csv_without_labeled_rows(workspace, tmp_path, capsys,
+                                                           body, message):
+    features = tmp_path / "features.csv"
+    features.write_text((workspace / "features.csv").read_text().splitlines()[0] + "\n" + body)
     model = tmp_path / "model.json"
-    assert main(["train", "--features", str(workspace / "features.csv"), "--cv-folds", "4",
-                 "--session-secs", secs, "--out", str(model)]) == 2
-    assert f"--session-secs {shown} is not positive and finite" in capsys.readouterr().err
+    assert main(["train", "--features", str(features), "--out", str(model)]) == 2
+    assert f"data error: {features}{message}" in capsys.readouterr().err
     assert not model.exists()
+    assert main(["evaluate", "--features", str(features),
+                 "--model-file", str(workspace / "model.json")]) == 2
+    assert f"data error: {features}{message}" in capsys.readouterr().err
 
 
 def test_simulate_nan_jitter_exits_2(tmp_path, capsys):
@@ -389,6 +407,17 @@ def test_policy_apply_with_a_command_exits_1(workspace, tmp_path, capsys):
     assert captured.out == ""
     assert "usage error: --apply takes no policy command, got --create-policy Q" in captured.err
     assert store.read_bytes() == before
+
+
+def test_policy_name_map_without_apply_exits_1(tmp_path, capsys):
+    store = tmp_path / "store.txt"
+    store.write_text("not a policy store\n")  # refused before the store is read
+    assert main(["policy", "--store", str(store), "--name-map", str(tmp_path / "names.json"),
+                 "--create-policy", "q2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: --name-map needs --apply" in captured.err
+    assert store.read_text() == "not a policy store\n"
 
 
 @pytest.mark.parametrize("flag", ["--store", "--apply", "--name-map"])

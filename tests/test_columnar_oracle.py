@@ -6,23 +6,25 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, encode, filter_cnc_candidates
 from botgate.features import count_half_open, extract_features
-from botgate.sessions import sessionize, split_by_device
+from botgate.sessions import SESSION_SECS, sessionize, split_by_device
 from botgate.trace import ACK, FIN, PSH, RST, SYN, PacketRecord, Proto, Trace, quantize_ts
 
 SUBNET = "192.168.1.0/24"
 INTERNAL = ["192.168.1.10", "192.168.1.11", "192.168.1.200"]
 EXTERNAL = ["8.8.8.8", "5.5.5.1", "203.0.113.9"]
-# 0.3 s windows have boundaries i*d that binary floating point cannot hold
-# exactly; 10 s windows share their boundaries with the SAMPLE_T bins
-DURATIONS = [10.0, 7.5, 0.3]
+# the time scale d of a case: at SESSION_SECS its packets fall on and
+# between session-window boundaries; 0.3 s steps have boundaries i*d that
+# binary floating point cannot hold exactly; 10 s steps share their
+# boundaries with the SAMPLE_T bins
+DURATIONS = [SESSION_SECS, 10.0, 7.5, 0.3]
 FLAGS = [SYN, SYN | ACK, ACK, PSH | ACK, FIN | ACK, PSH, RST, 0]
 
 
 @st.composite
 def traces(draw):
-    """(records in input order, window length, encoded span) with packets between
-    internal hosts, timestamps on window boundaries and repeated timestamps,
-    windows left empty; on one connection key an ACK before the first SYN, a
+    """(records in input order, encoded span) with packets between internal
+    hosts, timestamps on steps of the time scale and repeated timestamps,
+    steps left empty; on one connection key an ACK before the first SYN, a
     retransmitted SYN and the responder's SYN|ACK, and on others a SYN that
     the initiator follows with ACK or SYN|ACK."""
     d = draw(st.sampled_from(DURATIONS))
@@ -63,23 +65,23 @@ def traces(draw):
             draw(st.sampled_from(FLAGS)) if proto is Proto.TCP else 0,
             40 + payload, payload,
         ))
-    return draw(st.permutations(records)), d, span
+    return draw(st.permutations(records)), span
 
 
 @settings(max_examples=200, deadline=None)
 @given(traces())
 def test_columnar_matches_scalar_reference(case):
-    records, d, span = case
+    records, span = case
     trace = Trace(packets=records, internal_subnet=SUBNET)
     rows = sorted(records, key=lambda p: p.ts)  # stable: equal timestamps keep input order
     assert list(trace.packets) == rows
 
-    sessions = sessionize(trace, d)
-    expected = ref.sessionize(rows, d, max(rows[-1].ts, d))
+    sessions = sessionize(trace)
+    expected = ref.sessionize(rows, SESSION_SECS, max(rows[-1].ts, SESSION_SECS))
     assert [s.index for s in sessions] == list(range(len(expected)))
     for session, want in zip(sessions, expected):
         assert list(session.packets) == want
-        assert extract_features(session).values() == ref.extract_features(want)
+        assert extract_features(session) == ref.extract_features(want)
         assert count_half_open(session.packets) == ref.count_half_open(want)
 
     devices = split_by_device(trace)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from botgate.errors import DataError
 from botgate.features import (
-    BENIGN, CSV_HEADER, MALICIOUS, FeatureVector, count_half_open,
-    extract_features, read_feature_csv, write_feature_csv,
+    BENIGN, CSV_HEADER, FEATURE_NAMES, MALICIOUS, count_half_open, extract_features,
+    read_feature_csv, write_feature_csv,
 )
 from botgate.sessions import TrafficSession
 from botgate.trace import ACK, FIN, PSH, SYN, PacketRecord, PacketTable, Proto
@@ -18,6 +18,10 @@ def tcp(ts, src, dst, sport, dport, flags, ip_len=40, payload=0):
 
 def session(packets):
     return TrafficSession(0, PacketTable.from_records(sorted(packets, key=lambda p: p.ts)))
+
+
+def named(values):
+    return dict(zip(FEATURE_NAMES, values, strict=True))
 
 
 DEV = "192.168.1.10"
@@ -39,17 +43,20 @@ def test_hand_counted_scan_fixture():
         tcp(3.0, DEV, "5.5.5.3", 40002, 23, SYN, ip_len=44),
         *handshake(10.0, DEV, "9.9.9.9", 50000),
     ]
-    fv = extract_features(session(pkts))
+    values = extract_features(session(pkts))
+    # Python ints for the counts and floats for the means, as the CSV writes them
+    assert [type(v) for v in values] == [int, int, int, float, int, int, int, float]
+    fv = named(values)
     # SYN-only packets went to 4 distinct destinations (incl. the handshake SYN)
-    assert fv.n_uniq_syn_dst == 4
-    assert fv.n_half_open == 3  # the handshake completed
+    assert fv["n_uniq_syn_dst"] == 4
+    assert fv["n_half_open"] == 3  # the handshake completed
     # per-destination packet counts: 1,1,1 scan targets; 9.9.9.9 saw 2, DEV saw 1
-    assert fv.pkts_per_dst_max == 2
-    assert fv.pkts_per_dst_min == 1
-    assert fv.pkts_per_dst_mean == pytest.approx(6 / 5)
-    assert fv.tcp_len_max == 44
-    assert fv.tcp_len_min == 40
-    assert fv.tcp_len_mean == pytest.approx((3 * 44 + 3 * 40) / 6)
+    assert fv["pkts_max"] == 2
+    assert fv["pkts_min"] == 1
+    assert fv["pkts_mean"] == pytest.approx(6 / 5)
+    assert fv["len_max"] == 44
+    assert fv["len_min"] == 40
+    assert fv["len_mean"] == pytest.approx((3 * 44 + 3 * 40) / 6)
 
 
 def test_half_open_semantics():
@@ -76,13 +83,12 @@ def test_half_open_semantics():
 def test_non_tcp_packets_are_ignored():
     scan = [tcp(1.0, DEV, "5.5.5.1", 40000, 23, SYN), tcp(3.0, DEV, "5.5.5.2", 40001, 23, SYN)]
     s = session([*scan, PacketRecord(2.0, DEV, "8.8.8.8", 5000, 53, Proto.UDP, 0, 60, 10)])
-    assert extract_features(s).values() == extract_features(session(scan)).values()
+    assert extract_features(s) == extract_features(session(scan))
     assert len(s.packets) == 3  # input untouched
 
 
 def test_empty_session_is_all_zero():
-    fv = extract_features(session([]))
-    assert fv.values() == [0, 0, 0, 0.0, 0, 0, 0, 0.0]
+    assert extract_features(session([])) == [0, 0, 0, 0.0, 0, 0, 0, 0.0]
 
 
 def test_udp_ignored():
@@ -90,20 +96,21 @@ def test_udp_ignored():
         tcp(1.0, DEV, "5.5.5.1", 40000, 23, SYN),
         PacketRecord(2.0, DEV, "5.5.5.2", 5000, 53, Proto.UDP, 0, 1200, 1172),
     ]
-    fv = extract_features(session(pkts))
-    assert fv.n_uniq_syn_dst == 1
-    assert fv.tcp_len_max == 40  # the UDP length never enters
+    fv = named(extract_features(session(pkts)))
+    assert fv["n_uniq_syn_dst"] == 1
+    assert fv["len_max"] == 40  # the UDP length never enters
 
 
 def test_csv_round_trip(tmp_path):
-    vecs = [
-        FeatureVector(3, 2, 1, 1.5, 3, 60, 40, 50.0, label=MALICIOUS),
-        FeatureVector(0, 5, 1, 2.0, 0, 1500, 40, 400.25, label=BENIGN),
-    ]
+    rows = [[3, 2, 1, 1.5, 3, 60, 40, 50.0], [0, 5, 1, 2.0, 0, 1500, 40, 400.25]]
     path = tmp_path / "features.csv"
-    write_feature_csv(vecs, path)
-    assert path.read_text().splitlines()[0] == ",".join(CSV_HEADER)
-    assert read_feature_csv(path) == vecs
+    write_feature_csv(rows, [MALICIOUS, BENIGN], path)
+    assert path.read_text().splitlines() == [
+        ",".join(CSV_HEADER), "3,2,1,1.5,3,60,40,50.0,MALICIOUS",
+        "0,5,1,2.0,0,1500,40,400.25,BENIGN"]
+    data = read_feature_csv(path)
+    assert data.X.tolist() == rows
+    assert data.y.tolist() == [1, 0]
 
 
 def test_csv_rejects_foreign_header(tmp_path):
@@ -122,8 +129,10 @@ def test_csv_rejects_foreign_header(tmp_path):
     ("3,2,1,nan,0,60,40,50.0,BENIGN", "line 3: non-finite value 'nan'"),
     ("3,2,1,1.5,0,60,40,-inf,BENIGN", "line 3: non-finite value '-inf'"),
     ("3,2,1,1.5,0,60,40,50.0,WHATEVER", "line 3: bad label 'WHATEVER'"),
+    # an unlabeled row cannot be trained or scored on
+    ("3,2,1,1.5,0,60,40,50.0,", "line 3: bad label ''"),
 ], ids=["short", "not-a-number", "infinite-count", "nan-count", "nan-mean", "infinite-mean",
-        "unknown-label"])
+        "unknown-label", "empty-label"])
 def test_csv_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     good = "3,2,1,1.5,0,60,40,50.0,MALICIOUS"
@@ -152,8 +161,8 @@ def tcp_sessions(draw):
 @settings(max_examples=80, deadline=None)
 @given(tcp_sessions())
 def test_feature_sanity_properties(sess):
-    fv = extract_features(sess)
+    fv = named(extract_features(sess))
     assert all(v >= 0 for v in fv.values())
-    assert fv.pkts_per_dst_min <= fv.pkts_per_dst_mean <= fv.pkts_per_dst_max
-    assert fv.tcp_len_min <= fv.tcp_len_mean <= fv.tcp_len_max
-    assert fv.n_uniq_syn_dst <= len({p.dst_ip for p in sess.packets})
+    assert fv["pkts_min"] <= fv["pkts_mean"] <= fv["pkts_max"]
+    assert fv["len_min"] <= fv["len_mean"] <= fv["len_max"]
+    assert fv["n_uniq_syn_dst"] <= len({p.dst_ip for p in sess.packets})

@@ -31,14 +31,14 @@ def model():
     rows, y = [], []
     for rec in gen_dataset(CFG, 16, 16):
         sess = TrafficSession(0, rec.trace.packets)
-        rows.append(extract_features(sess).values())
+        rows.append(extract_features(sess))
         y.append(1 if rec.label == MALICIOUS else 0)
     X, y = np.array(rows), np.array(y)
     scaler = scaler_fit(X)
     Xs = scaler_transform(scaler, X)
     selected = select_k_best(chi2_scores(Xs, y), 6)
     forest = forest_fit(Dataset(Xs[:, selected], y), seed=3)
-    return TrainedModel("forest", forest, scaler, selected, 900.0)
+    return TrainedModel("forest", forest, scaler, selected)
 
 
 def test_averaged_verdict():

@@ -1,7 +1,4 @@
 """Session windowing, filtering and device splitting."""
-import pytest
-
-from botgate.errors import ConfigError
 from botgate.sessions import sessionize, split_by_device
 from botgate.trace import SYN, PacketRecord, Proto, Trace
 
@@ -15,24 +12,18 @@ def make_trace(packets, subnet="192.168.1.0/24"):
 
 
 def test_sessionize_window_assignment():
-    trace = make_trace([tcp(0.0), tcp(9.999), tcp(10.0), tcp(25.0), tcp(31.0)])
-    sessions = sessionize(trace, 10.0)
+    trace = make_trace([tcp(0.0), tcp(899.999), tcp(900.0), tcp(2250.0), tcp(2790.0)])
+    sessions = sessionize(trace)
     assert [s.index for s in sessions] == [0, 1, 2]
-    assert [len(s.packets) for s in sessions] == [2, 1, 1]  # 31.0 is in a partial window
-    assert sessions[1].packets[0].ts == 10.0  # boundary goes to the next window
+    assert [len(s.packets) for s in sessions] == [2, 1, 1]  # 2790.0 is in a partial window
+    assert sessions[1].packets[0].ts == 900.0  # boundary goes to the next window
 
 
 def test_sessionize_span_defaults_to_last_packet():
-    trace = make_trace([tcp(1.0), tcp(29.0)])
-    assert len(sessionize(trace, 10.0)) == 2  # floor(29/10); partial window dropped
+    trace = make_trace([tcp(1.0), tcp(2610.0)])
+    assert len(sessionize(trace)) == 2  # floor(2610/900); partial window dropped
     # but a capture shorter than one window is still one window
-    assert [len(s.packets) for s in sessionize(make_trace([tcp(1.0)]), 10.0)] == [1]
-
-
-def test_sessionize_rejects_bad_duration():
-    trace = make_trace([tcp(1.0)])
-    with pytest.raises(ConfigError):
-        sessionize(trace, 0.0)
+    assert [len(s.packets) for s in sessionize(make_trace([tcp(1.0)]))] == [1]
 
 
 def test_split_by_device():
