@@ -26,9 +26,7 @@ from .features import (
     BENIGN, FEATURE_NAMES, MALICIOUS, extract_features, read_feature_csv, write_feature_csv,
 )
 from .pipeline import DetectionReport, analyze_devices, run_pipeline
-from .policy import (
-    PolicyStore, apply_policies, load_store, parse_policy_command, save_store,
-)
+from .policy import PolicyStore, apply_policies, load_store, save_store
 from .preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best
 from .sessions import sessionize
 from .synth import BeaconProfile, SynthConfig, gen_dataset
@@ -184,14 +182,9 @@ def cmd_policy(args) -> int:
                     and all(isinstance(ip, str) for ip in name_map.values())):
                 raise DataError(f"bad name map {args.name_map}: expected a JSON object "
                                 f"of device names to IP strings")
-        plan = apply_policies(store, report.infected_devices, name_map)
-        print(json.dumps(
-            [{"device": p.device_ip, "action": p.action.value,
-              "policy": p.policy, "allowlist": p.allowlist} for p in plan],
-            indent=2))
+        print(json.dumps(apply_policies(store, report.infected_devices, name_map), indent=2))
         return 0
-    cmd = parse_policy_command(args.command)
-    store.apply_command(cmd)
+    store.apply_command(args.command)
     save_store(store, store_path)
     print(f"ok: {' '.join(args.command)}")
     return 0
@@ -199,7 +192,14 @@ def cmd_policy(args) -> int:
 
 def cmd_run_pipeline(args) -> int:
     """Convenience chain: simulate -> featurize -> train -> detect."""
-    select_k_best(np.zeros(len(FEATURE_NAMES)), args.k_best)  # train's check, before any write
+    # train's refusals that the session counts decide, before any write
+    select_k_best(np.zeros(len(FEATURE_NAMES)), args.k_best)
+    if args.model == "gnb" and not (args.n_benign and args.n_malicious):
+        raise DataError("GNB needs samples from both classes")
+    if args.n_benign + args.n_malicious < 5:
+        raise DataError("need at least 5 rows for 5-fold CV")
+    if not args.n_malicious:
+        raise DataError("corpus has no malicious sessions to detect on")
     workdir = Path(args.workdir)
     corpus = workdir / "corpus"
     _write_corpus(corpus, SynthConfig(seed=args.seed), args.n_benign, args.n_malicious)
@@ -214,11 +214,8 @@ def cmd_run_pipeline(args) -> int:
     cmd_train(train_args)
 
     # detect on the first malicious trace of the corpus
-    malicious = [e for e in _read_manifest(corpus) if e["label"] == MALICIOUS]
-    if not malicious:
-        raise BotgateError("corpus has no malicious sessions to detect on")
-    model = load_model(workdir / "model.json")
-    report = run_pipeline(load_trace(malicious[0]["file"]), model)
+    first = next(e for e in _read_manifest(corpus) if e["label"] == MALICIOUS)
+    report = run_pipeline(load_trace(first["file"]), load_model(workdir / "model.json"))
     report_path = workdir / "report.json"
     report_path.write_text(report.to_text())
     print(f"report written to {report_path}")

@@ -99,6 +99,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _whole(text: str, column: str) -> int:
+    value = float(text)
+    if value != int(value):  # int() refuses infinity and NaN first
+        raise ValueError(f"column {column}: count {text!r} is not a whole number")
+    return int(value)
+
+
 def read_feature_csv(path) -> Dataset:
     """The labeled rows ``write_feature_csv`` writes, as X and y (1 for
     MALICIOUS); DataError naming the file, and the line, for any other
@@ -116,7 +123,7 @@ def read_feature_csv(path) -> Dataset:
                 if row[8] not in (BENIGN, MALICIOUS):
                     raise ValueError(f"bad label {row[8]!r}")
                 # columns 3 and 7 are means; the others are counts
-                X.append([_finite(v) if j in (3, 7) else int(float(v))
+                X.append([_finite(v) if j in (3, 7) else _whole(v, CSV_HEADER[j])
                           for j, v in enumerate(row[:8])])
                 y.append(int(row[8] == MALICIOUS))
         except (ValueError, OverflowError, csv.Error) as exc:

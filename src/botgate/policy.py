@@ -1,12 +1,13 @@
-"""Policy engine: command grammar, persistent store and detection-to-action
-mapping. The engine emits a declarative action plan; enforcement is someone
+"""Policy engine: a store of named policies, each an ordered list of
+device-to-action bindings; the argv command grammar that edits it
+(``PolicyStore.apply_command``); its text file; and the detection-to-action
+plan. The engine emits a declarative action plan; enforcement is someone
 else's job."""
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import DataError, PolicyError, write_text_atomic
 
@@ -33,39 +34,7 @@ class Binding:
             raise PolicyError("allowlist only valid with RESTRICT_TO_SECURE_DOMAINS")
 
 
-@dataclass
-class Policy:
-    name: str
-    bindings: list[Binding] = field(default_factory=list)
-
-
-# --- command grammar -------------------------------------------------------
-
-@dataclass
-class CreatePolicy:
-    name: str
-
-@dataclass
-class AddAction:
-    policy: str
-    device: str
-    action: PolicyAction
-    allowlist: list[str] = field(default_factory=list)
-
-@dataclass
-class DeleteAction:
-    policy: str
-    device: str
-    action: PolicyAction
-
-@dataclass
-class DeletePolicy:
-    name: str
-
-Command = Union[CreatePolicy, AddAction, DeleteAction, DeletePolicy]
-
-_VERBS = {"--create-policy", "--add-action", "--delete-action", "--delete-policy"}
-_ACTION_FLAGS = {"--dev", "--action", "--allow"}
+_ACTION_FLAGS = ("--dev", "--action", "--allow")
 
 
 def _parse_action(token: str, pos: int) -> PolicyAction:
@@ -84,102 +53,84 @@ def _field(token: str, what: str) -> str:
     return token
 
 
-def parse_policy_command(text: Union[str, list[str]]) -> Command:
-    """Parse the four policy-engine command shapes.
-
-    Accepts either the full ``policy-engine --verb ...`` string or a
-    pre-split argument list (leading ``policy-engine`` optional)."""
-    tokens = shlex.split(text) if isinstance(text, str) else list(text)
-    if tokens and tokens[0] == "policy-engine":
-        tokens = tokens[1:]
-    if not tokens:
-        raise PolicyError("empty policy command")
-    verb = tokens[0]
-    if verb not in _VERBS:
-        raise PolicyError(f"token 1: unknown verb {verb!r}")
-    args = tokens[1:]
-    if verb in ("--create-policy", "--delete-policy"):
-        if len(args) != 1 or args[0].startswith("--"):
-            raise PolicyError(f"usage: policy-engine {verb} <policy-name>")
-        name = _field(args[0], "policy name")
-        return CreatePolicy(name) if verb == "--create-policy" else DeletePolicy(name)
-
-    if not args or args[0].startswith("--"):
-        raise PolicyError(f"usage: policy-engine {verb} <policy-name> --dev ... --action ...")
-    name, rest = _field(args[0], "policy name"), args[1:]
-    flags: dict[str, str] = {}
-    i = 0
-    while i < len(rest):
-        flag = rest[i]
-        if flag not in _ACTION_FLAGS:
-            raise PolicyError(f"token {i + 3}: unknown flag {flag!r}")
-        if i + 1 >= len(rest):
-            raise PolicyError(f"flag {flag} needs a value")
-        if flag in flags:
-            raise PolicyError(f"duplicate flag {flag}")
-        flags[flag] = rest[i + 1]
-        i += 2
-    if "--dev" not in flags or "--action" not in flags:
-        raise PolicyError(f"{verb} requires --dev and --action")
-    device = _field(flags["--dev"], "device")
-    # rest alternates flag, value; the verb is token 1, so rest[j] is token j + 3
-    action = _parse_action(flags["--action"], 2 * rest[::2].index("--action") + 4)
-    allow = [_field(d, "allowlist entry") for d in flags["--allow"].split(",")] \
-        if "--allow" in flags else []
-    if verb == "--add-action":
-        if action is PolicyAction.RESTRICT_TO_SECURE_DOMAINS and not allow:
-            raise PolicyError("RESTRICT_TO_SECURE_DOMAINS requires --allow with an allowlist")
-        return AddAction(policy=name, device=device, action=action, allowlist=allow)
-    if allow:
-        raise PolicyError("--allow is only valid with --add-action")
-    return DeleteAction(policy=name, device=device, action=action)
-
-
-# --- store -----------------------------------------------------------------
-
 class PolicyStore:
-    """Ordered set of uniquely named policies."""
+    """Uniquely named policies, in creation order, each a list of bindings."""
 
     def __init__(self):
-        self.policies: dict[str, Policy] = {}
+        self.policies: dict[str, list[Binding]] = {}
 
-    def apply_command(self, cmd: Command) -> None:
-        if isinstance(cmd, CreatePolicy):
-            if cmd.name in self.policies:
-                raise PolicyError(f"policy {cmd.name!r} already exists")
-            self.policies[cmd.name] = Policy(name=cmd.name)
-        elif isinstance(cmd, DeletePolicy):
-            if cmd.name not in self.policies:
-                raise PolicyError(f"no such policy {cmd.name!r}")
-            del self.policies[cmd.name]
-        elif isinstance(cmd, AddAction):
-            pol = self.policies.get(cmd.policy)
-            if pol is None:
-                raise PolicyError(f"no such policy {cmd.policy!r}")
-            pol.bindings.append(Binding(cmd.device, cmd.action, cmd.allowlist))
-        elif isinstance(cmd, DeleteAction):
-            pol = self.policies.get(cmd.policy)
-            if pol is None:
-                raise PolicyError(f"no such policy {cmd.policy!r}")
-            before = len(pol.bindings)
-            pol.bindings = [
-                b for b in pol.bindings
-                if not (b.device == cmd.device and b.action == cmd.action)
-            ]
-            if len(pol.bindings) == before:
-                raise PolicyError(
-                    f"no binding ({cmd.device}, {cmd.action.value}) in {cmd.policy!r}")
-        else:
-            raise PolicyError(f"unknown command {cmd!r}")
+    def _create(self, name: str) -> None:
+        if name in self.policies:
+            raise PolicyError(f"policy {name!r} already exists")
+        self.policies[name] = []
+
+    def _bindings(self, name: str) -> list[Binding]:
+        if name not in self.policies:
+            raise PolicyError(f"no such policy {name!r}")
+        return self.policies[name]
+
+    def apply_command(self, tokens: list[str]) -> None:
+        """Parse one command and apply it: ``--create-policy NAME``,
+        ``--delete-policy NAME``, ``--add-action NAME --dev DEV --action
+        ACTION [--allow DOMAIN,...]`` or ``--delete-action NAME --dev DEV
+        --action ACTION``. PolicyError, with the store unchanged, for a
+        malformed command or one the store cannot take."""
+        if not tokens:
+            raise PolicyError("empty policy command")
+        verb, args = tokens[0], tokens[1:]
+        if verb in ("--create-policy", "--delete-policy"):
+            if len(args) != 1 or args[0].startswith("--"):
+                raise PolicyError(f"usage: policy-engine {verb} <policy-name>")
+            name = _field(args[0], "policy name")
+            if verb == "--create-policy":
+                self._create(name)
+            else:
+                self._bindings(name)  # refuses an unknown name
+                del self.policies[name]
+            return
+        if verb not in ("--add-action", "--delete-action"):
+            raise PolicyError(f"token 1: unknown verb {verb!r}")
+        if not args or args[0].startswith("--"):
+            raise PolicyError(f"usage: policy-engine {verb} <policy-name> --dev ... --action ...")
+        name, rest = _field(args[0], "policy name"), args[1:]
+        flags: dict[str, str] = {}
+        for i in range(0, len(rest), 2):
+            flag = rest[i]
+            if flag not in _ACTION_FLAGS:
+                raise PolicyError(f"token {i + 3}: unknown flag {flag!r}")
+            if i + 1 >= len(rest):
+                raise PolicyError(f"flag {flag} needs a value")
+            if flag in flags:
+                raise PolicyError(f"duplicate flag {flag}")
+            flags[flag] = rest[i + 1]
+        if "--dev" not in flags or "--action" not in flags:
+            raise PolicyError(f"{verb} requires --dev and --action")
+        device = _field(flags["--dev"], "device")
+        # rest alternates flag, value; the verb is token 1, so rest[j] is token j + 3
+        action = _parse_action(flags["--action"], 2 * rest[::2].index("--action") + 4)
+        allow = [_field(d, "allowlist entry") for d in flags["--allow"].split(",")] \
+            if "--allow" in flags else []
+        if verb == "--add-action":
+            if action is PolicyAction.RESTRICT_TO_SECURE_DOMAINS and not allow:
+                raise PolicyError("RESTRICT_TO_SECURE_DOMAINS requires --allow with an allowlist")
+            self._bindings(name).append(Binding(device, action, allow))
+            return
+        if allow:
+            raise PolicyError("--allow is only valid with --add-action")
+        bindings = self._bindings(name)
+        kept = [b for b in bindings if not (b.device == device and b.action is action)]
+        if len(kept) == len(bindings):
+            raise PolicyError(f"no binding ({device}, {action.value}) in {name!r}")
+        self.policies[name] = kept
 
 
 def save_store(store: PolicyStore, path) -> None:
     lines = [STORE_HEADER]
-    for pol in store.policies.values():
-        lines.append(f"policy {pol.name}")
-        for b in pol.bindings:
-            allow = "," .join(b.allowlist)
-            lines.append(f"bind {pol.name} {b.device} {b.action.value}"
+    for name, bindings in store.policies.items():
+        lines.append(f"policy {name}")
+        for b in bindings:
+            allow = ",".join(b.allowlist)
+            lines.append(f"bind {name} {b.device} {b.action.value}"
                          + (f" {allow}" if allow else ""))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
@@ -199,12 +150,11 @@ def load_store(path) -> PolicyStore:
             if not parts:
                 continue
             if parts[0] == "policy" and len(parts) == 2:
-                store.apply_command(CreatePolicy(parts[1]))
+                store._create(parts[1])
             elif parts[0] == "bind" and len(parts) in (4, 5):
+                action = _parse_action(parts[3], 4)
                 allow = parts[4].split(",") if len(parts) == 5 else []
-                store.apply_command(AddAction(
-                    policy=parts[1], device=parts[2],
-                    action=_parse_action(parts[3], 4), allowlist=allow))
+                store._bindings(parts[1]).append(Binding(parts[2], action, allow))
             else:
                 raise PolicyError(f"unparseable store record {line!r}")
         except UnicodeDecodeError:
@@ -214,36 +164,22 @@ def load_store(path) -> PolicyStore:
     return store
 
 
-# --- applying policies -----------------------------------------------------
-
-@dataclass
-class PlanEntry:
-    device_ip: str
-    action: PolicyAction
-    policy: Optional[str]           # None when the default applied
-    allowlist: list[str] = field(default_factory=list)
-
-
 def apply_policies(store: PolicyStore, infected_devices: list[str],
-                   name_map: Optional[dict[str, str]] = None) -> list[PlanEntry]:
-    """One plan entry per infected device: first device-specific binding wins,
-    then the first wildcard binding, then MONITOR_ONLY."""
-    name_map = name_map or {}
-    ip_names = {ip: name for name, ip in name_map.items()}
+                   name_map: Optional[dict[str, str]] = None) -> list[dict]:
+    """One plan entry per infected device, as ``policy --apply`` prints it:
+    the first device-specific binding wins, then the first wildcard binding,
+    then MONITOR_ONLY under no policy."""
+    ip_names = {ip: name for name, ip in (name_map or {}).items()}
     plan = []
     for ip in infected_devices:
         specific = wildcard = None
-        for pol in store.policies.values():
-            for b in pol.bindings:
-                matches_dev = b.device == ip or b.device == ip_names.get(ip)
-                if matches_dev and specific is None:
-                    specific = (pol, b)
+        for name, bindings in store.policies.items():
+            for b in bindings:
+                if b.device in (ip, ip_names.get(ip)) and specific is None:
+                    specific = (name, b)
                 elif b.device == WILDCARD and wildcard is None:
-                    wildcard = (pol, b)
-        chosen = specific or wildcard
-        if chosen:
-            pol, b = chosen
-            plan.append(PlanEntry(ip, b.action, pol.name, list(b.allowlist)))
-        else:
-            plan.append(PlanEntry(ip, PolicyAction.MONITOR_ONLY, None))
+                    wildcard = (name, b)
+        name, b = specific or wildcard or (None, Binding(ip, PolicyAction.MONITOR_ONLY))
+        plan.append({"device": ip, "action": b.action.value, "policy": name,
+                     "allowlist": list(b.allowlist)})
     return plan

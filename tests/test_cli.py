@@ -11,6 +11,7 @@ import pytest
 from botgate.baselines import walker_test
 from botgate.cli import _parse_policy_argv, build_parser, main
 from botgate.pipeline import analyze_devices
+from botgate.policy import PolicyStore
 from botgate.sessions import SESSION_SECS
 from botgate.trace import load_trace
 
@@ -341,10 +342,59 @@ def test_run_pipeline_workdir_digest(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_policy_command_sequence_digest(tmp_path, capsys):
+    # every exit code, message, store file and action plan of a fixed sequence
+    # of policy commands, byte for byte
+    store, report, names = tmp_path / "store.txt", tmp_path / "r.json", tmp_path / "names.json"
+    report.write_text(json.dumps({
+        "session_verdicts": [], "averaged_verdict": "MALICIOUS", "window": 1,
+        "stage2_ran": True, "infected_devices": ["192.168.1.10", "192.168.1.11", "192.168.1.12"],
+        "device_diagnostics": {}, "bdcs_score": None, "stage1_false_positive": False}))
+    names.write_text('{"cam-2": "192.168.1.11"}')
+    apply, mapped = ["--apply", str(report)], ["--apply", str(report), "--name-map", str(names)]
+    commands = [
+        ["--create-policy", "quarantine"],
+        ["--add-action", "quarantine", "--dev", "cam-2", "--action",
+         "RESTRICT_TO_SECURE_DOMAINS", "--allow", "vendor.example.com,ntp.org"],
+        ["--add-action", "quarantine", "--dev", "*", "--action", "BLOCK_ALL"],
+        ["--create-policy", "soft"],
+        ["--add-action", "soft", "--dev", "192.168.1.10", "--action", "MONITOR_ONLY"],
+        ["--add-action", "soft", "--dev", "192.168.1.12", "--action", "BLOCK_ALL"],
+        ["--create-policy", "soft"],
+        ["--add-action", "ghost", "--dev", "x", "--action", "BLOCK_ALL"],
+        ["--delete-action", "soft", "--dev", "192.168.1.10", "--action", "BLOCK_ALL"],
+        apply, mapped,
+        ["--delete-action", "soft", "--dev", "192.168.1.12", "--action", "BLOCK_ALL"],
+        ["--delete-policy", "quarantine"],
+        apply, mapped,
+    ]
+    h, codes = hashlib.sha256(), []
+    for command in commands:
+        code, out, err = _run(["policy", "--store", str(store), *command], capsys)
+        codes.append(code)
+        h.update(f"{code}\0{out}\0{err}\0".encode() + store.read_bytes() + b"\0")
+    assert codes == [0] * 6 + [1] * 3 + [0] * 6
+    assert h.hexdigest() == "fde0e238ce10bdb4ab4c13d16b1c8c72dd69a871a2dfbf63c2fe9a27e17bda3e"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-malicious", "0"], "corpus has no malicious sessions to detect on"),
+    (["--n-benign", "2", "--n-malicious", "2"], "need at least 5 rows for 5-fold CV"),
+    (["--model", "gnb", "--n-benign", "0"], "GNB needs samples from both classes"),
+], ids=["no-malicious", "four-sessions", "gnb-one-class"])
+def test_run_pipeline_refuses_counts_before_writing(tmp_path, capsys, flags, message):
+    workdir = tmp_path / "w"
+    assert main(["run-pipeline", "--workdir", str(workdir), *flags]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not workdir.exists()
+
+
 @pytest.mark.parametrize("body, message", [
     ("", ": no feature rows"),
     ("3,2,1,1.5,0,60,40,50.0,\n", " line 2: bad label ''"),
-], ids=["no-rows", "unlabeled-row"])
+    ("3,2,1,1.5,0.5,60,40,50.0,BENIGN\n",
+     " line 2: column n_half_open: count '0.5' is not a whole number"),
+], ids=["no-rows", "unlabeled-row", "fractional-count"])
 def test_train_and_evaluate_refuse_csv_without_labeled_rows(workspace, tmp_path, capsys,
                                                            body, message):
     features = tmp_path / "features.csv"
@@ -429,6 +479,13 @@ def test_policy_repeated_flag_exits_1(tmp_path, capsys, flag):
     assert main(argv) == 1
     assert f"usage error: duplicate flag {flag}" in capsys.readouterr().err
     assert not any(p.exists() for p in paths)
+
+
+def test_policy_engine_prefix_exits_1(tmp_path, capsys):
+    store = tmp_path / "store.txt"
+    assert main(["policy", "--store", str(store), "policy-engine", "--create-policy", "q"]) == 1
+    assert "usage error: token 1: unknown verb 'policy-engine'" in capsys.readouterr().err
+    assert not store.exists()
 
 
 @pytest.mark.parametrize("command, token", [
@@ -548,14 +605,18 @@ def test_parser_reuse_in_one_process(workspace, tmp_path, capsys):
 
 
 def test_readme_cli_lines_parse():
-    """Every ``botgate ...`` line of README's CLI block parses, and the block
-    shows exactly the parser's subcommands."""
+    """Every ``botgate ...`` line of README's CLI block parses, its policy
+    commands apply in turn to a fresh store, and the block shows exactly the
+    parser's subcommands."""
     block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line)[1:] for line in block.splitlines()
              if line.startswith("botgate ")]
+    store = PolicyStore()
     for argv in lines:
         if argv[0] == "policy":
-            _parse_policy_argv(argv[1:])
+            args = _parse_policy_argv(argv[1:])
+            if not args.apply:
+                store.apply_command(args.command)
         else:
             build_parser().parse_args(argv)
     commands = next(a.choices for a in build_parser()._actions if a.dest == "command_name")

@@ -131,8 +131,11 @@ def test_csv_rejects_foreign_header(tmp_path):
     ("3,2,1,1.5,0,60,40,50.0,WHATEVER", "line 3: bad label 'WHATEVER'"),
     # an unlabeled row cannot be trained or scored on
     ("3,2,1,1.5,0,60,40,50.0,", "line 3: bad label ''"),
+    # a fractional count used to be truncated into the model file's scaler
+    ("1.9,2,1,1.5,0,60,40,50.0,BENIGN",
+     "line 3: column n_uniq_syn_dst: count '1.9' is not a whole number"),
 ], ids=["short", "not-a-number", "infinite-count", "nan-count", "nan-mean", "infinite-mean",
-        "unknown-label", "empty-label"])
+        "unknown-label", "empty-label", "fractional-count"])
 def test_csv_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     good = "3,2,1,1.5,0,60,40,50.0,MALICIOUS"

@@ -5,55 +5,59 @@ from hypothesis import strategies as st
 
 from botgate.errors import DataError, PolicyError
 from botgate.policy import (
-    AddAction, Binding, CreatePolicy, DeleteAction, DeletePolicy, PolicyAction,
-    PolicyStore, apply_policies, load_store, parse_policy_command, save_store,
+    Binding, PolicyAction, PolicyStore, apply_policies, load_store, save_store,
 )
 
 
+def _store(*commands: str) -> PolicyStore:
+    store = PolicyStore()
+    for command in commands:
+        store.apply_command(command.split())
+    return store
+
+
 def test_parse_all_four_verbs():
-    cmd = parse_policy_command("policy-engine --create-policy quarantine")
-    assert cmd == CreatePolicy("quarantine")
+    store = _store("--create-policy quarantine")
+    assert store.policies == {"quarantine": []}
 
-    cmd = parse_policy_command(
-        "policy-engine --add-action quarantine --dev 192.168.1.10 --action BLOCK_ALL")
-    assert cmd == AddAction("quarantine", "192.168.1.10", PolicyAction.BLOCK_ALL)
+    store.apply_command(
+        "--add-action quarantine --dev 192.168.1.10 --action BLOCK_ALL".split())
+    assert store.policies["quarantine"] == [Binding("192.168.1.10", PolicyAction.BLOCK_ALL)]
 
-    cmd = parse_policy_command(
-        "policy-engine --add-action soften --dev cam-1 "
-        "--action RESTRICT_TO_SECURE_DOMAINS --allow vendor.example.com,ntp.org")
-    assert cmd == AddAction("soften", "cam-1", PolicyAction.RESTRICT_TO_SECURE_DOMAINS,
-                            ["vendor.example.com", "ntp.org"])
+    store.apply_command("--create-policy soften".split())
+    store.apply_command(
+        "--add-action soften --dev cam-1 "
+        "--action RESTRICT_TO_SECURE_DOMAINS --allow vendor.example.com,ntp.org".split())
+    assert store.policies["soften"] == [Binding(
+        "cam-1", PolicyAction.RESTRICT_TO_SECURE_DOMAINS, ["vendor.example.com", "ntp.org"])]
 
-    cmd = parse_policy_command(
-        "policy-engine --delete-action quarantine --dev 192.168.1.10 --action BLOCK_ALL")
-    assert cmd == DeleteAction("quarantine", "192.168.1.10", PolicyAction.BLOCK_ALL)
+    store.apply_command(
+        "--delete-action quarantine --dev 192.168.1.10 --action BLOCK_ALL".split())
+    assert store.policies["quarantine"] == []
 
-    cmd = parse_policy_command("policy-engine --delete-policy quarantine")
-    assert cmd == DeletePolicy("quarantine")
-
-    # the leading program token is optional; token lists work too
-    assert parse_policy_command(["--create-policy", "p1"]) == CreatePolicy("p1")
+    store.apply_command("--delete-policy quarantine".split())
+    assert list(store.policies) == ["soften"]
 
 
 def test_parse_errors():
-    with pytest.raises(PolicyError, match="verb"):
-        parse_policy_command("policy-engine --frobnicate x")
-    with pytest.raises(PolicyError):
-        parse_policy_command("")
-    with pytest.raises(PolicyError, match="usage"):
-        parse_policy_command("--create-policy")
-    with pytest.raises(PolicyError, match="unknown action"):
-        parse_policy_command("--add-action p --dev d --action NUKE")
-    with pytest.raises(PolicyError, match="requires --dev"):
-        parse_policy_command("--add-action p --dev d")
-    with pytest.raises(PolicyError, match="needs a value"):
-        parse_policy_command("--add-action p --dev d --action")
-    with pytest.raises(PolicyError, match="duplicate"):
-        parse_policy_command("--add-action p --dev d --dev e --action BLOCK_ALL")
-    with pytest.raises(PolicyError, match="only valid with --add-action"):
-        parse_policy_command("--delete-action p --dev d --action BLOCK_ALL --allow x")
-    with pytest.raises(PolicyError, match="allowlist"):
-        parse_policy_command("--add-action p --dev d --action RESTRICT_TO_SECURE_DOMAINS")
+    store = _store("--create-policy p", "--add-action p --dev d --action BLOCK_ALL")
+    before = {"p": [Binding("d", PolicyAction.BLOCK_ALL)]}
+    for command, match in [
+        ("--frobnicate x", "token 1: unknown verb '--frobnicate'"),
+        ("policy-engine --create-policy q", "token 1: unknown verb 'policy-engine'"),
+        ("", "empty policy command"),
+        ("--create-policy", "usage"),
+        ("--add-action p --dev d --action NUKE", "unknown action"),
+        ("--add-action p --dev d", "requires --dev"),
+        ("--add-action p --dev d --action", "needs a value"),
+        ("--add-action p --dev d --dev e --action BLOCK_ALL", "duplicate"),
+        ("--delete-action p --dev d --action BLOCK_ALL --allow x",
+         "only valid with --add-action"),
+        ("--add-action p --dev d --action RESTRICT_TO_SECURE_DOMAINS", "allowlist"),
+    ]:
+        with pytest.raises(PolicyError, match=match):
+            store.apply_command(command.split())
+        assert store.policies == before
 
 
 def test_binding_validation():
@@ -64,39 +68,36 @@ def test_binding_validation():
 
 
 def test_store_lifecycle():
-    store = PolicyStore()
-    store.apply_command(CreatePolicy("p1"))
+    store = _store("--create-policy p1")
     with pytest.raises(PolicyError, match="already exists"):
-        store.apply_command(CreatePolicy("p1"))
-    store.apply_command(AddAction("p1", "192.168.1.10", PolicyAction.BLOCK_ALL))
+        store.apply_command(["--create-policy", "p1"])
+    store.apply_command("--add-action p1 --dev 192.168.1.10 --action BLOCK_ALL".split())
     with pytest.raises(PolicyError, match="no such policy"):
-        store.apply_command(AddAction("ghost", "d", PolicyAction.BLOCK_ALL))
+        store.apply_command("--add-action ghost --dev d --action BLOCK_ALL".split())
     with pytest.raises(PolicyError, match="no binding"):
-        store.apply_command(DeleteAction("p1", "192.168.1.10", PolicyAction.MONITOR_ONLY))
-    store.apply_command(DeleteAction("p1", "192.168.1.10", PolicyAction.BLOCK_ALL))
-    assert store.policies["p1"].bindings == []
-    store.apply_command(DeletePolicy("p1"))
+        store.apply_command("--delete-action p1 --dev 192.168.1.10 --action MONITOR_ONLY".split())
+    store.apply_command("--delete-action p1 --dev 192.168.1.10 --action BLOCK_ALL".split())
+    assert store.policies["p1"] == []
+    store.apply_command(["--delete-policy", "p1"])
     assert store.policies == {}
     with pytest.raises(PolicyError):
-        store.apply_command(DeletePolicy("p1"))
+        store.apply_command(["--delete-policy", "p1"])
 
 
 def test_store_round_trip(tmp_path):
-    store = PolicyStore()
-    for cmd in (
-        CreatePolicy("quarantine"),
-        AddAction("quarantine", "192.168.1.10", PolicyAction.BLOCK_ALL),
-        AddAction("quarantine", "*", PolicyAction.MONITOR_ONLY),
-        CreatePolicy("soften"),
-        AddAction("soften", "cam-1", PolicyAction.RESTRICT_TO_SECURE_DOMAINS,
-                  ["vendor.example.com", "ntp.org"]),
-    ):
-        store.apply_command(cmd)
+    store = _store(
+        "--create-policy quarantine",
+        "--add-action quarantine --dev 192.168.1.10 --action BLOCK_ALL",
+        "--add-action quarantine --dev * --action MONITOR_ONLY",
+        "--create-policy soften",
+        "--add-action soften --dev cam-1 --action RESTRICT_TO_SECURE_DOMAINS "
+        "--allow vendor.example.com,ntp.org",
+    )
     path = tmp_path / "policies.txt"
     save_store(store, path)
     loaded = load_store(path)
     assert loaded.policies.keys() == store.policies.keys()
-    assert loaded.policies["soften"].bindings == store.policies["soften"].bindings
+    assert loaded.policies["soften"] == store.policies["soften"]
     save_store(loaded, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
@@ -121,9 +122,11 @@ def test_accepted_commands_round_trip_through_the_store(tmp_path_factory, comman
     path = tmp_path_factory.mktemp("store") / "policies.txt"
     store = PolicyStore()
     for tokens in commands:
+        before = {name: list(bindings) for name, bindings in store.policies.items()}
         try:
-            store.apply_command(parse_policy_command(tokens))
+            store.apply_command(tokens)
         except PolicyError:
+            assert store.policies == before  # a refused command changes nothing
             continue
         save_store(store, path)
         assert load_store(path).policies == store.policies
@@ -140,30 +143,29 @@ def test_load_rejects_garbage(tmp_path):
 
 
 def test_apply_policies_precedence():
-    store = PolicyStore()
-    store.apply_command(CreatePolicy("p"))
-    store.apply_command(AddAction("p", "*", PolicyAction.MONITOR_ONLY))
-    store.apply_command(AddAction("p", "192.168.1.10", PolicyAction.BLOCK_ALL))
-    store.apply_command(AddAction("p", "cam-2", PolicyAction.RESTRICT_TO_SECURE_DOMAINS,
-                                  ["ntp.org"]))
+    store = _store(
+        "--create-policy p",
+        "--add-action p --dev * --action MONITOR_ONLY",
+        "--add-action p --dev 192.168.1.10 --action BLOCK_ALL",
+        "--add-action p --dev cam-2 --action RESTRICT_TO_SECURE_DOMAINS --allow ntp.org",
+    )
     plan = apply_policies(
         store,
         ["192.168.1.10", "192.168.1.11", "192.168.1.12"],
         name_map={"cam-2": "192.168.1.11"},
     )
-    by_dev = {p.device_ip: p for p in plan}
+    by_dev = {p["device"]: p for p in plan}
     # device-specific binding beats the wildcard
-    assert by_dev["192.168.1.10"].action is PolicyAction.BLOCK_ALL
+    assert by_dev["192.168.1.10"]["action"] == "BLOCK_ALL"
     # symbolic names resolve through the map
-    assert by_dev["192.168.1.11"].action is PolicyAction.RESTRICT_TO_SECURE_DOMAINS
-    assert by_dev["192.168.1.11"].allowlist == ["ntp.org"]
+    assert by_dev["192.168.1.11"]["action"] == "RESTRICT_TO_SECURE_DOMAINS"
+    assert by_dev["192.168.1.11"]["allowlist"] == ["ntp.org"]
     # otherwise the wildcard applies
-    assert by_dev["192.168.1.12"].action is PolicyAction.MONITOR_ONLY
-    assert by_dev["192.168.1.12"].policy == "p"
+    assert by_dev["192.168.1.12"]["action"] == "MONITOR_ONLY"
+    assert by_dev["192.168.1.12"]["policy"] == "p"
 
 
 def test_apply_policies_default():
     plan = apply_policies(PolicyStore(), ["192.168.1.10"])
-    assert len(plan) == 1
-    assert plan[0].action is PolicyAction.MONITOR_ONLY
-    assert plan[0].policy is None
+    assert plan == [{"device": "192.168.1.10", "action": "MONITOR_ONLY", "policy": None,
+                     "allowlist": []}]
