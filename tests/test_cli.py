@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from botgate.cli import _parse_policy_argv, build_parser, main
 from botgate.pipeline import analyze_devices
 from botgate.policy import PolicyStore
 from botgate.sessions import SESSION_SECS
-from botgate.trace import load_trace
+from botgate.synth import gen_cnc_beacon
+from botgate.trace import PacketTable, Trace, load_trace, parse_ip, save_trace
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -340,6 +342,40 @@ def test_run_pipeline_workdir_digest(tmp_path, capsys):
         h.update(str(path.relative_to(workdir)).encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == "0e3d97a0105f83fa4ae601f2783a0e8062320ef1c8fa495cf711f8afacc008f5"
     capsys.readouterr()
+
+
+def test_stage2_outputs_digest(workspace, tmp_path, capsys):
+    # the detect report, baseline and evaluate --traces bytes of the first
+    # malicious capture (15 devices, 14 without a candidate) and of a copy with
+    # a UDP beacon from a new device 192.168.1.9 to 192.168.1.104, so that each
+    # beacon packet is a candidate of two devices
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    capture = corpus / f"session_{N_BENIGN:05d}.trace"
+    trace = load_trace(capture)
+    beacon = gen_cnc_beacon(60.0, 0.0, SESSION_SECS, [7], protocol="UDP",
+                            device_ip="192.168.1.9")
+    beacon.dst[:] = parse_ip("192.168.1.104")
+    index = N_BENIGN + N_MALICIOUS
+    both = corpus / f"session_{index:05d}.trace"
+    save_trace(Trace(PacketTable.concat([trace.packets, beacon]), trace.internal_subnet), both)
+    with open(corpus / "manifest.tsv", "a") as fh:
+        fh.write(f"{index}\tMALICIOUS\t{both.name}\tcnc\n")
+    model = str(workspace / "model.json")
+    h = hashlib.sha256()
+    for path in (capture, both):
+        report = tmp_path / "report.json"
+        assert main(["detect", "--trace", str(path), "--model-file", model,
+                     "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["baseline", "--trace", str(path)]) == 0
+        h.update(report.read_bytes() + b"\0" + capsys.readouterr().out.encode() + b"\0")
+    assert json.loads(report.read_text())["infected_devices"] == [
+        "192.168.1.9", "192.168.1.10", "192.168.1.104"]
+    assert main(["evaluate", "--features", str(workspace / "features.csv"),
+                 "--model-file", model, "--traces", str(corpus)]) == 0
+    h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == "67cf812cfb988bf0c16834063c91db1a5f1d4abe3df85fa62f3b802e34adab27"
 
 
 def test_policy_command_sequence_digest(tmp_path, capsys):
