@@ -8,7 +8,7 @@ Usage:
 """
 import argparse
 
-from botgate.acf import Verdict, detect_periodicity
+from botgate.acf import Verdict, cnc_candidates, detect_periodicity, encode
 from botgate.baselines import WalkerVerdict, walker_test
 from botgate.errors import ConfigError
 from botgate.synth import gen_cnc_beacon, gen_memoryless_noise
@@ -18,9 +18,7 @@ def rates(period, jitter, duration, n, seed, gamma):
     acf_hits = walker_hits = 0
     for i in range(n):
         packets = gen_cnc_beacon(period, jitter, duration, [seed, int(period), int(jitter * 10), i])
-        res = detect_periodicity(packets, duration)
-        if res.sequence is None:  # the duration could not be encoded
-            raise ConfigError(res.reason)
+        res = detect_periodicity(packets.ts[cnc_candidates(packets)], duration)
         acf_hits += res.verdict is Verdict.PERIOD_DETECTED
         walker_hits += walker_test(res.sequence, gamma=gamma).verdict is WalkerVerdict.DETECTED
     return acf_hits / n, walker_hits / n
@@ -33,6 +31,12 @@ def main():
     ap.add_argument("--duration", type=float, default=900.0)
     ap.add_argument("--gamma", type=float, default=0.1)
     args = ap.parse_args()
+    if args.n_traces < 1:
+        ap.error(f"--n-traces must be at least 1, got {args.n_traces}")
+    try:
+        encode([], args.duration)
+    except ConfigError as exc:
+        ap.error(f"--duration: {exc}")
 
     print(f"{'period':>7} {'jitter':>7} {'ACF DR':>8} {'ACF MDR':>8} {'baseline DR':>12}")
     for period in (60.0, 210.0):
@@ -45,7 +49,7 @@ def main():
     fp = 0
     for i in range(2 * args.n_traces):
         noise = gen_memoryless_noise(1 / 30, args.duration, [args.seed, 999, i])
-        res = detect_periodicity(noise, args.duration)
+        res = detect_periodicity(noise.ts[cnc_candidates(noise)], args.duration)
         fp += res.verdict is Verdict.PERIOD_DETECTED
     print(f"\nnoise false-positive rate: {fp / (2 * args.n_traces):.3f} "
           f"({fp}/{2 * args.n_traces} traces)")

@@ -1,10 +1,11 @@
 """Per-device beacon-periodicity detection.
 
-Pipeline: filter candidate command-channel packets (UDP, or TCP PSH+ACK with
-a tiny payload), bin arrival times into a 0/1 int8 array, compute the
-unbiased autocorrelation array, find dominant peaks, and declare periodicity
-when at least ``MIN_PEAKS`` peaks sit at (almost) equal gaps. Each step takes
-and returns plain arrays, and the design values are the constants below.
+Pipeline: mark candidate command-channel packets (UDP, or TCP PSH+ACK with a
+tiny payload), bin a device's candidate arrival times into a 0/1 int8
+array, compute the unbiased autocorrelation array, find dominant peaks, and
+declare periodicity when at least ``MIN_PEAKS`` peaks sit at (almost) equal
+gaps. Each step takes and returns plain arrays, and the design values are
+the constants below.
 """
 from __future__ import annotations
 
@@ -35,22 +36,20 @@ class Verdict(str, Enum):
 @dataclass
 class PeriodicityResult:
     verdict: Verdict
+    sequence: np.ndarray = field(repr=False, compare=False)
     peak_lags: list[int] = field(default_factory=list)
     gap_variance: float | None = None
     n_candidates: int = 0
     reason: str = ""
-    sequence: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def filter_cnc_candidates(packets: PacketTable) -> np.ndarray:
-    """Arrival times of likely command-channel packets, sorted ascending.
-
-    Keeps UDP packets and TCP packets with both PSH and ACK set, excluding
-    anything whose transport payload exceeds PAYLOAD_CUTOFF (application data)."""
+def cnc_candidates(packets: PacketTable) -> np.ndarray:
+    """Boolean mask of the likely command-channel packets: UDP packets and
+    TCP packets with both PSH and ACK set, excluding anything whose transport
+    payload exceeds PAYLOAD_CUTOFF (application data)."""
     psh_ack = (packets.flags & (PSH | ACK)) == (PSH | ACK)
-    keep = (packets.payload_len <= PAYLOAD_CUTOFF) & (
+    return (packets.payload_len <= PAYLOAD_CUTOFF) & (
         (packets.proto == PROTO_UDP) | ((packets.proto == PROTO_TCP) & psh_ack))
-    return np.sort(packets.ts[keep])
 
 
 def check_bins(duration: float) -> float:
@@ -115,12 +114,15 @@ def find_peaks(r: np.ndarray) -> list[int]:
     return maxima[heights >= PEAK_HEIGHT_FRAC * heights.max()].tolist()
 
 
-def analyze_sequence(e: np.ndarray, n_candidates: int) -> PeriodicityResult:
-    """The ACF peak and gap-variance test on one device's encoded sequence,
-    binned from ``n_candidates`` arrivals. The result keeps the sequence, for
-    the confidence score."""
-    result = PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED,
-                               n_candidates=n_candidates, sequence=e)
+def detect_periodicity(arrivals, duration: float) -> PeriodicityResult:
+    """Stage 2's one per-device test: encode a device's command-channel
+    arrival times over ``duration``, then run the ACF peak and gap-variance
+    test. Degenerate sequences yield PERIOD_NOT_DETECTED with a diagnostic
+    reason; a duration ``encode`` refuses raises its ConfigError. The result
+    keeps the sequence, for the confidence score."""
+    e = encode(arrivals, duration)
+    result = PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED, sequence=e,
+                               n_candidates=len(arrivals))
     max_lag = int(math.floor(len(e) * MAX_LAG_FRAC))
     if max_lag < 2:
         result.reason = "sequence too short for peak analysis"
@@ -142,16 +144,3 @@ def analyze_sequence(e: np.ndarray, n_candidates: int) -> PeriodicityResult:
     else:
         result.reason = f"inter-peak gap variance {gap_var:.4f} above threshold"
     return result
-
-
-def detect_periodicity(packets: PacketTable, duration: float) -> PeriodicityResult:
-    """Stage 2's one per-device pass: filter the command-channel candidates,
-    encode them over ``duration`` and test the sequence. Degenerate traffic
-    yields PERIOD_NOT_DETECTED with a diagnostic reason rather than an error."""
-    arrivals = filter_cnc_candidates(packets)
-    try:
-        e = encode(arrivals, duration)
-    except ConfigError as exc:
-        return PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED,
-                                 n_candidates=len(arrivals), reason=str(exc))
-    return analyze_sequence(e, len(arrivals))

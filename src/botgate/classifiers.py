@@ -193,17 +193,20 @@ def stage1_metrics(pred: np.ndarray, y: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 # Cross-validation
 
-def cross_validate(dataset: Dataset, k: int, model_kind: str, seed: int) -> tuple[float, float]:
-    """Seeded k-fold CV; returns (mean accuracy, population std)."""
-    n = dataset.X.shape[0]
+def cv_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
+    """The row indices of each fold of a seeded k-fold split of n rows."""
     if k < 2:
         raise DataError("k-fold CV needs k >= 2")
     if n < k:
         raise DataError(f"need at least {k} rows for {k}-fold CV")
-    perm = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(perm, k)
+    return np.array_split(np.random.default_rng(seed).permutation(n), k)
+
+
+def cross_validate(dataset: Dataset, k: int, model_kind: str, seed: int) -> tuple[float, float]:
+    """Seeded k-fold CV over ``cv_folds``; returns (mean accuracy, population std)."""
+    n = dataset.X.shape[0]
     scores = []
-    for i, fold in enumerate(folds):
+    for i, fold in enumerate(cv_folds(n, k, seed)):
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
         train = Dataset(dataset.X[mask], dataset.y[mask])

@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .baselines import walker_test
 from .classifiers import (
-    TrainedModel, cross_validate, forest_fit, gnb_fit, load_model, save_model, stage1_metrics,
+    TrainedModel, cross_validate, cv_folds, forest_fit, gnb_fit, load_model, save_model,
+    stage1_metrics,
 )
 from .errors import BotgateError, DataError, PolicyError
 from .features import (
@@ -194,10 +195,11 @@ def cmd_run_pipeline(args) -> int:
     """Convenience chain: simulate -> featurize -> train -> detect."""
     # train's refusals that the session counts decide, before any write
     select_k_best(np.zeros(len(FEATURE_NAMES)), args.k_best)
-    if args.model == "gnb" and not (args.n_benign and args.n_malicious):
+    # featurize writes one row per simulated session: the benign rows, then the malicious
+    labels = np.repeat([0, 1], [args.n_benign, args.n_malicious])
+    folds = cv_folds(len(labels), 5, args.seed)
+    if args.model == "gnb" and any(np.unique(np.delete(labels, fold)).size < 2 for fold in folds):
         raise DataError("GNB needs samples from both classes")
-    if args.n_benign + args.n_malicious < 5:
-        raise DataError("need at least 5 rows for 5-fold CV")
     if not args.n_malicious:
         raise DataError("corpus has no malicious sessions to detect on")
     workdir = Path(args.workdir)

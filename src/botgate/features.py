@@ -125,6 +125,9 @@ def read_feature_csv(path) -> Dataset:
                 # columns 3 and 7 are means; the others are counts
                 X.append([_finite(v) if j in (3, 7) else _whole(v, CSV_HEADER[j])
                           for j, v in enumerate(row[:8])])
+                for name, text, value in zip(CSV_HEADER, row, X[-1]):
+                    if value < 0:  # no extracted feature is negative
+                        raise ValueError(f"column {name}: negative value {text!r}")
                 y.append(int(row[8] == MALICIOUS))
         except (ValueError, OverflowError, csv.Error) as exc:
             raise DataError(f"{path} line {reader.line_num}: {exc}") from None

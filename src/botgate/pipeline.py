@@ -2,7 +2,6 @@
 the per-device stage-2 pass and report assembly."""
 from __future__ import annotations
 
-import ipaddress
 import json
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -14,8 +13,8 @@ from .classifiers import LABEL_MALICIOUS, TrainedModel
 from .errors import DataError
 from .features import BENIGN, MALICIOUS, extract_features
 from .sessions import SESSION_SECS, TrafficSession, sessionize, split_by_device, window_count
-from .stats import PeriodProbResult, bdcs, period_detection_prob
-from .trace import PacketTable, Trace
+from .stats import bdcs, period_detection_prob
+from .trace import Trace
 
 WINDOW = 5  # sessions per verdict-averaging window
 
@@ -70,15 +69,11 @@ def averaged_verdict(verdict_window: list[str]) -> str:
     return MALICIOUS if 2 * n_mal > len(verdict_window) else BENIGN
 
 
-def _sorted_ips(ips) -> list[str]:
-    return sorted(ips, key=lambda ip: int(ipaddress.IPv4Address(ip)))
-
-
-def detect_iot_bots(devices: dict[str, PacketTable],
+def detect_iot_bots(devices: dict[str, np.ndarray],
                     duration: float) -> tuple[list[str], dict[str, PeriodicityResult]]:
-    """Stage 2: one periodicity test per device's packets, in IP order. Each
-    device is filtered and encoded once; its result keeps the sequence."""
-    results = {ip: detect_periodicity(devices[ip], duration) for ip in _sorted_ips(devices)}
+    """Stage 2: one periodicity test per device's candidate arrival times, in
+    the order given. Each result keeps its sequence."""
+    results = {ip: detect_periodicity(arrivals, duration) for ip, arrivals in devices.items()}
     infected = [ip for ip, res in results.items() if res.verdict is Verdict.PERIOD_DETECTED]
     return infected, results
 
@@ -134,8 +129,7 @@ def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
             "n_candidates": res.n_candidates,
             "reason": res.reason,
         }
-        prob = PeriodProbResult(prob=0.0) if res.sequence is None else \
-            period_detection_prob(res.sequence)  # None: not encodable
+        prob = period_detection_prob(res.sequence)
         diag.update(period_prob=prob.prob, q=prob.q, pvalue=prob.pvalue)
         if res.verdict is Verdict.PERIOD_DETECTED:
             infected_probs.append(prob.prob)

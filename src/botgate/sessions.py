@@ -1,5 +1,6 @@
-"""Session windowing and per-device splitting. A session and a device's
-traffic are each a ``PacketTable`` cut from the trace's columns."""
+"""Session windowing and per-device splitting. A session is a
+``PacketTable`` cut from the trace's columns; a device's stage-2 input is
+the array of its command-channel candidates' arrival times."""
 from __future__ import annotations
 
 import ipaddress
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acf import cnc_candidates
 from .errors import ConfigError
 from .trace import PacketTable, Trace, format_ip
 
@@ -45,21 +47,21 @@ def sessionize(trace: Trace) -> list[TrafficSession]:
             for i in range(n_sessions)]
 
 
-def split_by_device(trace: Trace) -> dict[str, PacketTable]:
-    """Each internal IP seen in the trace, in order of first appearance,
-    mapped to the table of its packets.
+def split_by_device(trace: Trace) -> dict[str, np.ndarray]:
+    """Each internal IP seen in the trace, in numeric order, mapped to the
+    arrival times of its command-channel candidates (``cnc_candidates``), in
+    trace order; a device with no candidate maps to an empty array.
 
-    A packet between two internal IPs shows up in both devices' tables.
+    A packet between two internal IPs counts for both devices.
     """
     net = ipaddress.IPv4Network(trace.internal_subnet)
     prefix, mask = int(net.network_address), int(net.netmask)
     packets = trace.packets
-    # one (device, row) entry per internal endpoint, src before dst in each row
+    # one entry per row endpoint, src before dst in each row
     ends = np.column_stack((packets.src, packets.dst)).ravel()
-    internal = np.flatnonzero((ends & mask) == prefix)
-    internal = internal[np.argsort(ends[internal], kind="stable")]  # by device, then row
-    devices, starts = np.unique(ends[internal], return_index=True)
-    rows = np.split(internal // 2, starts[1:])
-    names = list(map(format_ip, devices.tolist()))
-    first_seen = np.argsort(internal[starts])
-    return {names[d]: packets[rows[d]] for d in first_seen.tolist()}
+    internal = (ends & mask) == prefix
+    devices = np.unique(ends[internal])
+    kept = np.flatnonzero(internal & np.repeat(cnc_candidates(packets), 2))
+    kept = kept[np.argsort(ends[kept], kind="stable")]  # by device, then row
+    times = np.split(packets.ts[kept // 2], np.searchsorted(ends[kept], devices[1:]))
+    return dict(zip(map(format_ip, devices.tolist()), times))

@@ -12,7 +12,7 @@ import pytest
 import scipy.integrate
 
 import scalar_reference as ref
-from botgate.acf import Verdict, acf, detect_periodicity
+from botgate.acf import Verdict, acf, cnc_candidates, detect_periodicity
 from botgate.baselines import WalkerVerdict, walker_test
 from botgate.classifiers import forest_fit, gnb_fit, predict
 from botgate.cli import main
@@ -22,14 +22,20 @@ from botgate.preprocess import (
     Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best,
     shuffle_split,
 )
-from botgate.sessions import TrafficSession
+from botgate.sessions import TrafficSession, split_by_device
 from botgate.stats import bdcs, chi2_sf, ljung_box_q, \
     period_detection_prob
 from botgate.synth import (
     SynthConfig, gen_cnc_beacon, gen_dataset, gen_memoryless_noise,
 )
+from botgate.trace import PacketTable, Trace
 
 SESSION_SECS = 900.0
+
+
+def arrivals(packets):
+    """A device's stage-2 input: its command-channel candidates' arrival times."""
+    return packets.ts[cnc_candidates(packets)]
 
 
 def report(capsys, n, ok, detail):
@@ -85,14 +91,14 @@ def test_criterion_2_stage2_rates(capsys):
     for period in detected:
         for i in range(50):
             beacon = gen_cnc_beacon(period, 0.0, SESSION_SECS, [7, i, int(period)])
-            res = detect_periodicity(beacon, SESSION_SECS)
+            res = detect_periodicity(arrivals(beacon), SESSION_SECS)
             detected[period] += res.verdict is Verdict.PERIOD_DETECTED
     dr_fast, dr_slow = detected[60.0] / 50, detected[210.0] / 50
 
     false_pos = 0
     for i in range(100):
         noise = gen_memoryless_noise(1 / 30, SESSION_SECS, [11, i])
-        res = detect_periodicity(noise, SESSION_SECS)
+        res = detect_periodicity(arrivals(noise), SESSION_SECS)
         false_pos += res.verdict is Verdict.PERIOD_DETECTED
     fp_rate = false_pos / 100
 
@@ -110,7 +116,7 @@ def test_criterion_3_beats_baseline_on_jitter(capsys):
     acf_hits = walker_hits = 0
     n = 25
     for i in range(n):
-        res = detect_periodicity(gen_cnc_beacon(210.0, 5.0, SESSION_SECS, [13, i]),
+        res = detect_periodicity(arrivals(gen_cnc_beacon(210.0, 5.0, SESSION_SECS, [13, i])),
                                  SESSION_SECS)
         if res.verdict is Verdict.PERIOD_DETECTED:
             acf_hits += 1
@@ -305,13 +311,14 @@ def test_criterion_9_sweep_matches_scalar_reference(capsys):
             else:
                 devices[ip] = gen_memoryless_noise(1 / 30, SESSION_SECS, [92, s, i],
                                                    device_ip=ip)
-        found, results = detect_iot_bots(devices, SESSION_SECS)
+        trace = Trace(PacketTable.concat(list(devices.values())), "192.168.1.0/24")
+        found, results = detect_iot_bots(split_by_device(trace), SESSION_SECS)
         # devices are added in IP order, which is the sweep's order
         expected = {ip: ref.detect_periodicity(list(packets), SESSION_SECS)
                     for ip, packets in devices.items()}
         agreed += found == [ip for ip, (hit, _) in expected.items() if hit] and \
             {ip: (r.verdict is Verdict.PERIOD_DETECTED, r.peak_lags)
-             for ip, r in results.items()} == expected
+             for ip, r in results.items()} == expected and list(results) == list(expected)
     ok = agreed == n_scen
     report(capsys, 9, ok,
            f"{agreed}/{n_scen} randomized scenarios (2–29 devices): "

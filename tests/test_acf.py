@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from botgate.acf import Verdict, acf, detect_periodicity, encode, filter_cnc_candidates, find_peaks
+from botgate.acf import Verdict, acf, cnc_candidates, detect_periodicity, encode, find_peaks
 from botgate.errors import ConfigError, DegenerateSignalError
 from botgate.synth import gen_cnc_beacon, gen_memoryless_noise
 from botgate.trace import ACK, PSH, SYN, PacketRecord, PacketTable, Proto
@@ -21,7 +21,11 @@ def brute_acf(e, max_lag):
     return out
 
 
-def test_filter_cnc_candidates():
+def _arrivals(packets):
+    return packets.ts[cnc_candidates(packets)]
+
+
+def test_cnc_candidates():
     packets = PacketTable.from_records([
         PacketRecord(1.0, "192.168.1.10", "9.9.9.9", 1111, 4444, Proto.TCP, PSH | ACK, 44, 4),
         PacketRecord(2.0, "192.168.1.10", "9.9.9.9", 1111, 443, Proto.TCP, PSH | ACK, 540, 500),
@@ -30,7 +34,7 @@ def test_filter_cnc_candidates():
         PacketRecord(4.0, "192.168.1.10", "9.9.9.9", 1111, 80, Proto.TCP, ACK, 40, 0),
     ])
     # small PSH+ACK and small UDP survive; app data, lone SYN and bare ACK do not
-    assert list(filter_cnc_candidates(packets)) == [0.5, 1.0]
+    assert cnc_candidates(packets).tolist() == [True, False, False, True, False]
 
 
 def test_encode_example():
@@ -83,23 +87,24 @@ def test_find_peaks_threshold_and_boundary():
 
 def test_detect_periodicity_beacons():
     for period, lag in ((60.0, 6), (210.0, 21)):
-        res = detect_periodicity(gen_cnc_beacon(period, 0.0, 900.0, [1, int(period)]), 900.0)
+        res = detect_periodicity(_arrivals(gen_cnc_beacon(period, 0.0, 900.0, [1, int(period)])),
+                                 900.0)
         assert res.verdict is Verdict.PERIOD_DETECTED
         assert res.gap_variance == 0.0
         assert all(l % lag == 0 for l in res.peak_lags)
 
 
 def test_detect_periodicity_degenerate_and_noise():
-    empty = PacketTable.from_records([])
+    empty = np.empty(0)
     res = detect_periodicity(empty, 900.0)
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED
     assert "constant" in res.reason
     assert res.n_candidates == 0
-    # too-short capture
-    res = detect_periodicity(empty, 5.0)
-    assert res.verdict is Verdict.PERIOD_NOT_DETECTED
-    assert res.reason
+    assert res.sequence.tolist() == [0] * 90
+    # a span shorter than one bin cannot be encoded
+    with pytest.raises(ConfigError, match="shorter than sampling interval 10.0"):
+        detect_periodicity(empty, 5.0)
     # a single burst has no repeating structure
-    burst = gen_memoryless_noise(2.0, 30.0, 3)
+    burst = _arrivals(gen_memoryless_noise(2.0, 30.0, 3))
     res = detect_periodicity(burst, 900.0)
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED

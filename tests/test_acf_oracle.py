@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from botgate.acf import (
-    MAX_BINS, PEAK_HEIGHT_FRAC, SAMPLE_T, Verdict, acf, analyze_sequence, check_bins, encode,
+    MAX_BINS, PEAK_HEIGHT_FRAC, SAMPLE_T, Verdict, acf, check_bins, detect_periodicity, encode,
     find_peaks,
 )
 from botgate.errors import ConfigError, DegenerateSignalError
@@ -63,8 +63,9 @@ def test_exact_threshold_tie_is_a_peak():
     assert r[50] == 5 / 16 and r[58] == 7 / 32
     assert r[58] == PEAK_HEIGHT_FRAC * r[50]
     assert find_peaks(r) == [50, 58, 66]
-    res = analyze_sequence(seq, len(THRESHOLD_TIE))
+    res = detect_periodicity(np.flatnonzero(seq) * SAMPLE_T, len(seq) * SAMPLE_T)
     assert res.verdict is Verdict.PERIOD_DETECTED and res.gap_variance == 0.0
+    assert res.n_candidates == len(THRESHOLD_TIE) and res.sequence.tobytes() == seq.tobytes()
     # the per-lag float loop lands just below the threshold
     assert ref.find_peaks(ref.acf_float(seq, 67), 67, PEAK_HEIGHT_FRAC) == [50, 66]
 
@@ -99,7 +100,8 @@ def test_constant_sequences_are_degenerate(bit):
     seq = sequence([bit] * 20)
     with pytest.raises(DegenerateSignalError):
         acf(seq, 10)
-    res = analyze_sequence(seq, 20 * bit)
+    res = detect_periodicity(np.flatnonzero(seq) * SAMPLE_T, len(seq) * SAMPLE_T)
+    assert res.n_candidates == 20 * bit
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED and "constant" in res.reason
 
 

@@ -417,7 +417,10 @@ def test_policy_command_sequence_digest(tmp_path, capsys):
     (["--n-malicious", "0"], "corpus has no malicious sessions to detect on"),
     (["--n-benign", "2", "--n-malicious", "2"], "need at least 5 rows for 5-fold CV"),
     (["--model", "gnb", "--n-benign", "0"], "GNB needs samples from both classes"),
-], ids=["no-malicious", "four-sessions", "gnb-one-class"])
+    # both classes, but one CV fold's training part holds only malicious rows
+    (["--model", "gnb", "--n-benign", "1", "--n-malicious", "4"],
+     "GNB needs samples from both classes"),
+], ids=["no-malicious", "four-sessions", "gnb-one-class", "gnb-fold-one-class"])
 def test_run_pipeline_refuses_counts_before_writing(tmp_path, capsys, flags, message):
     workdir = tmp_path / "w"
     assert main(["run-pipeline", "--workdir", str(workdir), *flags]) == 2

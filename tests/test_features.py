@@ -134,8 +134,11 @@ def test_csv_rejects_foreign_header(tmp_path):
     # a fractional count used to be truncated into the model file's scaler
     ("1.9,2,1,1.5,0,60,40,50.0,BENIGN",
      "line 3: column n_uniq_syn_dst: count '1.9' is not a whole number"),
+    # a negative value used to pass and reach the model file's scaler mins
+    ("-7,2,1,1.5,0,60,40,50.0,BENIGN", "line 3: column n_uniq_syn_dst: negative value '-7'"),
+    ("3,2,1,-2.5,0,60,40,50.0,BENIGN", "line 3: column pkts_mean: negative value '-2.5'"),
 ], ids=["short", "not-a-number", "infinite-count", "nan-count", "nan-mean", "infinite-mean",
-        "unknown-label", "empty-label", "fractional-count"])
+        "unknown-label", "empty-label", "fractional-count", "negative-count", "negative-mean"])
 def test_csv_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     good = "3,2,1,1.5,0,60,40,50.0,MALICIOUS"

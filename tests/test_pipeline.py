@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, Verdict, filter_cnc_candidates
+from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, Verdict
 from botgate.classifiers import TrainedModel, forest_fit
 from botgate.errors import DataError
 from botgate.features import BENIGN, MALICIOUS, extract_features
@@ -65,17 +65,20 @@ def test_classify_sessions(model):
 
 
 def test_detect_iot_bots_matches_scalar_reference():
-    devices = {}
+    tables = {}
     for i in range(9):
-        ip = f"192.168.1.{10 + i}"
+        ip = f"192.168.1.{5 + i}"
         if i % 3 == 0:
-            devices[ip] = gen_cnc_beacon(60.0, 0.0, 900.0, [1, i], device_ip=ip)
+            tables[ip] = gen_cnc_beacon(60.0, 0.0, 900.0, [1, i], device_ip=ip)
         else:
-            devices[ip] = gen_memoryless_noise(1 / 30, 900.0, [2, i], device_ip=ip)
+            tables[ip] = gen_memoryless_noise(1 / 30, 900.0, [2, i], device_ip=ip)
+    trace = Trace(PacketTable.concat(list(tables.values())), "192.168.1.0/24")
+    devices = split_by_device(trace)
+    assert list(devices) == list(tables)  # numeric IP order
     infected, results = detect_iot_bots(devices, 900.0)
-    assert infected == ["192.168.1.10", "192.168.1.13", "192.168.1.16"]
-    assert list(results) == list(devices)  # IP order
-    for ip, packets in devices.items():
+    assert infected == ["192.168.1.5", "192.168.1.8", "192.168.1.11"]
+    assert list(results) == list(tables)
+    for ip, packets in tables.items():
         res = results[ip]
         hit, peaks = ref.detect_periodicity(list(packets), 900.0)
         assert (res.verdict is Verdict.PERIOD_DETECTED, res.peak_lags) == (hit, peaks)
@@ -147,9 +150,11 @@ def test_benchmark_hooks_read_the_stage2_results(monkeypatch):
     assert t.warnings == []
     counts = {span[0]: span[5] for span in t.spans if span[0] != "bench.count"}
     packets = trace.packets
+    expected = ref.split_by_device(list(packets), trace.internal_subnet)
     assert counts["sessions.split_by_device"] == {
-        "unique_ips": len(np.union1d(packets.src, packets.dst)), "devices": len(devices)}
+        "unique_ips": len(np.union1d(packets.src, packets.dst)), "devices": len(expected)}
     sweep = counts["pipeline.detect_iot_bots"]
-    assert sweep["swept"] == len(devices) == len(results)
-    assert sweep["candidates"] == sum(len(filter_cnc_candidates(p)) for p in devices.values())
+    assert sweep["swept"] == len(expected) == len(results)
+    assert sweep["candidates"] == sum(len(ref.filter_cnc_candidates(rows, PAYLOAD_CUTOFF))
+                                      for rows in expected.values())
     assert 1 <= sweep["reached"] <= sweep["swept"]

@@ -36,3 +36,14 @@ def test_stage2_eval(capsys, monkeypatch):
         assert dr + mdr == pytest.approx(1.0) and 0.0 <= base <= 1.0
     assert out[-1].startswith("noise false-positive rate: ")
     assert out[-1].endswith("/4 traces)")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-traces", "0", "--n-traces must be at least 1, got 0"),
+    ("--duration", "5", "--duration: duration 5.0 shorter than sampling interval 10.0"),
+], ids=["no-traces", "shorter-than-a-bin"])
+def test_stage2_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        _run(capsys, monkeypatch, "stage2_eval.py", flag, value)
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err

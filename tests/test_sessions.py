@@ -1,10 +1,10 @@
 """Session windowing, filtering and device splitting."""
 from botgate.sessions import sessionize, split_by_device
-from botgate.trace import SYN, PacketRecord, Proto, Trace
+from botgate.trace import ACK, PSH, SYN, PacketRecord, Proto, Trace
 
 
-def tcp(ts, src="192.168.1.10", dst="8.8.8.8"):
-    return PacketRecord(ts, src, dst, 40000, 80, Proto.TCP, SYN, 40, 0)
+def tcp(ts, src="192.168.1.10", dst="8.8.8.8", flags=SYN):
+    return PacketRecord(ts, src, dst, 40000, 80, Proto.TCP, flags, 40, 0)
 
 
 def make_trace(packets, subnet="192.168.1.0/24"):
@@ -27,15 +27,19 @@ def test_sessionize_span_defaults_to_last_packet():
 
 
 def test_split_by_device():
+    # each device maps to the arrival times of its command-channel candidates
     trace = make_trace([
-        tcp(1.0, src="192.168.1.10", dst="8.8.8.8"),
-        tcp(2.0, src="8.8.8.8", dst="192.168.1.11"),
-        tcp(3.0, src="192.168.1.10", dst="192.168.1.11"),  # internal-to-internal
+        tcp(1.0, src="192.168.1.10", dst="8.8.8.8", flags=PSH | ACK),
+        tcp(2.0, src="8.8.8.8", dst="192.168.1.9", flags=PSH | ACK),
+        tcp(3.0, src="192.168.1.10", dst="192.168.1.9", flags=PSH | ACK),  # internal-to-internal
+        tcp(4.0, src="192.168.1.10", dst="8.8.8.8"),  # a SYN is no candidate
+        tcp(5.0, src="192.168.1.12", dst="8.8.8.8"),  # a device with no candidate
     ])
     devices = split_by_device(trace)
-    assert set(devices) == {"192.168.1.10", "192.168.1.11"}
-    assert [p.ts for p in devices["192.168.1.10"]] == [1.0, 3.0]
-    assert [p.ts for p in devices["192.168.1.11"]] == [2.0, 3.0]
+    assert list(devices) == ["192.168.1.9", "192.168.1.10", "192.168.1.12"]  # numeric order
+    assert devices["192.168.1.9"].tolist() == [2.0, 3.0]
+    assert devices["192.168.1.10"].tolist() == [1.0, 3.0]
+    assert devices["192.168.1.12"].tolist() == []
 
 
 def test_split_by_device_subnet_mask():
@@ -45,4 +49,4 @@ def test_split_by_device_subnet_mask():
         tcp(2.0, src="11.0.0.0", dst="10.255.255.255"),
         tcp(3.0, src="10.1.2.3", dst="11.1.2.3"),
     ], subnet="10.0.0.0/8")
-    assert list(split_by_device(trace)) == ["10.0.0.0", "10.255.255.255", "10.1.2.3"]
+    assert list(split_by_device(trace)) == ["10.0.0.0", "10.1.2.3", "10.255.255.255"]
