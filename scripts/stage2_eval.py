@@ -33,7 +33,7 @@ def main():
     args = ap.parse_args()
     if args.n_traces < 1:
         ap.error(f"--n-traces must be at least 1, got {args.n_traces}")
-    try:
+    try:  # the span every trace is binned over
         encode([], args.duration)
     except ConfigError as exc:
         ap.error(f"--duration: {exc}")
