@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from botgate.classifiers import cross_validate, forest_fit, gnb_fit, predict, stage1_metrics
+from botgate.errors import DataError
 from botgate.features import FEATURE_NAMES, MALICIOUS, extract_features
 from botgate.preprocess import (
     Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best,
@@ -31,6 +32,16 @@ def main():
     ap.add_argument("--k-best", type=int, default=6)
     ap.add_argument("--cv-folds", type=int, default=10)
     args = ap.parse_args()
+    for flag, value in (("--n-benign", args.n_benign), ("--n-malicious", args.n_malicious),
+                        ("--seed", args.seed)):
+        if value < 0:
+            ap.error(f"{flag} must be non-negative, got {value}")
+    if args.cv_folds < 2:
+        ap.error(f"--cv-folds must be at least 2, got {args.cv_folds}")
+    try:
+        select_k_best(np.zeros(len(FEATURE_NAMES)), args.k_best)
+    except DataError as exc:
+        ap.error(f"--k-best: {exc}")
 
     t0 = time.monotonic()
     rows, labels = [], []

@@ -33,6 +33,10 @@ def main():
     args = ap.parse_args()
     if args.n_traces < 1:
         ap.error(f"--n-traces must be at least 1, got {args.n_traces}")
+    if args.seed < 0:
+        ap.error(f"--seed must be non-negative, got {args.seed}")
+    if not 0 < args.gamma < 1:
+        ap.error(f"--gamma must be in (0, 1), got {args.gamma}")
     try:  # the span every trace is binned over
         encode([], args.duration)
     except ConfigError as exc:

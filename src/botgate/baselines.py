@@ -20,7 +20,6 @@ class WalkerResult:
     verdict: WalkerVerdict
     statistic: float | None = None
     threshold: float | None = None
-    note: str = ""
 
 
 def walker_test(sequence: np.ndarray, gamma: float = 0.1) -> WalkerResult:
@@ -35,7 +34,7 @@ def walker_test(sequence: np.ndarray, gamma: float = 0.1) -> WalkerResult:
     d = e - e.mean()
     var = float(d @ d) / K
     if var == 0.0:
-        return WalkerResult(WalkerVerdict.NOT_DETECTED, note="degenerate (constant) sequence")
+        return WalkerResult(WalkerVerdict.NOT_DETECTED)  # a constant sequence
     M = (K - 1) // 2
     spectrum = np.fft.fft(d)
     periodogram = np.abs(spectrum[1 : M + 1]) ** 2 / K

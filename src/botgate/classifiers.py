@@ -26,15 +26,17 @@ LABEL_MALICIOUS = 1
 # ---------------------------------------------------------------------------
 # Gaussian naive Bayes
 
+VAR_SMOOTHING = 1e-3  # added to each variance, as a fraction of the largest one
+
+
 @dataclass
 class GNBModel:
     priors: np.ndarray        # (2,)
     theta: np.ndarray         # (2, d) per-class feature means
     var: np.ndarray           # (2, d) smoothed variances
-    var_smoothing: float
 
 
-def gnb_fit(train: Dataset, var_smoothing: float = 1e-3) -> GNBModel:
+def gnb_fit(train: Dataset) -> GNBModel:
     X, y = train.X, train.y
     classes = np.unique(y)
     if len(classes) < 2:
@@ -44,11 +46,11 @@ def gnb_fit(train: Dataset, var_smoothing: float = 1e-3) -> GNBModel:
     base = full_var.max()
     if base <= 0:
         base = 1.0  # fully constant data; keep variances positive
-    eps = var_smoothing * base
+    eps = VAR_SMOOTHING * base
     priors = np.array([(y == c).mean() for c in (LABEL_BENIGN, LABEL_MALICIOUS)])
     theta = np.stack([X[y == c].mean(axis=0) for c in (LABEL_BENIGN, LABEL_MALICIOUS)])
     var = np.stack([X[y == c].var(axis=0) for c in (LABEL_BENIGN, LABEL_MALICIOUS)]) + eps
-    return GNBModel(priors=priors, theta=theta, var=var, var_smoothing=var_smoothing)
+    return GNBModel(priors=priors, theta=theta, var=var)
 
 
 def gnb_posteriors(model: GNBModel, X: np.ndarray) -> np.ndarray:
@@ -227,8 +229,7 @@ def cross_validate(dataset: Dataset, k: int, model_kind: str, seed: int) -> tupl
 
 @dataclass
 class TrainedModel:
-    kind: str                      # "gnb" | "forest"
-    model: object                  # GNBModel | ForestModel
+    model: GNBModel | ForestModel
     scaler: MinMaxScaler
     selected_idx: list[int]
 
@@ -260,22 +261,15 @@ def _tree_from_dict(d: dict, n_features: int) -> dict:
 
 
 def save_model(trained: TrainedModel, path) -> None:
-    if trained.kind == "gnb":
-        m: GNBModel = trained.model
-        params = {
-            "priors": m.priors.tolist(),
-            "theta": m.theta.tolist(),
-            "var": m.var.tolist(),
-            "var_smoothing": m.var_smoothing,
-        }
-    elif trained.kind == "forest":
-        fm: ForestModel = trained.model
-        params = {"trees": fm.trees, "n_features": fm.n_features, "seed": fm.seed}
+    m = trained.model
+    if isinstance(m, GNBModel):
+        kind, params = "gnb", {"priors": m.priors.tolist(), "theta": m.theta.tolist(),
+                               "var": m.var.tolist(), "var_smoothing": VAR_SMOOTHING}
     else:
-        raise DataError(f"unknown model kind {trained.kind!r}")
+        kind, params = "forest", {"trees": m.trees, "n_features": m.n_features, "seed": m.seed}
     doc = {
         "version": MODEL_VERSION,
-        "kind": trained.kind,
+        "kind": kind,
         "session_secs": SESSION_SECS,  # the one window, which load_model checks
         "scaler": {"mins": trained.scaler.mins.tolist(), "maxs": trained.scaler.maxs.tolist()},
         "selected": list(map(int, trained.selected_idx)),
@@ -314,12 +308,12 @@ def load_model(path) -> TrainedModel:
                 priors=np.array(params["priors"], float),
                 theta=np.array(params["theta"], float),
                 var=np.array(params["var"], float),
-                var_smoothing=float(params["var_smoothing"]),
             )
+            var_smoothing = float(params["var_smoothing"])  # recorded; the variances hold it
             if model.priors.shape != (2,) or {model.theta.shape, model.var.shape} != {(2, k)}:
                 raise ModelFormatError(f"GNB arrays do not fit 2 classes x {k} features")
             _check_finite("the GNB parameters", model.priors, model.theta, model.var,
-                          model.var_smoothing)
+                          var_smoothing)
         elif kind == "forest":
             n_features = int(params["n_features"])
             if n_features != k:
@@ -337,7 +331,7 @@ def load_model(path) -> TrainedModel:
         if session_secs != SESSION_SECS:
             raise ModelFormatError(f"session_secs {session_secs} is not the session window "
                                    f"{SESSION_SECS}")
-        return TrainedModel(kind=kind, model=model, scaler=scaler, selected_idx=selected)
+        return TrainedModel(model=model, scaler=scaler, selected_idx=selected)
     except ModelFormatError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:

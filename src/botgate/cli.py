@@ -30,7 +30,7 @@ from .pipeline import DetectionReport, analyze_devices, run_pipeline
 from .policy import PolicyStore, apply_policies, load_store, save_store
 from .preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best
 from .sessions import sessionize
-from .synth import BeaconProfile, SynthConfig, gen_dataset
+from .synth import SynthConfig, gen_dataset
 from .trace import load_trace, save_trace
 
 MANIFEST_NAME = "manifest.tsv"
@@ -89,7 +89,7 @@ def _write_corpus_features(corpus: Path, path) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = SynthConfig(seed=args.seed, beacon=BeaconProfile(jitter_s=args.jitter))
+    config = SynthConfig(seed=args.seed, jitter_s=args.jitter)
     _write_corpus(Path(args.out), config, args.n_benign, args.n_malicious)
     print(f"wrote {args.n_benign + args.n_malicious} sessions to {args.out}")
     return 0
@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
     else:
         model = forest_fit(train, seed=args.seed)
     mean, std = cross_validate(train, args.cv_folds, args.model, seed=args.seed)
-    trained = TrainedModel(kind=args.model, model=model, scaler=scaler, selected_idx=selected)
+    trained = TrainedModel(model=model, scaler=scaler, selected_idx=selected)
     save_model(trained, args.out)
     print(f"chi2 scores: {[round(float(s), 3) for s in scores]}")
     print(f"selected features: {[FEATURE_NAMES[i] for i in selected]}")
@@ -339,13 +339,9 @@ def main(argv=None) -> int:
             args = _parse_policy_argv(argv[1:])
         else:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    except PolicyError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
+    except SystemExit as exc:  # argparse's: no command raises it
+        return 0 if exc.code in (0, None) else 1
     except PolicyError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -91,8 +91,6 @@ class PeriodProbResult:
     prob: float
     q: float | None = None
     pvalue: float | None = None
-    h: int | None = None
-    note: str = ""
 
 
 def period_detection_prob(sequence: np.ndarray) -> PeriodProbResult:
@@ -100,19 +98,17 @@ def period_detection_prob(sequence: np.ndarray) -> PeriodProbResult:
 
     A p-value below ALPHA (Q beyond the (1-ALPHA) chi-square quantile, since
     chi2_sf decreases) maps to 1.0; otherwise the observed p-value is
-    returned. Degenerate (constant) sequences score 0.0 with a diagnostic."""
+    returned. Too short or constant sequences score 0.0, with no Q."""
     e = np.asarray(sequence, dtype=float)
     h = min(LAGS, len(e) - 2)
     if h < 1:
-        return PeriodProbResult(prob=0.0, note="sequence too short")
+        return PeriodProbResult(prob=0.0)
     try:
         q = ljung_box_q(e, h)
     except DegenerateSignalError:
-        return PeriodProbResult(prob=0.0, note="degenerate (constant) sequence")
+        return PeriodProbResult(prob=0.0)
     pvalue = chi2_sf(q, h)
-    if pvalue < ALPHA:
-        return PeriodProbResult(prob=1.0, q=q, pvalue=pvalue, h=h, note="p-value below alpha")
-    return PeriodProbResult(prob=pvalue, q=q, pvalue=pvalue, h=h)
+    return PeriodProbResult(prob=1.0 if pvalue < ALPHA else pvalue, q=q, pvalue=pvalue)
 
 
 def bdcs(per_device_probs: list[float]) -> float:

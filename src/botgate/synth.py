@@ -1,18 +1,20 @@
 """Seeded synthetic traffic generation: benign device/user traffic, bot
 scanning overlays and periodic command-channel beacons.
 
-All numeric defaults are plumbing chosen to match the qualitative shape of
-the three ingredients (scanners probe many random addresses with lone short
-SYNs; beacons are small periodic PSH+ACK/UDP exchanges; benign devices
-complete handshakes and move real payloads). Everything is deterministic
-given (config, seed). Generators draw per-event values as arrays and build
-PacketTable columns from them, with no per-packet loop.
+The constants are plumbing chosen to match the qualitative shape of the three
+ingredients (scanners probe many random addresses with lone short SYNs;
+beacons are small periodic PSH+ACK/UDP exchanges; benign devices complete
+handshakes and move real payloads). A SynthConfig sets only the seed, the
+device counts, the session length, the beacon jitter, the scan rate and the
+IoT app interval; every device is in SynthConfig.subnet. Everything is
+deterministic given (config, seed). Generators draw per-event values as
+arrays and build PacketTable columns from them, with no per-packet loop.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -37,51 +39,46 @@ _EXTERNAL_FIRST_OCTETS = np.array([
 @dataclass
 class ScanProfile:
     rate_pps: float = 3.0
-    pkts_per_target_min: int = 1
-    pkts_per_target_max: int = 3
-    pkt_len_min: int = 40
-    pkt_len_max: int = 60
 
+
+SCAN_PROBES_MIN, SCAN_PROBES_MAX = 1, 3  # probes per scan target
+SCAN_LEN_MIN, SCAN_LEN_MAX = 40, 60      # a probe's IP length
 
 # the two beacon periods observed for the replayed malware families
 PERIOD_FAST = 60.0
 PERIOD_SLOW = 210.0
-
-
-@dataclass
-class BeaconProfile:
-    jitter_s: float = 0.0  # below a quarter of the shorter period
-
-    def __post_init__(self):
-        if not 0 <= self.jitter_s < PERIOD_FAST / 4:
-            raise ConfigError(f"beacon jitter {self.jitter_s} must be in [0, period/4)")
+BEACON_PAYLOAD = 4  # bytes
 
 
 @dataclass
 class BenignProfile:
     app_interval_min_s: float = 60.0
     app_interval_max_s: float = 120.0
-    app_payload_min: int = 100
-    app_payload_max: int = 1000
 
 
+APP_PAYLOAD_MIN, APP_PAYLOAD_MAX = 100, 1000  # an app request's and response's payload
 BROWSE_BURST_RATE = 0.01  # browsing bursts per second per PC
 
 
 @dataclass
 class SynthConfig:
     seed: int = 0
-    n_iot_devices: int = 10
-    n_pc_devices: int = 5
+    n_iot_devices: int = 10  # at 192.168.1.10 and up, at most 90
+    n_pc_devices: int = 5    # at 192.168.1.100 and up, at most 155
     duration_s: float = SESSION_SECS
-    subnet: str = "192.168.1.0/24"
+    jitter_s: float = 0.0    # beacon jitter, below a quarter of the shorter period
     scan: ScanProfile = field(default_factory=ScanProfile)
-    beacon: BeaconProfile = field(default_factory=BeaconProfile)
     benign: BenignProfile = field(default_factory=BenignProfile)
+    subnet: ClassVar[str] = "192.168.1.0/24"
 
     def __post_init__(self):
         if not 0 < self.duration_s < math.inf:
             raise ConfigError(f"session duration must be positive and finite, got {self.duration_s}")
+        if not 0 <= self.jitter_s < PERIOD_FAST / 4:
+            raise ConfigError(f"beacon jitter {self.jitter_s} must be in [0, period/4)")
+        if not (0 <= self.n_iot_devices <= 90 and 0 <= self.n_pc_devices <= 155):
+            raise ConfigError(f"{self.n_iot_devices} IoT and {self.n_pc_devices} PC devices do "
+                              f"not fit the address plan (at most 90 and 155)")
 
     def iot_ips(self) -> list[str]:
         return [f"192.168.1.{10 + i}" for i in range(self.n_iot_devices)]
@@ -138,18 +135,17 @@ def gen_benign(config: SynthConfig, seed) -> Trace:
     """One session of uninfected-device traffic: periodic per-IoT-device app
     exchanges plus PC browsing bursts; every handshake completes."""
     rng = np.random.default_rng(seed)
-    p = config.benign
     # each IoT device talks to one server: first at U(0, max), then every U(min, max) s
     iot = [parse_ip(ip) for ip in config.iot_ips()]
     servers = _external_ips(rng, len(iot))
-    lo, hi = p.app_interval_min_s, p.app_interval_max_s
+    lo, hi = config.benign.app_interval_min_s, config.benign.app_interval_max_s
     starts = [_arrivals(rng.uniform(0, hi), lambda n: rng.uniform(lo, hi, n),
                         config.duration_s - 1.0, (lo + hi) / 2) for _ in iot]
     counts = list(map(len, starts))
     n = sum(counts)
     apps = _app_exchanges(np.concatenate(starts or [np.empty(0)]), np.repeat(iot, counts),
                           np.repeat(servers, counts), rng.integers(32768, 61000, n),
-                          *rng.integers(p.app_payload_min, p.app_payload_max + 1, (2, n)))
+                          *rng.integers(APP_PAYLOAD_MIN, APP_PAYLOAD_MAX + 1, (2, n)))
     # each PC browses in Poisson bursts: one exchange, then 2-5 more response segments
     pcs = [parse_ip(ip) for ip in config.pc_ips()]
     bursts = rng.poisson(BROWSE_BURST_RATE * config.duration_s, len(pcs))
@@ -172,19 +168,18 @@ def gen_scanning(config: SynthConfig, seed, device_ip: str) -> PacketTable:
     """SYN-only probes from one infected device to random external targets;
     no handshake ever completes. Targets come at exponential inter-arrivals;
     each gets its count of probes 0.3 s apart, of one length, from one port."""
-    s = config.scan
-    if s.rate_pps <= 0:
+    if config.scan.rate_pps <= 0:
         return PacketTable.from_records(())
     rng = np.random.default_rng(seed)
-    gap = (s.pkts_per_target_min + s.pkts_per_target_max) / 2 / s.rate_pps
+    gap = (SCAN_PROBES_MIN + SCAN_PROBES_MAX) / 2 / config.scan.rate_pps
     starts = _arrivals(rng.exponential(gap), lambda n: rng.exponential(gap, n),
                        config.duration_s, gap)
     n = len(starts)
     dsts = _external_ips(rng, n)
     sports = rng.integers(32768, 61000, n)
-    counts = rng.integers(s.pkts_per_target_min, s.pkts_per_target_max + 1, n)
-    lengths = rng.integers(s.pkt_len_min, s.pkt_len_max + 1, n)
-    target, j = np.nonzero(np.arange(s.pkts_per_target_max) < counts[:, None])
+    counts = rng.integers(SCAN_PROBES_MIN, SCAN_PROBES_MAX + 1, n)
+    lengths = rng.integers(SCAN_LEN_MIN, SCAN_LEN_MAX + 1, n)
+    target, j = np.nonzero(np.arange(SCAN_PROBES_MAX) < counts[:, None])
     ts = quantize_ts(starts[target] + 0.3 * j)
     keep = ts < config.duration_s
     target = target[keep]
@@ -193,8 +188,7 @@ def gen_scanning(config: SynthConfig, seed, device_ip: str) -> PacketTable:
 
 
 def gen_cnc_beacon(period_s: float, jitter_s: float, duration_s: float, seed,
-                   protocol: str = "TCP", payload_bytes: int = 4,
-                   device_ip: str = "192.168.1.10") -> PacketTable:
+                   protocol: str = "TCP", device_ip: str = "192.168.1.10") -> PacketTable:
     """Beacon packets at t = k*period + U(-jitter, +jitter); TCP beacons are a
     small PSH+ACK with a bare ACK reply, UDP beacons a single datagram."""
     if period_s <= 0:
@@ -209,9 +203,9 @@ def gen_cnc_beacon(period_s: float, jitter_s: float, duration_s: float, seed,
     dev, srv = parse_ip(device_ip), parse_ip("203.0.113.50")
     if protocol == "UDP":
         return PacketTable.from_columns(quantize_ts(t), dev, srv, sport, 5353, PROTO_UDP, 0,
-                                        IP_HEADER_UDP + payload_bytes, payload_bytes)
+                                        IP_HEADER_UDP + BEACON_PAYLOAD, BEACON_PAYLOAD)
     # per beacon: the device's PSH+ACK, then the server's ACK 50 ms later
-    payload = np.array([payload_bytes, 0])
+    payload = np.array([BEACON_PAYLOAD, 0])
     return PacketTable.from_columns(
         quantize_ts(t[:, None] + [0.0, 0.05]), [dev, srv], [srv, dev], [sport, 4444],
         [4444, sport], PROTO_TCP, [PSH | ACK, ACK], IP_HEADER_TCP + payload, payload)
@@ -259,7 +253,7 @@ def gen_session(config: SynthConfig, index: int, kind: str) -> SessionRecord:
         stream = 1 if period == PERIOD_FAST else 3  # the scan's seed; the beacon's is next
         parts += [
             gen_scanning(config, [config.seed, index, stream], dev),
-            gen_cnc_beacon(period, config.beacon.jitter_s, config.duration_s,
+            gen_cnc_beacon(period, config.jitter_s, config.duration_s,
                            [config.seed, index, stream + 1], device_ip=dev),
         ]
         ingredients += [f"scan:{dev}", f"beacon:{dev}:{period:g}"]

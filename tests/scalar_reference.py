@@ -16,7 +16,8 @@ import numpy as np
 from botgate.acf import GAP_VARIANCE_THRESH, PAYLOAD_CUTOFF, PEAK_HEIGHT_FRAC, SAMPLE_T
 from botgate.errors import ConfigError, TraceParseError
 from botgate.synth import (
-    _EXTERNAL_FIRST_OCTETS, BROWSE_BURST_RATE, IP_HEADER_TCP, IP_HEADER_UDP,
+    _EXTERNAL_FIRST_OCTETS, APP_PAYLOAD_MAX, APP_PAYLOAD_MIN, BEACON_PAYLOAD, BROWSE_BURST_RATE,
+    IP_HEADER_TCP, IP_HEADER_UDP, SCAN_LEN_MAX, SCAN_LEN_MIN, SCAN_PROBES_MAX, SCAN_PROBES_MIN,
 )
 from botgate.trace import (
     ACK, FIN, N_FIELDS, PROTOS, PSH, SYN, PacketRecord, PacketTable, Proto, Trace,
@@ -373,8 +374,8 @@ def gen_benign(config, seed):
         t = float(rng.uniform(0, p.app_interval_max_s))
         while t < config.duration_s - 1.0:
             sport = int(rng.integers(32768, 61000))
-            up = int(rng.integers(p.app_payload_min, p.app_payload_max + 1))
-            down = int(rng.integers(p.app_payload_min, p.app_payload_max + 1))
+            up = int(rng.integers(APP_PAYLOAD_MIN, APP_PAYLOAD_MAX + 1))
+            down = int(rng.integers(APP_PAYLOAD_MIN, APP_PAYLOAD_MAX + 1))
             packets.extend(_app_exchange(t, dev, srv, sport, up, down))
             t += float(rng.uniform(p.app_interval_min_s, p.app_interval_max_s))
     for pc in config.pc_ips():
@@ -397,14 +398,14 @@ def gen_scanning(config, seed, device_ip):
     packets = []
     if s.rate_pps <= 0:
         return packets
-    mean_count = (s.pkts_per_target_min + s.pkts_per_target_max) / 2
+    mean_count = (SCAN_PROBES_MIN + SCAN_PROBES_MAX) / 2
     event_rate = s.rate_pps / mean_count
     t = float(rng.exponential(1.0 / event_rate))
     while t < config.duration_s:
         target = _external_ip(rng)
         sport = int(rng.integers(32768, 61000))
-        count = int(rng.integers(s.pkts_per_target_min, s.pkts_per_target_max + 1))
-        length = int(rng.integers(s.pkt_len_min, s.pkt_len_max + 1))
+        count = int(rng.integers(SCAN_PROBES_MIN, SCAN_PROBES_MAX + 1))
+        length = int(rng.integers(SCAN_LEN_MIN, SCAN_LEN_MAX + 1))
         for j in range(count):
             tj = t + 0.3 * j
             if tj >= config.duration_s:
@@ -415,7 +416,7 @@ def gen_scanning(config, seed, device_ip):
     return packets
 
 
-def gen_cnc_beacon(period_s, jitter_s, duration_s, seed, protocol="TCP", payload_bytes=4,
+def gen_cnc_beacon(period_s, jitter_s, duration_s, seed, protocol="TCP",
                    device_ip="192.168.1.10", server_ip="203.0.113.50"):
     if period_s <= 0:
         raise ConfigError("beacon period must be positive")
@@ -431,9 +432,9 @@ def gen_cnc_beacon(period_s, jitter_s, duration_s, seed, protocol="TCP", payload
         if t < 0 or t >= duration_s:
             continue
         if protocol == "UDP":
-            packets.append(_udp(t, device_ip, server_ip, sport, 5353, payload_bytes))
+            packets.append(_udp(t, device_ip, server_ip, sport, 5353, BEACON_PAYLOAD))
         else:
-            packets.append(_tcp(t, device_ip, server_ip, sport, 4444, PSH | ACK, payload_bytes))
+            packets.append(_tcp(t, device_ip, server_ip, sport, 4444, PSH | ACK, BEACON_PAYLOAD))
             packets.append(_tcp(t + 0.05, server_ip, device_ip, 4444, sport, ACK))
     return packets
 

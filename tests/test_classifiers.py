@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from botgate.classifiers import (
-    LABEL_BENIGN, LABEL_MALICIOUS, TrainedModel, cross_validate, forest_fit,
+    LABEL_BENIGN, LABEL_MALICIOUS, VAR_SMOOTHING, TrainedModel, cross_validate, forest_fit,
     forest_vote_fraction, gnb_fit, gnb_posteriors, load_model, predict, save_model,
 )
 from botgate.errors import DataError, ModelFormatError
@@ -18,9 +18,10 @@ Y_1D = np.array([0, 0, 1, 1])
 
 
 def test_gnb_hand_posterior():
-    model = gnb_fit(Dataset(X_1D, Y_1D), var_smoothing=1e-12)
-    # closed form with the fitted per-class variance 0.25 (+ negligible smoothing)
-    var = 0.25
+    model = gnb_fit(Dataset(X_1D, Y_1D))
+    # closed form with the fitted per-class variance 0.25, plus the smoothing:
+    # VAR_SMOOTHING times the largest feature variance, 0.5
+    var = 0.25 + VAR_SMOOTHING * 0.5
     x = 0.1
     pdf0 = math.exp(-x ** 2 / (2 * var))
     pdf1 = math.exp(-(x - 1) ** 2 / (2 * var))
@@ -33,7 +34,7 @@ def test_gnb_hand_posterior():
 
 
 def test_gnb_exact_tie_is_benign():
-    model = gnb_fit(Dataset(X_1D, Y_1D), var_smoothing=1e-12)
+    model = gnb_fit(Dataset(X_1D, Y_1D))
     # x = 0.5 is equidistant from both class means: posteriors tie exactly
     post = gnb_posteriors(model, np.array([[0.5]]))
     assert post[0, 0] == post[0, 1]
@@ -41,9 +42,9 @@ def test_gnb_exact_tie_is_benign():
 
 
 def test_gnb_smoothing_tracks_max_feature_variance():
-    model = gnb_fit(Dataset(X_1D, Y_1D), var_smoothing=1e-3)
+    model = gnb_fit(Dataset(X_1D, Y_1D))
     full_var = X_1D.var(axis=0).max()
-    assert model.var[0, 0] == pytest.approx(0.25 + 1e-3 * full_var)
+    assert model.var[0, 0] == pytest.approx(0.25 + VAR_SMOOTHING * full_var)
 
 
 def test_gnb_needs_both_classes():
@@ -101,7 +102,7 @@ def _trained(kind, seed=11):
     data = Dataset(X[:, :4], y)
     model = gnb_fit(data) if kind == "gnb" else forest_fit(data, seed=seed)
     scaler = MinMaxScaler(mins=np.zeros(8), maxs=np.ones(8))
-    return TrainedModel(kind, model, scaler, [0, 1, 2, 3]), X
+    return TrainedModel(model, scaler, [0, 1, 2, 3]), X
 
 
 @pytest.mark.parametrize("kind", ["gnb", "forest"])
@@ -110,8 +111,9 @@ def test_save_load_round_trip(kind, tmp_path):
     path = tmp_path / "model.json"
     save_model(trained, path)
     loaded = load_model(path)
-    assert loaded.kind == kind
-    assert json.loads(path.read_text())["session_secs"] == 900.0  # the one window
+    assert type(loaded.model) is type(trained.model)
+    doc = json.loads(path.read_text())
+    assert doc["kind"] == kind and doc["session_secs"] == 900.0  # the one window
     assert loaded.selected_idx == [0, 1, 2, 3]
     l1, c1 = trained.predict_with_confidence(X)
     l2, c2 = loaded.predict_with_confidence(X)

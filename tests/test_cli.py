@@ -331,16 +331,29 @@ def test_run_pipeline_k_best_out_of_range_exits_2(tmp_path, capsys, k):
     assert not workdir.exists()  # refused before the corpus is simulated
 
 
-def test_run_pipeline_workdir_digest(tmp_path, capsys):
-    # criterion 8's run: every file it writes, byte for byte, hashed as the
-    # benchmark's corpus op hashes its directory (sorted relative paths and bytes)
-    workdir = tmp_path / "w"
-    assert main(["run-pipeline", "--workdir", str(workdir), "--seed", "0",
-                 "--n-benign", "6", "--n-malicious", "6"]) == 0
+def _run_pipeline_digest(workdir, *flags) -> str:
+    """Every file a run-pipeline run writes, byte for byte, hashed as the
+    benchmark's corpus op hashes its directory (sorted relative paths and bytes)."""
+    assert main(["run-pipeline", "--workdir", str(workdir), *flags]) == 0
     h = hashlib.sha256()
     for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
         h.update(str(path.relative_to(workdir)).encode() + b"\0" + path.read_bytes())
-    assert h.hexdigest() == "0e3d97a0105f83fa4ae601f2783a0e8062320ef1c8fa495cf711f8afacc008f5"
+    return h.hexdigest()
+
+
+def test_run_pipeline_workdir_digest(tmp_path, capsys):
+    # criterion 8's run
+    assert _run_pipeline_digest(tmp_path / "w", "--seed", "0", "--n-benign", "6",
+                                "--n-malicious", "6") == \
+        "0e3d97a0105f83fa4ae601f2783a0e8062320ef1c8fa495cf711f8afacc008f5"
+    capsys.readouterr()
+
+
+def test_run_pipeline_gnb_workdir_digest(tmp_path, capsys):
+    # the GNB model file carries the kind and var_smoothing bytes
+    assert _run_pipeline_digest(tmp_path / "w", "--seed", "2", "--model", "gnb",
+                                "--n-benign", "6", "--n-malicious", "6") == \
+        "95a23c86e8caff8972b43d1567b35846cd553ba20c7930819b62af69dfe3c8f7"
     capsys.readouterr()
 
 

@@ -38,7 +38,7 @@ def model():
     Xs = scaler_transform(scaler, X)
     selected = select_k_best(chi2_scores(Xs, y), 6)
     forest = forest_fit(Dataset(Xs[:, selected], y), seed=3)
-    return TrainedModel("forest", forest, scaler, selected)
+    return TrainedModel(forest, scaler, selected)
 
 
 def test_averaged_verdict():

@@ -41,9 +41,26 @@ def test_stage2_eval(capsys, monkeypatch):
 @pytest.mark.parametrize("flag, value, message", [
     ("--n-traces", "0", "--n-traces must be at least 1, got 0"),
     ("--duration", "5", "--duration: duration 5.0 shorter than sampling interval 10.0"),
-], ids=["no-traces", "shorter-than-a-bin"])
+    ("--gamma", "0", "--gamma must be in (0, 1), got 0.0"),
+    ("--gamma", "1.5", "--gamma must be in (0, 1), got 1.5"),
+    ("--seed", "-1", "--seed must be non-negative, got -1"),
+], ids=["no-traces", "shorter-than-a-bin", "gamma-zero", "gamma-above-one", "negative-seed"])
 def test_stage2_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message):
     with pytest.raises(SystemExit) as exc:
         _run(capsys, monkeypatch, "stage2_eval.py", flag, value)
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k-best", "0", "--k-best: k=0 is outside 1..8, the feature count"),
+    ("--cv-folds", "1", "--cv-folds must be at least 2, got 1"),
+    ("--n-benign", "-1", "--n-benign must be non-negative, got -1"),
+    ("--seed", "-1", "--seed must be non-negative, got -1"),
+], ids=["no-features", "one-fold", "negative-count", "negative-seed"])
+def test_stage1_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        _run(capsys, monkeypatch, "stage1_eval.py", "--n-benign", "2", "--n-malicious", "2",
+             flag, value)
     assert exc.value.code == 2
     assert f"error: {message}" in capsys.readouterr().err

@@ -73,16 +73,16 @@ def test_period_detection_prob_branches():
     noise = (rng.random(90) < 0.3).astype(float)
     res = period_detection_prob(noise)
     assert 0.0 < res.prob < 1.0
-    assert res.prob == res.pvalue == pytest.approx(chi2_sf(res.q, res.h))
+    assert res.prob == res.pvalue == pytest.approx(chi2_sf(res.q, 20))
 
     res = period_detection_prob(np.zeros(90))
-    assert res.prob == 0.0 and "degenerate" in res.note
+    assert res.prob == 0.0 and res.q is None
     assert period_detection_prob(np.array([1.0, 0.0])).prob == 0.0
 
 
 def test_period_detection_prob_caps_h():
-    res = period_detection_prob(np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0.0]))
-    assert res.h == 8  # LAGS = 20, capped at K - 2
+    e = np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0.0])
+    assert period_detection_prob(e).q == ljung_box_q(e, 8)  # LAGS = 20, capped at K - 2
 
 
 def test_bdcs_product():

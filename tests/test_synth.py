@@ -5,7 +5,7 @@ import pytest
 from botgate.errors import ConfigError
 from botgate.features import BENIGN, MALICIOUS
 from botgate.synth import (
-    PERIOD_FAST, BeaconProfile, ScanProfile, SynthConfig, _malicious_plan, gen_benign,
+    PERIOD_FAST, ScanProfile, SynthConfig, _malicious_plan, gen_benign,
     gen_cnc_beacon, gen_dataset, gen_memoryless_noise, gen_scanning, gen_session,
 )
 from botgate.trace import ACK, PSH, SYN, Proto, write_trace
@@ -65,14 +65,24 @@ def test_beacon_counts_and_shape():
 
 def test_beacon_jitter_validation_and_spread():
     with pytest.raises(ConfigError):
-        BeaconProfile(jitter_s=PERIOD_FAST / 4)  # a quarter of the shorter period
+        SynthConfig(jitter_s=PERIOD_FAST / 4)  # a quarter of the shorter period
     with pytest.raises(ConfigError, match="beacon jitter nan"):
-        BeaconProfile(jitter_s=float("nan"))
-    assert BeaconProfile(jitter_s=14.9).jitter_s == 14.9
+        SynthConfig(jitter_s=float("nan"))
+    assert SynthConfig(jitter_s=14.9).jitter_s == 14.9
     pkts = gen_cnc_beacon(60.0, 5.0, 900.0, [9, 9])
     outbound = [p for p in pkts if p.src_ip == "192.168.1.10"]
     for k, p in enumerate(outbound):
         assert abs(p.ts - 60.0 * k) <= 5.0
+
+
+def test_device_counts_fit_the_address_plan():
+    # IoT devices take .10 + i and PCs .100 + i, so neither range may spill
+    full = SynthConfig(n_iot_devices=90, n_pc_devices=155)
+    assert full.iot_ips()[-1] == "192.168.1.99" and full.pc_ips()[-1] == "192.168.1.254"
+    assert SynthConfig(n_iot_devices=0, n_pc_devices=0).iot_ips() == []
+    for iot, pc in ((91, 5), (10, 156), (-1, 5), (10, -1)):
+        with pytest.raises(ConfigError, match=f"{iot} IoT and {pc} PC devices do not fit"):
+            SynthConfig(n_iot_devices=iot, n_pc_devices=pc)
 
 
 def test_memoryless_noise_survives_cnc_filter():
