@@ -36,6 +36,9 @@ def main():
                         ("--seed", args.seed)):
         if value < 0:
             ap.error(f"{flag} must be non-negative, got {value}")
+    if not (args.n_benign and args.n_malicious):
+        ap.error("the corpus needs both classes: --n-benign and --n-malicious must be positive, "
+                 f"got {args.n_benign} and {args.n_malicious}")
     if args.cv_folds < 2:
         ap.error(f"--cv-folds must be at least 2, got {args.cv_folds}")
     try:
@@ -68,12 +71,15 @@ def main():
 
     print(f"\n{'model':<8} {'accuracy':>9} {'precision':>10} {'recall':>8} {'f1':>8} "
           f"{'cv mean':>8} {'cv std':>8}")
-    for kind, model in (("gnb", gnb_fit(sel_data)),
-                        ("forest", forest_fit(sel_data, seed=args.seed))):
-        m = stage1_metrics(predict(model, Xte)[0], test.y)
-        cv_mean, cv_std = cross_validate(sel_data, args.cv_folds, kind, seed=args.seed)
-        print(f"{kind:<8} {m['accuracy']:9.4f} {m['precision']:10.4f} {m['recall']:8.4f} "
-              f"{m['f1']:8.4f} {cv_mean:8.4f} {cv_std:8.4f}")
+    try:
+        for kind, model in (("gnb", gnb_fit(sel_data)),
+                            ("forest", forest_fit(sel_data, seed=args.seed))):
+            m = stage1_metrics(predict(model, Xte)[0], test.y)
+            cv_mean, cv_std = cross_validate(sel_data, args.cv_folds, kind, seed=args.seed)
+            print(f"{kind:<8} {m['accuracy']:9.4f} {m['precision']:10.4f} {m['recall']:8.4f} "
+                  f"{m['f1']:8.4f} {cv_mean:8.4f} {cv_std:8.4f}")
+    except DataError as exc:  # the training split or a CV fold of a small corpus
+        ap.error(f"corpus too small to train and cross-validate: {exc}")
 
 
 if __name__ == "__main__":

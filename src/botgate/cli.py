@@ -226,7 +226,7 @@ def cmd_run_pipeline(args) -> int:
 
 
 def _count(text: str) -> int:
-    """An argparse type: a number of sessions."""
+    """An argparse type: a number of sessions, or a seed."""
     try:
         n = int(text)
     except ValueError:
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a labeled synthetic session corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--n-benign", type=_count, default=1000)
     p.add_argument("--n-malicious", type=_count, default=1000)
     p.add_argument("--jitter", type=float, default=0.0)
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit scaler + feature selection + classifier")
     p.add_argument("--features", required=True)
     p.add_argument("--model", choices=["gnb", "forest"], default="forest")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--k-best", type=int, default=6)
     p.add_argument("--cv-folds", type=int, default=10)
     p.add_argument("--out", required=True)
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-pipeline", help="simulate + train + detect in one go")
     p.add_argument("--workdir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--n-benign", type=_count, default=20)
     p.add_argument("--n-malicious", type=_count, default=20)
     p.add_argument("--model", choices=["gnb", "forest"], default="forest")

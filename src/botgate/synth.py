@@ -245,6 +245,8 @@ def gen_session(config: SynthConfig, index: int, kind: str) -> SessionRecord:
     if kind == "benign":
         return SessionRecord(index, BENIGN, ["benign"], base)
     infected = config.iot_ips()[:2]
+    if not infected:
+        raise ConfigError("a malicious session needs at least one IoT device, got 0")
     dev_a, dev_b = infected[0], infected[-1]  # one device plays both with one IoT device
     bots = {"fast": [(PERIOD_FAST, dev_a)], "slow": [(PERIOD_SLOW, dev_a)],
             "both": [(PERIOD_FAST, dev_a), (PERIOD_SLOW, dev_b)]}[kind]

@@ -42,7 +42,7 @@ MAX_LEN = 0xFFFFFFFF  # lengths are stored as uint32
 
 _PARSE_BLOCK = 96 << 10  # bytes of body text per vectorized pass (~0.5 KB of temporaries a row)
 _LOAD = 8                # bytes the parser reads at once from the start of a field
-_ROW_BLOCK = 8192        # rows turned into Python objects at a time
+_ROW_BLOCK = 8192        # rows per pass of the writer and of row iteration: bounds their temporaries
 
 
 class Proto(str, Enum):
@@ -235,15 +235,15 @@ class PacketTable:
     def __iter__(self) -> Iterator[PacketRecord]:
         names: dict[int, str] = {}
         for start in range(0, len(self), _ROW_BLOCK):
-            yield from map(_valid_record, *self[start:start + _ROW_BLOCK]._lists(names, PROTOS))
+            yield from map(_valid_record, *self[start:start + _ROW_BLOCK]._lists(names))
 
-    def _lists(self, names: dict[int, str], protos: tuple) -> list[list]:
+    def _lists(self, names: dict[int, str]) -> list[list]:
         """The columns as lists of Python values in PacketRecord order, with
-        addresses in dotted form and protocols looked up in ``protos``."""
+        addresses in dotted form and protocols as ``Proto`` members."""
         return [
             self.ts.tolist(), _ip_names(self.src, names), _ip_names(self.dst, names),
             self.sport.tolist(), self.dport.tolist(),
-            list(map(protos.__getitem__, self.proto.tolist())),
+            list(map(PROTOS.__getitem__, self.proto.tolist())),
             self.flags.tolist(), self.ip_len.tolist(), self.payload_len.tolist(),
         ]
 
@@ -529,21 +529,79 @@ def _decimals(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nd
     return words, ok
 
 
-_LINE = "%.3f %s %s %d %d %s 0x%02X %d %d\n"
+# The writer builds each row of 4-byte words from lookup tables; deleting the
+# words' NUL padding leaves the row's text. A number is 4-digit groups, most
+# significant first: blank, then the leading group, then zero-filled groups.
+def _words(texts: list[str]) -> np.ndarray:
+    """A row of 4-byte words per text, NUL-padded to the longest text."""
+    text = np.array(texts, "S")
+    return text.astype(f"S{-(-text.itemsize // 4) * 4}").view(np.uint32).reshape(len(texts), -1)
 
 
-def _text_blocks(trace: Trace) -> Iterator[str]:
+_GROUP_ZERO_FILLED, _GROUP_BLANK = 10000, 20000  # offsets into _GROUPS
+_GROUPS = _words([*map(str, range(10000)), *("%04d" % g for g in range(10000)), ""]).ravel()
+_FRACTIONS = _words([".%03d" % f for f in range(1000)]).ravel()
+_OCTETS = _words([f"{o}{end}" for end in ". " for o in range(256)]).ravel()  # ".", then " "
+_FLAGS = _words(["0x%02X" % f for f in range(256)]).ravel()
+_PROTO_TEXT = _words([f"{name} " for name in _PROTO_NAMES])
+_SPACE, _NEWLINE = _words([" ", "\n"]).ravel()
+
+
+def _number_words(values: np.ndarray) -> list[np.ndarray]:
+    """The words of non-negative integers, as many as the largest needs."""
+    q = values.astype(np.int64)
+    words = []
+    for k in range((len(str(int(q.max()))) + 3) // 4):
+        above = q // 10000
+        group = q - above * 10000 + (above > 0) * _GROUP_ZERO_FILLED
+        if k:
+            group[q == 0] = _GROUP_BLANK
+        words.append(_GROUPS[group])
+        q = above
+    return words[::-1]
+
+
+def _ts_words(ts: np.ndarray) -> list[np.ndarray]:
+    """The words of ``%.3f`` of each timestamp. On the millisecond grid below
+    2**32 s, ``%.3f`` prints the digits of the millisecond count, so they are
+    built from it; a block with any other timestamp is formatted by ``%``."""
+    ms = np.rint(np.minimum(ts, 2**32) * 1000)  # bounded, so that it cannot overflow
+    if np.all((ms / 1000 == ts) & (ts < 2**32) & ~np.signbit(ts)):
+        ms = ms.astype(np.int64)
+        seconds = ms // 1000
+        return [*_number_words(seconds), _FRACTIONS[ms - seconds * 1000]]
+    return [*_words(["%.3f" % t for t in ts.tolist()]).T]
+
+
+def _block_words(packets: PacketTable) -> np.ndarray:
+    """The (rows, words) matrix of a non-empty block of rows: its bytes are
+    the block's text with NUL padding."""
+    words = [*_ts_words(packets.ts), _SPACE]
+    for address in packets.src, packets.dst:
+        words += [_OCTETS[address >> 24], _OCTETS[address >> 16 & 255],
+                  _OCTETS[address >> 8 & 255], _OCTETS[(address & 255) + 256]]
+    for port in packets.sport, packets.dport:
+        words += [*_number_words(port), _SPACE]
+    words += [*_PROTO_TEXT[packets.proto].T, _FLAGS[packets.flags], _SPACE,
+              *_number_words(packets.ip_len), _SPACE, *_number_words(packets.payload_len),
+              _NEWLINE]
+    rows = np.empty((len(packets), len(words)), np.uint32)
+    for j, column in enumerate(words):
+        rows[:, j] = column
+    return rows
+
+
+def _text_blocks(trace: Trace) -> Iterator[bytes]:
     """The trace in the text format, a bounded number of rows at a time."""
-    yield f"{HEADER_PREFIX} subnet={trace.internal_subnet} epoch={trace.epoch}\n"
-    names: dict[int, str] = {}
+    yield f"{HEADER_PREFIX} subnet={trace.internal_subnet} epoch={trace.epoch}\n".encode("ascii")
     packets = trace.packets
     for start in range(0, len(packets), _ROW_BLOCK):
-        rows = zip(*packets[start:start + _ROW_BLOCK]._lists(names, _PROTO_NAMES))
-        yield "".join(map(_LINE.__mod__, rows))
+        # the matrix is freed before the NULs are deleted from its copy
+        yield _block_words(packets[start:start + _ROW_BLOCK]).tobytes().translate(None, b"\0")
 
 
 def write_trace(trace: Trace) -> str:
-    return "".join(_text_blocks(trace))
+    return b"".join(_text_blocks(trace)).decode("ascii")
 
 
 def load_trace(path) -> Trace:
@@ -552,5 +610,5 @@ def load_trace(path) -> Trace:
 
 
 def save_trace(trace: Trace, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_text_blocks(trace))

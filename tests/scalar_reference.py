@@ -1,7 +1,7 @@
 """Per-packet reference implementations of sessionizing, device splitting,
 the scanning features, the command-channel filter and encoding, the
 per-lag autocorrelation and peak search of stage 2, the token-level trace
-parser, and the per-packet traffic generators.
+parser, the ``%`` trace writer, and the per-packet traffic generators.
 
 These are the loops that the columnar, spectral and byte-level code in
 ``botgate`` replaced, kept as the oracle it is tested against. The packet
@@ -20,8 +20,8 @@ from botgate.synth import (
     IP_HEADER_TCP, IP_HEADER_UDP, SCAN_LEN_MAX, SCAN_LEN_MIN, SCAN_PROBES_MAX, SCAN_PROBES_MIN,
 )
 from botgate.trace import (
-    ACK, FIN, N_FIELDS, PROTOS, PSH, SYN, PacketRecord, PacketTable, Proto, Trace,
-    _invalid_rows, _parse_header, format_ip,
+    ACK, FIN, HEADER_PREFIX, N_FIELDS, PROTOS, PSH, SYN, PacketRecord, PacketTable, Proto,
+    Trace, _invalid_rows, _parse_header, format_ip,
 )
 
 
@@ -324,6 +324,17 @@ def _parse_rows(tokens: list[bytes], linenos: np.ndarray) -> PacketTable:
         proto=proto.astype(np.uint8), flags=flags.astype(np.uint8),
         ip_len=ip_len.astype(np.uint32), payload_len=payload_len.astype(np.uint32),
     )
+
+
+# The writer: each PacketRecord row formatted with %.
+
+_LINE = "%.3f %s %s %d %d %s 0x%02X %d %d\n"
+
+
+def write_trace(trace: Trace) -> str:
+    rows = (_LINE % (r.ts, r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.proto.value,
+                     r.tcp_flags, r.ip_len, r.payload_len) for r in trace.packets)
+    return f"{HEADER_PREFIX} subnet={trace.internal_subnet} epoch={trace.epoch}\n" + "".join(rows)
 
 
 # The per-packet generators: one scalar draw per value and one validated

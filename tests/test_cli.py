@@ -565,6 +565,19 @@ def test_negative_session_count_exits_1(tmp_path, capsys, command, out_flag, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, out_flag", [
+    ("simulate", "--out"), ("train", "--out"), ("run-pipeline", "--workdir"),
+], ids=["simulate", "train", "run-pipeline"])
+def test_negative_seed_exits_1(tmp_path, capsys, command, out_flag):
+    out = tmp_path / "out"
+    argv = [command, out_flag, str(out), "--seed", "-1"]
+    if command == "train":
+        argv += ["--features", str(tmp_path / "features.csv")]
+    assert main(argv) == 1
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, message", [
     (b"policy p\nbind p 192.168.1.\xff BLOCK_ALL\n", "line 3: not UTF-8 text"),
     (b"policy p\nfrobnicate\n", "line 3: unparseable store record 'frobnicate'"),

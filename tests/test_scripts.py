@@ -57,7 +57,12 @@ def test_stage2_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message
     ("--cv-folds", "1", "--cv-folds must be at least 2, got 1"),
     ("--n-benign", "-1", "--n-benign must be non-negative, got -1"),
     ("--seed", "-1", "--seed must be non-negative, got -1"),
-], ids=["no-features", "one-fold", "negative-count", "negative-seed"])
+    ("--n-benign", "0", "the corpus needs both classes: --n-benign and --n-malicious must be "
+                        "positive, got 0 and 2"),
+    ("--n-malicious", "1", "corpus too small to train and cross-validate: need at least 10 rows "
+                           "for 10-fold CV"),
+], ids=["no-features", "one-fold", "negative-count", "negative-seed", "one-class",
+        "too-few-rows"])
 def test_stage1_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message):
     with pytest.raises(SystemExit) as exc:
         _run(capsys, monkeypatch, "stage1_eval.py", "--n-benign", "2", "--n-malicious", "2",

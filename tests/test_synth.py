@@ -85,6 +85,14 @@ def test_device_counts_fit_the_address_plan():
             SynthConfig(n_iot_devices=iot, n_pc_devices=pc)
 
 
+def test_malicious_session_needs_an_iot_device():
+    config = SynthConfig(n_iot_devices=0)
+    assert [rec.label for rec in gen_dataset(config, 2, 0)] == [BENIGN, BENIGN]
+    for kind in ("fast", "slow", "both"):
+        with pytest.raises(ConfigError, match="a malicious session needs at least one IoT device"):
+            gen_session(config, 0, kind)
+
+
 def test_memoryless_noise_survives_cnc_filter():
     pkts = gen_memoryless_noise(1 / 30, 900.0, 7)
     assert pkts
