@@ -40,7 +40,7 @@ HEADER_PREFIX = "#trace v1"
 N_FIELDS = 9
 MAX_LEN = 0xFFFFFFFF  # lengths are stored as uint32
 
-_PARSE_BLOCK = 96 << 10  # bytes of body text per vectorized pass (~0.5 KB of temporaries a row)
+_PARSE_BLOCK = 96 << 10  # body bytes a block; temporaries ~0.55 KB a row, ~0.67 KB on the line path
 _LOAD = 8                # bytes the parser reads at once from the start of a field
 _ROW_BLOCK = 8192        # rows per pass of the writer and of row iteration: bounds their temporaries
 
@@ -285,24 +285,23 @@ class Trace:
 
 
 def _parse_header(line: str) -> tuple[str, int]:
-    if not line.startswith(HEADER_PREFIX):
+    rest = line[len(HEADER_PREFIX):]
+    if not line.startswith(HEADER_PREFIX) or rest[:1].strip():  # "#trace v10", "v1subnet="
         raise TraceParseError(f"line 1: missing '{HEADER_PREFIX}' header")
-    subnet = epoch = None
-    for token in line[len(HEADER_PREFIX):].split():
+    keys = {}
+    for token in rest.split():
         key, _, value = token.partition("=")
-        if key == "subnet":
-            subnet = value
-        elif key == "epoch":
-            epoch = value
-        else:
+        if key not in ("subnet", "epoch"):
             raise TraceParseError(f"line 1: unknown header key {key!r}")
-    if subnet is None or epoch is None:
+        if key in keys:
+            raise TraceParseError(f"line 1: repeated header key {key!r}")
+        keys[key] = value
+    if len(keys) < 2:
         raise TraceParseError("line 1: header must carry subnet= and epoch=")
     try:
-        epoch_i = int(epoch)
+        return keys["subnet"], int(keys["epoch"])
     except ValueError as exc:
-        raise TraceParseError(f"line 1: bad epoch {epoch!r}") from exc
-    return subnet, epoch_i
+        raise TraceParseError(f"line 1: bad epoch {keys['epoch']!r}") from exc
 
 
 def parse_trace(text: str | bytes) -> Trace:
@@ -345,13 +344,19 @@ def _parse_block(block: memoryview, lineno: int, out: list[np.ndarray]) -> tuple
     ``lineno`` is the number of the first line. Returns the number of rows
     written and of lines read.
 
-    Field counts are checked per line before any value is read, so a short
-    row cannot borrow fields from its neighbour."""
+    A block whose every line has the canonical layout is cut into fields at
+    its separators. In any other block blank lines are skipped, and field
+    counts are checked per line before any value is read, so a short row
+    cannot borrow fields from its neighbour."""
     n = len(block)
     b = np.empty(n + 1 + _LOAD, np.uint8)  # the block between two newlines, then spaces:
     b[0] = b[n + 1] = 0x0A                  # every line is bounded and every token has an
     b[n + 2:] = 0x20                        # edge on each side and room for an 8-byte load
     b[1:n + 1] = np.frombuffer(block, np.uint8)
+    if fields := _layout_fields(b[:n + 1 if block[-1] == 0x0A else n + 2]):
+        rows = fields[0].shape[1]
+        _parse_rows(b, *fields, block, lineno + np.arange(rows), out)
+        return rows, rows
     space = b == 0x20
     space |= b - np.uint8(0x09) < 5  # \t \n \v \f \r: what bytes.split() splits on
     # token starts and ends, alternating, as offsets into b
@@ -366,12 +371,32 @@ def _parse_block(block: memoryview, lineno: int, out: list[np.ndarray]) -> tuple
     n_rows = int(misfit[0]) if misfit.size else len(rows)
     # rows before the first misfit are parsed first: an earlier bad value wins
     tokens = edges[:2 * N_FIELDS * n_rows].reshape(n_rows, N_FIELDS, 2)
-    _parse_rows(b, tokens, block, lineno + rows[:n_rows], out)
+    _parse_rows(b, *_token_fields(b, tokens), block, lineno + rows[:n_rows], out)
     if misfit.size:
         row = rows[n_rows]
         raise TraceParseError(
             f"line {lineno + row}: expected {N_FIELDS} fields, got {counts[row]}")
     return n_rows, len(counts) - 1  # counts has an entry per newline of the block, and one more
+
+
+def _layout_fields(head: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (field, row) starts and lengths of the 16 fields of each line of
+    ``head`` (a newline, then whole lines), if every line has the separators
+    of ``_LAYOUT`` around 16 non-empty fields; None otherwise."""
+    # the whitespace bytes.split() splits on, and control bytes, which fail the layout
+    sep = head <= 0x20
+    sep |= head == 0x2E
+    sep = np.flatnonzero(sep)  # the leading newline, then 16 a line
+    rows = len(sep) // 16
+    if len(sep) != 16 * rows + 1 or not (head[sep[1:]].reshape(rows, 16) == _LAYOUT).all():
+        return None
+    # each field starts after a separator and ends at the next one
+    lengths = np.subtract(sep[1:], sep[:-1], dtype=np.int32)
+    lengths -= 1
+    sep += 1
+    starts = sep[:-1].reshape(rows, 16).T[_TEXT_FIELDS]
+    lengths = lengths.reshape(rows, 16).T[_TEXT_FIELDS]
+    return (starts, lengths) if lengths.all() else None
 
 
 def _hex(token: str) -> int:
@@ -405,18 +430,19 @@ def _token_row(line: bytes) -> tuple[list, str | None]:
     return values, None
 
 
-def _parse_rows(b: np.ndarray, tokens: np.ndarray, block: memoryview,
+def _parse_rows(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray, block: memoryview,
                 linenos: np.ndarray, out: list[np.ndarray]) -> None:
-    """Write into the starts of the ``out`` columns the nine-field rows whose
-    token edges are ``tokens`` (row, field, start/end as offsets into ``b``,
-    which holds ``block`` from offset 1). Rows in canonical shape are read
-    from the bytes; the others one token at a time. The first bad row raises
-    TraceParseError with its line number before anything is written."""
-    values, canonical = _canonical_values(b, tokens)
+    """Write into the starts of the ``out`` columns the rows whose 16 fields
+    start at ``starts`` and have ``lengths`` (field, row; offsets into
+    ``b``, which holds ``block`` from offset 1). Rows in canonical shape are
+    read from the bytes; the others one token at a time. The first bad row
+    raises TraceParseError with its line number before anything is written."""
+    values, canonical = _canonical_values(b, starts, lengths)
     other = np.flatnonzero(~canonical)
-    # a row's text runs from its first token's start to its last token's end
+    # a row's text runs from its first field's start to the end of its last (field 13)
+    ends = starts[13, other] + lengths[13, other]
     read = [_token_row(bytes(block[s - 1:e - 1]))
-            for s, e in zip(tokens[other, 0, 0].tolist(), tokens[other, -1, 1].tolist())]
+            for s, e in zip(starts[0, other].tolist(), ends.tolist())]
     for k, column in enumerate(values):
         column[other] = [row[k] for row, _ in read]
     token_errors = {i: error for i, (_, error) in zip(other.tolist(), read) if error}
@@ -433,12 +459,15 @@ def _parse_rows(b: np.ndarray, tokens: np.ndarray, block: memoryview,
 # The canonical row is what write_trace emits:
 #   <int>.<3 digits> <quad> <quad> <int> <int> TCP|UDP|OTHER 0x<2 hex> <int> <int>
 # with ints of 1 to 8 digits and quads of octets 0-255 without leading zeros.
-# Its 14 decimal fields: ts integer part and fraction, the 4 + 4 octets, the
-# two ports and the two lengths. Seven start at a token's start and end at
-# the same token's end or first dot; seven start after one of the row's 7 dots.
-_DECIMAL_TOKENS = [0, 1, 2, 3, 4, 7, 8]
-_FROM_TOKEN, _TO_TOKEN_END = [0, 2, 6, 10, 11, 12, 13], [1, 5, 9, 10, 11, 12, 13]
-_FROM_DOT, _TO_DOT = [1, 3, 4, 5, 7, 8, 9], [0, 2, 3, 4, 6, 7, 8]
+# Its 16 fields are read in this order: the 14 decimal ones (ts integer part
+# and fraction, the 4 + 4 octets, the two ports and the two lengths), then
+# protocol and flags; _TEXT_FIELDS maps them to their order in the text.
+# Each of the nine tokens starts a field and ends one; each of a row's 7
+# dots ends one field and starts the next.
+_TEXT_FIELDS = [*range(12), 14, 15, 12, 13]
+_LAYOUT = np.frombuffer(b". ... ... " + b" " * 5 + b"\n", np.uint8)  # a line's separators
+_TOKEN_STARTS, _TOKEN_ENDS = [0, 2, 6, 10, 11, 14, 15, 12, 13], [1, 5, 9, 10, 11, 14, 15, 12, 13]
+_BEFORE_DOT, _AFTER_DOT = [0, 2, 3, 4, 6, 7, 8], [1, 3, 4, 5, 7, 8, 9]
 _SEVEN = np.arange(7)[:, None]
 _OCTET_SHIFTS = np.array([24, 16, 8, 0])[:, None]
 _PROTO_WORDS = [(int.from_bytes(p.value.encode(), "little"), len(p.value), code)
@@ -449,75 +478,78 @@ _HEX_DIGIT = np.full(256, -256)  # value of each hex digit character, negative f
 _HEX_DIGIT[list(b"0123456789abcdef")] = _HEX_DIGIT[list(b"0123456789ABCDEF")] = np.arange(16)
 
 
-def _canonical_values(b: np.ndarray, tokens: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The wide columns of the rows, and a mask of the rows in canonical
-    shape. Only the masked rows' values are meaningful."""
-    n_rows = len(tokens)
-    starts, ends = tokens[..., 0].T, tokens[..., 1].T  # (field, row)
+def _token_fields(b: np.ndarray, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (field, row) starts and lengths of the 16 fields of rows of nine
+    tokens (``tokens``: row, token, start/end as offsets into ``b``), cut at
+    each row's first 7 dots. A row with more dots has one inside a field, and
+    a row with fewer gives its last octet a negative length: neither reads
+    as canonical."""
+    # one dot past the end, so that the array is never empty
+    dots = np.append(np.flatnonzero(b == 0x2E), len(b))
+    dot = dots.take(np.searchsorted(dots, tokens[:, 0, 0]) + _SEVEN, mode="clip")
+    starts = np.empty((16, len(tokens)), np.intp)
+    starts[_TOKEN_STARTS] = tokens[..., 0].T
+    starts[_AFTER_DOT] = dot + 1
+    lengths = np.empty(starts.shape, tokens.dtype)
+    lengths[_TOKEN_ENDS] = tokens[..., 1].T
+    lengths[_BEFORE_DOT] = dot
+    lengths -= starts
+    np.minimum(starts, len(b) - _LOAD, out=starts)  # rows short of dots
+    return starts, lengths
+
+
+def _canonical_values(b: np.ndarray, starts: np.ndarray,
+                      lengths: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The wide columns of the rows whose 16 fields start at ``starts`` and
+    have ``lengths`` (field, row; offsets into ``b``), and a mask of the rows
+    whose fields are canonical. Only the masked rows' values are meaningful."""
     # the 8 bytes at each offset; gather from it by indexing, since take()
     # would first copy the whole unaligned view
     words = np.ndarray((len(b) - _LOAD + 1,), "<u8", b, strides=(1,))
-    # one dot past the end, so that the array is never empty
-    dots = np.append(np.flatnonzero(b == 0x2E), len(b)).astype(tokens.dtype)
-    first = np.searchsorted(dots, starts[0])
-    canonical = np.searchsorted(dots, ends[-1]) - first == 7
-    dot = dots.take(first + _SEVEN, mode="clip")
-    # (field, row) arrays over the 14 decimal fields
-    field_starts = np.empty((14, n_rows), np.intp)
-    field_starts[_FROM_TOKEN] = starts[_DECIMAL_TOKENS]
-    field_starts[_FROM_DOT] = dot + 1
-    lengths = np.empty((14, n_rows), tokens.dtype)
-    lengths[_TO_TOKEN_END] = ends[_DECIMAL_TOKENS]
-    lengths[_TO_DOT] = dot
-    lengths -= field_starts
-    np.minimum(field_starts, len(words) - 1, out=field_starts)  # rows short of dots
-    fields = words[field_starts]
-    del field_starts, dot
-    v, ok = _decimals(fields, lengths)
+    fields = words[starts]
+    # protocol: the token's bytes as one little-endian word, and its length
+    name_len = lengths[14]
+    name = fields[14] & _LOW_BYTES.take(name_len.clip(0, _LOAD))
+    proto = np.full(name.shape, -1)
+    for word, length, code in _PROTO_WORDS:
+        proto[(name == word) & (name_len == length)] = code
+    # flags: "0x" and two hex digits
+    flags_word = fields[15]
+    flags = (_HEX_DIGIT.take((flags_word >> 16 & 0xFF).astype(np.intp)) * 16
+             + _HEX_DIGIT.take((flags_word >> 24 & 0xFF).astype(np.intp)))
+    canonical = ((proto >= 0) & (flags >= 0) & (lengths[15] == 4)
+                 & (flags_word & 0xFFFF == _HEX_PREFIX))
+    v, ok = _decimals(fields[:14], lengths[:14])
     ok[1] &= lengths[1] == 3
     # an octet is at most 255 and has as many digits as its value needs
     octets = v[2:10]
     ok[2:10] &= (octets <= 255) & (lengths[2:10] - (octets >= 10) - (octets >= 100) == 1)
-    canonical &= ok.all(axis=0)
-    del ok, lengths
-    # protocol: the token's bytes as one little-endian word, and its length
-    name_len = ends[5] - starts[5]
-    name = words[starts[5]] & _LOW_BYTES.take(name_len.clip(0, _LOAD))
-    proto = np.full(n_rows, -1)
-    for word, length, code in _PROTO_WORDS:
-        proto[(name == word) & (name_len == length)] = code
-    # flags: "0x" and two hex digits
-    flags_word = words[starts[6]]
-    flags = (_HEX_DIGIT.take((flags_word >> 16 & 0xFF).astype(np.intp)) * 16
-             + _HEX_DIGIT.take((flags_word >> 24 & 0xFF).astype(np.intp)))
-    canonical &= ((proto >= 0) & (flags >= 0) & (ends[6] - starts[6] == 4)
-                  & (flags_word & 0xFFFF == _HEX_PREFIX))
     v = v.view(np.int64)  # the canonical values are below 10^8
     ts = (v[0] * 1000 + v[1]) / 1000  # one correctly rounded division, as float() rounds
     src = (v[2:6] << _OCTET_SHIFTS).sum(axis=0)
     dst = (v[6:10] << _OCTET_SHIFTS).sum(axis=0)
+    canonical &= ok.all(axis=0)
     return [ts, src, dst, v[10], v[11], proto, flags, v[12], v[13]], canonical
 
 
 def _decimals(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of decimal fields, from ``words`` (the 8 bytes at each field's
     start, little endian) and the fields' ``lengths``, and a mask of the
-    fields that are 1 to 8 ASCII digits. SWAR: the digits move to the top of
-    the word over ASCII '0's, then three multiply-and-shift steps add digit
-    pairs, pairs of pairs and the two halves. ``words`` is overwritten."""
+    fields that are 1 to 8 ASCII digits. SWAR: each byte less '0' is its
+    digit, and the digits move to the top of the word over zeros; then three
+    multiply-and-shift steps add digit pairs, pairs of pairs and the two
+    halves. ``words`` is overwritten."""
     ok = (lengths >= 1) & (lengths <= _LOAD)
-    bits = (lengths * 8).astype(np.uint8)  # mod 256: wrong only where ok is false
-    words <<= np.uint8(64) - bits
-    words |= np.uint64(0x3030303030303030) >> bits
+    bits = lengths.astype(np.uint8) << 3  # mod 256: wrong only where ok is false
+    words ^= 0x3030303030303030
+    words <<= np.subtract(64, bits, out=bits)
     del bits
-    # every byte is 0x30-0x39: its top half is 3, also after adding 6
-    high = words & 0xF0F0F0F0F0F0F0F0
-    ok &= high == 0x3030303030303030
-    np.add(words, 0x0606060606060606, out=high)
-    high &= 0xF0F0F0F0F0F0F0F0
-    ok &= high == 0x3030303030303030
+    # every byte is at most 9: adding 0x76 leaves its top bit clear
+    high = words + 0x7676767676767676
+    high |= words
+    high &= 0x8080808080808080
+    ok &= high == 0
     del high
-    words &= 0x0F0F0F0F0F0F0F0F
     words *= 10 << 8 | 1
     words >>= 8
     words &= 0x00FF00FF00FF00FF
@@ -605,8 +637,14 @@ def write_trace(trace: Trace) -> str:
 
 
 def load_trace(path) -> Trace:
+    """The trace in the file at ``path``; every error it raises names the file."""
     with open(path, "rb") as fh:
-        return parse_trace(fh.read())
+        data = fh.read()
+    try:
+        return parse_trace(data)
+    except (TraceParseError, ConfigError) as exc:
+        where = "" if str(exc).startswith("line ") else ":"
+        raise type(exc)(f"{path}{where} {exc}") from None
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -142,7 +142,28 @@ def test_malformed_trace_exits_2(workspace, tmp_path, capsys, body):
     trace.write_bytes(b"#trace v1 subnet=192.168.1.0/24 epoch=0\n" + GOOD_ROW.encode() + body)
     assert main(["detect", "--trace", str(trace),
                  "--model-file", str(workspace / "model.json")]) == 2
-    assert "data error: line 3:" in capsys.readouterr().err
+    assert f"data error: {trace} line 3:" in capsys.readouterr().err
+    # featurize reads every trace of a manifest: the message says which one is bad
+    (tmp_path / "manifest.tsv").write_text(
+        "index\tlabel\tfile\tingredients\n0\tBENIGN\tbad.trace\t\n")
+    assert main(["featurize", "--corpus", str(tmp_path), "--out", str(tmp_path / "f.csv")]) == 2
+    assert f"data error: {trace} line 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#trace v10 subnet=192.168.1.0/24 epoch=0\n", " line 1: missing '#trace v1' header"),
+    ("#trace v1subnet=192.168.1.0/24 epoch=0\n", " line 1: missing '#trace v1' header"),
+    ("#trace v1 subnet=192.168.1.0/24 subnet=10.0.0.0/8 epoch=0\n",
+     " line 1: repeated header key 'subnet'"),
+    ("#trace v1 subnet=192.168.1.0/24 epoch=0 epoch=5\n", " line 1: repeated header key 'epoch'"),
+    ("", ": empty input: missing header"),
+    ("#trace v1 subnet=192.168.1.0/33 epoch=0\n", ": invalid internal subnet '192.168.1.0/33'"),
+], ids=["version-10", "no-space", "repeated-subnet", "repeated-epoch", "empty", "bad-subnet"])
+def test_bad_trace_header_exits_2_naming_the_file(tmp_path, capsys, text, message):
+    trace = tmp_path / "bad.trace"
+    trace.write_text(text)
+    assert main(["baseline", "--trace", str(trace)]) == 2
+    assert f"data error: {trace}{message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["baseline"])

@@ -140,6 +140,8 @@ BAD_CANONICAL = "2.000 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 41"
 BAD_FALLBACK = "2.0 192.168.1.10 8.8.8.8 +70000 2 TCP 0x02 40 0"
 BAD_TOKEN = "x2.0 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 0"
 SHORT_ROW = "2.000 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40"
+# eight fields, with the 16 separators of a canonical line: one field is empty
+EMPTY_FIELD_ROW = "2.000 192.168.1.10 8.8.8.8  2 TCP 0x02 40 0"
 
 
 @pytest.mark.parametrize("first, second, message", [
@@ -157,6 +159,7 @@ def test_first_bad_line_wins_across_paths(first, second, message):
     (BAD_CANONICAL, "line 9: payload_len 41 > ip_len 40"),
     (BAD_TOKEN, "line 9: bad timestamp 'x2.0'"),
     (SHORT_ROW, "line 9: expected 9 fields, got 8"),
+    (EMPTY_FIELD_ROW, "line 9: expected 9 fields, got 8"),
 ])
 def test_bad_row_in_a_later_block(bad, message, monkeypatch):
     monkeypatch.setattr(trace_module, "_PARSE_BLOCK", 100)  # two rows a block
@@ -214,6 +217,42 @@ def test_canonical_rows_skip_the_token_path(token_path_rows):
     text = malicious_capture()
     assert parse_trace(text).packets == ref.parse_trace(text).packets
     assert token_path_rows == []
+
+
+@pytest.fixture
+def blocks_by_path(monkeypatch):
+    """Counts the blocks read at their separators ("layout": each one tried
+    there first) and those read line by line ("lines")."""
+    counts = {"layout": 0, "lines": 0}
+    for name, path in ("_layout_fields", "layout"), ("_token_fields", "lines"):
+        def counting(*args, path=path, function=getattr(trace_module, name)):
+            counts[path] += 1
+            return function(*args)
+        monkeypatch.setattr(trace_module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("block", [None, 4096])
+def test_canonical_blocks_are_read_at_their_separators(block, blocks_by_path, monkeypatch):
+    text = malicious_capture()
+    if block:
+        monkeypatch.setattr(trace_module, "_PARSE_BLOCK", block)
+        text = text[:-1]  # and a last line without its newline
+    assert parse_trace(text).packets == ref.parse_trace(text).packets
+    assert blocks_by_path["layout"] > 1
+    assert blocks_by_path["lines"] == 0
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines.insert(5, ""),
+    lambda lines: lines.__setitem__(5, lines[5].replace(" ", "\t", 1)),
+], ids=["blank-line", "tab"])
+def test_other_blocks_are_read_line_by_line(edit, blocks_by_path, monkeypatch):
+    monkeypatch.setattr(trace_module, "_PARSE_BLOCK", 4096)
+    lines = malicious_capture().decode().split("\n")
+    edit(lines)
+    assert_same_as_reference("\n".join(lines))
+    assert blocks_by_path["lines"] == 1
 
 
 def test_parse_peak_memory():
