@@ -29,7 +29,6 @@ def main():
     ap.add_argument("--n-benign", type=int, default=500)
     ap.add_argument("--n-malicious", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--k-best", type=int, default=6)
     ap.add_argument("--cv-folds", type=int, default=10)
     args = ap.parse_args()
     for flag, value in (("--n-benign", args.n_benign), ("--n-malicious", args.n_malicious),
@@ -41,10 +40,6 @@ def main():
                  f"got {args.n_benign} and {args.n_malicious}")
     if args.cv_folds < 2:
         ap.error(f"--cv-folds must be at least 2, got {args.cv_folds}")
-    try:
-        select_k_best(np.zeros(len(FEATURE_NAMES)), args.k_best)
-    except DataError as exc:
-        ap.error(f"--k-best: {exc}")
 
     t0 = time.monotonic()
     rows, labels = [], []
@@ -55,12 +50,12 @@ def main():
     print(f"corpus: {len(rows)} sessions in {time.monotonic() - t0:.1f}s")
 
     data = Dataset(np.array(rows), np.array(labels))
-    train, test = shuffle_split(data, 0.8, seed=args.seed)
+    train, test = shuffle_split(data, seed=args.seed)
     scaler = scaler_fit(train.X)
     Xtr = scaler_transform(scaler, train.X)
     Xte = scaler_transform(scaler, test.X)
     scores = chi2_scores(Xtr, train.y)
-    selected = select_k_best(scores, args.k_best)
+    selected = select_k_best(scores)
     print("chi2 scores:")
     for name, s in zip(FEATURE_NAMES, scores):
         mark = " *" if FEATURE_NAMES.index(name) in selected else ""

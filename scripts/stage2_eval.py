@@ -8,19 +8,20 @@ Usage:
 """
 import argparse
 
-from botgate.acf import Verdict, cnc_candidates, detect_periodicity, encode
+from botgate.acf import Verdict, cnc_candidates, detect_periodicity
 from botgate.baselines import WalkerVerdict, walker_test
-from botgate.errors import ConfigError
+from botgate.sessions import SESSION_SECS
 from botgate.synth import gen_cnc_beacon, gen_memoryless_noise
 
 
-def rates(period, jitter, duration, n, seed, gamma):
+def rates(period, jitter, n, seed):
     acf_hits = walker_hits = 0
     for i in range(n):
-        packets = gen_cnc_beacon(period, jitter, duration, [seed, int(period), int(jitter * 10), i])
-        res = detect_periodicity(packets.ts[cnc_candidates(packets)], duration)
+        packets = gen_cnc_beacon(period, jitter, SESSION_SECS,
+                                 [seed, int(period), int(jitter * 10), i])
+        res = detect_periodicity(packets.ts[cnc_candidates(packets)], SESSION_SECS)
         acf_hits += res.verdict is Verdict.PERIOD_DETECTED
-        walker_hits += walker_test(res.sequence, gamma=gamma).verdict is WalkerVerdict.DETECTED
+        walker_hits += walker_test(res.sequence).verdict is WalkerVerdict.DETECTED
     return acf_hits / n, walker_hits / n
 
 
@@ -28,32 +29,23 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-traces", type=int, default=50)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--duration", type=float, default=900.0)
-    ap.add_argument("--gamma", type=float, default=0.1)
     args = ap.parse_args()
     if args.n_traces < 1:
         ap.error(f"--n-traces must be at least 1, got {args.n_traces}")
     if args.seed < 0:
         ap.error(f"--seed must be non-negative, got {args.seed}")
-    if not 0 < args.gamma < 1:
-        ap.error(f"--gamma must be in (0, 1), got {args.gamma}")
-    try:  # the span every trace is binned over
-        encode([], args.duration)
-    except ConfigError as exc:
-        ap.error(f"--duration: {exc}")
 
     print(f"{'period':>7} {'jitter':>7} {'ACF DR':>8} {'ACF MDR':>8} {'baseline DR':>12}")
     for period in (60.0, 210.0):
         for jitter in (0.0, 2.0, 5.0):
-            acf_dr, walker_dr = rates(period, jitter, args.duration, args.n_traces,
-                                      args.seed, args.gamma)
+            acf_dr, walker_dr = rates(period, jitter, args.n_traces, args.seed)
             print(f"{period:7.0f} {jitter:7.1f} {acf_dr:8.2f} {1 - acf_dr:8.2f} "
                   f"{walker_dr:12.2f}")
 
     fp = 0
     for i in range(2 * args.n_traces):
-        noise = gen_memoryless_noise(1 / 30, args.duration, [args.seed, 999, i])
-        res = detect_periodicity(noise.ts[cnc_candidates(noise)], args.duration)
+        noise = gen_memoryless_noise(1 / 30, SESSION_SECS, [args.seed, 999, i])
+        res = detect_periodicity(noise.ts[cnc_candidates(noise)], SESSION_SECS)
         fp += res.verdict is Verdict.PERIOD_DETECTED
     print(f"\nnoise false-positive rate: {fp / (2 * args.n_traces):.3f} "
           f"({fp}/{2 * args.n_traces} traces)")

@@ -7,7 +7,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
+
+GAMMA = 0.1  # significance level: the chance that white noise is DETECTED
 
 
 class WalkerVerdict(str, Enum):
@@ -22,11 +24,9 @@ class WalkerResult:
     threshold: float | None = None
 
 
-def walker_test(sequence: np.ndarray, gamma: float = 0.1) -> WalkerResult:
+def walker_test(sequence: np.ndarray) -> WalkerResult:
     """Compare the largest mean-subtracted periodogram ordinate (scaled by the
-    sample variance) against z = -ln(1 - (1-gamma)^(1/M))."""
-    if not 0 < gamma < 1:
-        raise ConfigError("gamma must be in (0, 1)")
+    sample variance) against z = -ln(1 - (1 - GAMMA)^(1/M))."""
     e = np.asarray(sequence, dtype=float)
     K = len(e)
     if K < 8:
@@ -39,6 +39,6 @@ def walker_test(sequence: np.ndarray, gamma: float = 0.1) -> WalkerResult:
     spectrum = np.fft.fft(d)
     periodogram = np.abs(spectrum[1 : M + 1]) ** 2 / K
     g = float(periodogram.max()) / var
-    z = -math.log(1.0 - (1.0 - gamma) ** (1.0 / M))
+    z = -math.log(1.0 - (1.0 - GAMMA) ** (1.0 / M))
     verdict = WalkerVerdict.DETECTED if g > z else WalkerVerdict.NOT_DETECTED
     return WalkerResult(verdict=verdict, statistic=g, threshold=z)

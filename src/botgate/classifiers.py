@@ -243,17 +243,36 @@ class TrainedModel:
         return predict(self.model, scaler_transform(self.scaler, raw_X)[:, self.selected_idx])
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` as ``kind`` if the model file holds it as save_model writes
+    one: a JSON int for an index, label, count or seed, and a JSON int or
+    float for any other number. A bool is neither."""
+    if type(value) not in (int, kind):
+        raise ModelFormatError(f"{what}: {value!r} is not "
+                               f"{'an integer' if kind is int else 'a number'}")
+    return kind(value)
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """The array of a model file's nested lists of finite JSON numbers."""
+    nested = np.array(value, dtype=object)
+    floats = np.array([_typed(v, float, what) for v in nested.flat]).reshape(nested.shape)
+    if not np.isfinite(floats).all():
+        raise ModelFormatError(f"non-finite number in {what}")
+    return floats
+
+
 def _tree_from_dict(d: dict, n_features: int) -> dict:
     """A checked copy of one tree of a model file."""
     if "leaf" in d:
-        label = int(d["leaf"])
+        label = _typed(d["leaf"], int, "leaf label")
         if label not in (LABEL_BENIGN, LABEL_MALICIOUS):
             raise ModelFormatError(f"leaf label {label} is not 0 or 1")
         return {"leaf": label}
-    feature = int(d["f"])
+    feature = _typed(d["f"], int, "a tree split feature")
     if not 0 <= feature < n_features:
         raise ModelFormatError(f"a tree splits on feature {feature} of {n_features}")
-    threshold = float(d["t"])
+    threshold = _typed(d["t"], float, "a tree threshold")
     if not math.isfinite(threshold):
         raise ModelFormatError(f"a tree threshold is {threshold}")
     return {"f": feature, "t": threshold, "l": _tree_from_dict(d["l"], n_features),
@@ -278,11 +297,6 @@ def save_model(trained: TrainedModel, path) -> None:
     write_text_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _check_finite(what: str, *arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ModelFormatError(f"non-finite number in {what}")
-
-
 def load_model(path) -> TrainedModel:
     """The model ``save_model`` wrote; ModelFormatError naming the file for
     anything that could not have come from it."""
@@ -293,46 +307,46 @@ def load_model(path) -> TrainedModel:
             raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
         kind = doc["kind"]
         params = doc["params"]
-        scaler = MinMaxScaler(mins=np.array(doc["scaler"]["mins"], float),
-                              maxs=np.array(doc["scaler"]["maxs"], float))
-        _check_finite("the scaler", scaler.mins, scaler.maxs)
-        selected = [int(i) for i in doc["selected"]]
+        scaler = MinMaxScaler(mins=_floats(doc["scaler"]["mins"], "the scaler"),
+                              maxs=_floats(doc["scaler"]["maxs"], "the scaler"))
+        selected = [_typed(i, int, "selected feature") for i in doc["selected"]]
         n_raw = len(scaler.mins)
         if scaler.mins.shape != (n_raw,) or scaler.maxs.shape != (n_raw,):
             raise ModelFormatError("scaler mins and maxs differ in length")
         if not all(0 <= i < n_raw for i in selected):
             raise ModelFormatError(f"selected features {selected} are not all below {n_raw}")
+        if len(set(selected)) != len(selected):
+            raise ModelFormatError(f"selected features {selected} repeat a feature")
         k = len(selected)
         if kind == "gnb":
             model = GNBModel(
-                priors=np.array(params["priors"], float),
-                theta=np.array(params["theta"], float),
-                var=np.array(params["var"], float),
+                priors=_floats(params["priors"], "the GNB parameters"),
+                theta=_floats(params["theta"], "the GNB parameters"),
+                var=_floats(params["var"], "the GNB parameters"),
             )
-            var_smoothing = float(params["var_smoothing"])  # recorded; the variances hold it
+            _floats(params["var_smoothing"], "the GNB parameters")  # the variances hold it
             if model.priors.shape != (2,) or {model.theta.shape, model.var.shape} != {(2, k)}:
                 raise ModelFormatError(f"GNB arrays do not fit 2 classes x {k} features")
-            _check_finite("the GNB parameters", model.priors, model.theta, model.var,
-                          var_smoothing)
         elif kind == "forest":
-            n_features = int(params["n_features"])
+            n_features = _typed(params["n_features"], int, "n_features")
             if n_features != k:
                 raise ModelFormatError(f"forest has {n_features} features, {k} selected")
             model = ForestModel(
                 trees=[_tree_from_dict(t, n_features) for t in params["trees"]],
                 n_features=n_features,
-                seed=int(params["seed"]),
+                seed=_typed(params["seed"], int, "seed"),
             )
             if not model.trees:
                 raise ModelFormatError("forest has no trees")
         else:
             raise ModelFormatError(f"unknown model kind {kind!r}")
-        session_secs = float(doc["session_secs"])
+        session_secs = _typed(doc["session_secs"], float, "session_secs")
         if session_secs != SESSION_SECS:
             raise ModelFormatError(f"session_secs {session_secs} is not the session window "
                                    f"{SESSION_SECS}")
         return TrainedModel(model=model, scaler=scaler, selected_idx=selected)
     except ModelFormatError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from None
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            OverflowError) as exc:
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc

@@ -106,7 +106,7 @@ def cmd_train(args) -> int:
     scaler = scaler_fit(data.X)
     Xs = scaler_transform(scaler, data.X)
     scores = chi2_scores(Xs, data.y)
-    selected = select_k_best(scores, args.k_best)
+    selected = select_k_best(scores)
     train = Dataset(Xs[:, selected], data.y)
     if args.model == "gnb":
         model = gnb_fit(train)
@@ -193,8 +193,7 @@ def cmd_policy(args) -> int:
 
 def cmd_run_pipeline(args) -> int:
     """Convenience chain: simulate -> featurize -> train -> detect."""
-    # train's refusals that the session counts decide, before any write
-    select_k_best(np.zeros(len(FEATURE_NAMES)), args.k_best)
+    # train's refusals that the session counts decide, before any write;
     # featurize writes one row per simulated session: the benign rows, then the malicious
     labels = np.repeat([0, 1], [args.n_benign, args.n_malicious])
     folds = cv_folds(len(labels), 5, args.seed)
@@ -211,7 +210,7 @@ def cmd_run_pipeline(args) -> int:
 
     train_args = argparse.Namespace(
         features=features_csv, model=args.model, seed=args.seed,
-        k_best=args.k_best, cv_folds=5, out=workdir / "model.json",
+        cv_folds=5, out=workdir / "model.json",
     )
     cmd_train(train_args)
 
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--model", choices=["gnb", "forest"], default="forest")
     p.add_argument("--seed", type=_count, default=0)
-    p.add_argument("--k-best", type=int, default=6)
     p.add_argument("--cv-folds", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -297,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-benign", type=_count, default=20)
     p.add_argument("--n-malicious", type=_count, default=20)
     p.add_argument("--model", choices=["gnb", "forest"], default="forest")
-    p.add_argument("--k-best", type=int, default=6)
     p.set_defaults(func=cmd_run_pipeline)
 
     return parser

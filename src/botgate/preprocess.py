@@ -7,6 +7,9 @@ import numpy as np
 
 from .errors import DataError
 
+K_BEST = 6  # features chi-square selection keeps, of the 8 in FEATURE_NAMES
+TRAIN_FRACTION = 0.8  # share of a shuffled dataset that shuffle_split trains on
+
 
 @dataclass
 class Dataset:
@@ -43,15 +46,13 @@ def scaler_transform(scaler: MinMaxScaler, X: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def shuffle_split(dataset: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded permutation, then first floor(n*ratio) rows train, rest test."""
-    if not 0 < ratio < 1:
-        raise DataError(f"split ratio must be in (0, 1), got {ratio}")
+def shuffle_split(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded permutation, then first floor(n * TRAIN_FRACTION) rows train, rest test."""
     n = dataset.X.shape[0]
     if n < 2:
         raise DataError("need at least 2 rows to split")
     perm = np.random.default_rng(seed).permutation(n)
-    cut = int(np.floor(n * ratio))
+    cut = int(np.floor(n * TRAIN_FRACTION))
     tr, te = perm[:cut], perm[cut:]
     return Dataset(dataset.X[tr], dataset.y[tr]), Dataset(dataset.X[te], dataset.y[te])
 
@@ -78,10 +79,8 @@ def chi2_scores(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0)
 
 
-def select_k_best(scores: np.ndarray, k: int) -> list[int]:
-    """Indices of the k largest scores, descending; ties break to lower index."""
+def select_k_best(scores: np.ndarray) -> list[int]:
+    """Indices of the K_BEST largest scores, descending; ties break to lower index."""
     scores = np.asarray(scores, dtype=float)
-    if not 1 <= k <= len(scores):
-        raise DataError(f"k={k} is outside 1..{len(scores)}, the feature count")
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
-    return order[:k]
+    return order[:K_BEST]

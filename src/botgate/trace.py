@@ -355,7 +355,7 @@ def _parse_block(block: memoryview, lineno: int, out: list[np.ndarray]) -> tuple
     b[1:n + 1] = np.frombuffer(block, np.uint8)
     if fields := _layout_fields(b[:n + 1 if block[-1] == 0x0A else n + 2]):
         rows = fields[0].shape[1]
-        _parse_rows(b, *fields, block, lineno + np.arange(rows), out)
+        _parse_rows(b, *fields, lineno + np.arange(rows), out)
         return rows, rows
     space = b == 0x20
     space |= b - np.uint8(0x09) < 5  # \t \n \v \f \r: what bytes.split() splits on
@@ -371,7 +371,7 @@ def _parse_block(block: memoryview, lineno: int, out: list[np.ndarray]) -> tuple
     n_rows = int(misfit[0]) if misfit.size else len(rows)
     # rows before the first misfit are parsed first: an earlier bad value wins
     tokens = edges[:2 * N_FIELDS * n_rows].reshape(n_rows, N_FIELDS, 2)
-    _parse_rows(b, *_token_fields(b, tokens), block, lineno + rows[:n_rows], out)
+    _parse_rows(b, *_token_fields(b, tokens), lineno + rows[:n_rows], out)
     if misfit.size:
         row = rows[n_rows]
         raise TraceParseError(
@@ -430,19 +430,18 @@ def _token_row(line: bytes) -> tuple[list, str | None]:
     return values, None
 
 
-def _parse_rows(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray, block: memoryview,
-                linenos: np.ndarray, out: list[np.ndarray]) -> None:
+def _parse_rows(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray, linenos: np.ndarray,
+                out: list[np.ndarray]) -> None:
     """Write into the starts of the ``out`` columns the rows whose 16 fields
     start at ``starts`` and have ``lengths`` (field, row; offsets into
-    ``b``, which holds ``block`` from offset 1). Rows in canonical shape are
-    read from the bytes; the others one token at a time. The first bad row
-    raises TraceParseError with its line number before anything is written."""
+    ``b``). Rows in canonical shape are read from the bytes; the others one
+    token at a time. The first bad row raises TraceParseError with its line
+    number before anything is written."""
     values, canonical = _canonical_values(b, starts, lengths)
     other = np.flatnonzero(~canonical)
     # a row's text runs from its first field's start to the end of its last (field 13)
     ends = starts[13, other] + lengths[13, other]
-    read = [_token_row(bytes(block[s - 1:e - 1]))
-            for s, e in zip(starts[0, other].tolist(), ends.tolist())]
+    read = [_token_row(b[s:e].tobytes()) for s, e in zip(starts[0, other].tolist(), ends.tolist())]
     for k, column in enumerate(values):
         column[other] = [row[k] for row, _ in read]
     token_errors = {i: error for i, (_, error) in zip(other.tolist(), read) if error}

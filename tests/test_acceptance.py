@@ -54,12 +54,12 @@ def test_criterion_1_stage1_metrics(capsys):
         rows.append(extract_features(sess))
         labels.append(1 if rec.label == MALICIOUS else 0)
     data = Dataset(np.array(rows), np.array(labels))
-    train, test = shuffle_split(data, 0.8, seed=0)
+    train, test = shuffle_split(data, seed=0)
 
     scaler = scaler_fit(train.X)
     Xtr = scaler_transform(scaler, train.X)
     Xte = scaler_transform(scaler, test.X)
-    selected = select_k_best(chi2_scores(Xtr, train.y), 6)
+    selected = select_k_best(chi2_scores(Xtr, train.y))
     Xtr, Xte = Xtr[:, selected], Xte[:, selected]
 
     forest = forest_fit(Dataset(Xtr, train.y), seed=0)
@@ -178,7 +178,7 @@ def test_criterion_5_chi2_selection_oracle(capsys):
                 brute[j] += (obs - exp) ** 2 / exp
         worst = max(worst, float(np.abs(scores - brute).max()))
         expected_order = sorted(range(8), key=lambda j: (-brute[j], j))[:6]
-        mismatches += select_k_best(scores, 6) != expected_order
+        mismatches += select_k_best(scores) != expected_order
 
     # zero-variance features are dropped at k = 6
     X = rng.random((20, 8))
@@ -187,7 +187,7 @@ def test_criterion_5_chi2_selection_oracle(capsys):
     y = rng.integers(0, 2, 20)
     y[:2] = [0, 1]
     Xs = scaler_transform(scaler_fit(X), X)
-    constant_dropped = not {1, 6} & set(select_k_best(chi2_scores(Xs, y), 6))
+    constant_dropped = not {1, 6} & set(select_k_best(chi2_scores(Xs, y)))
 
     ok = worst <= 1e-9 and mismatches == 0 and constant_dropped
     report(capsys, 5, ok,

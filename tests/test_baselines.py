@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from botgate.baselines import WalkerVerdict, walker_test
-from botgate.errors import ConfigError, DataError
+from botgate.baselines import GAMMA, WalkerVerdict, walker_test
+from botgate.errors import DataError
 
 
 def brute_statistic(e):
@@ -37,7 +37,7 @@ def test_statistic_matches_brute_force():
 def test_pure_sinusoid_detected():
     k = np.arange(128)
     e = np.sin(2 * np.pi * 8 * k / 128)
-    res = walker_test(e, gamma=0.01)
+    res = walker_test(e)
     assert res.verdict is WalkerVerdict.DETECTED
     # all spectral mass in one ordinate: the statistic is exactly K/2
     assert res.statistic == pytest.approx(64.0)
@@ -46,14 +46,15 @@ def test_pure_sinusoid_detected():
 
 def test_noise_not_detected():
     rng = np.random.default_rng(31)
-    res = walker_test(rng.random(128), gamma=0.001)
+    res = walker_test(rng.random(128))
     assert res.verdict is WalkerVerdict.NOT_DETECTED
 
 
-def test_threshold_monotone_in_gamma():
-    e = np.random.default_rng(5).random(64)
-    thresholds = [walker_test(e, gamma=g).threshold for g in (0.01, 0.05, 0.1, 0.5)]
-    assert thresholds == sorted(thresholds, reverse=True)
+@pytest.mark.parametrize("K, M", [(64, 31), (65, 32)])
+def test_threshold_is_walkers_z_at_gamma(K, M):
+    # M = floor((K - 1) / 2) ordinates, for an even and an odd K
+    e = np.random.default_rng(5).random(K)
+    assert walker_test(e).threshold == -math.log(1 - (1 - GAMMA) ** (1 / M))
 
 
 def test_edge_cases():
@@ -62,7 +63,3 @@ def test_edge_cases():
     assert res.statistic is None
     with pytest.raises(DataError):
         walker_test(np.ones(4))
-    with pytest.raises(ConfigError):
-        walker_test(np.zeros(16), gamma=0.0)
-    with pytest.raises(ConfigError):
-        walker_test(np.zeros(16), gamma=1.0)

@@ -188,9 +188,10 @@ def test_simulate_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-# The stage-2 design values are constants of acf, stats and pipeline, not
-# flags, and every command cuts the one session window, SESSION_SECS; each
-# command's required flags, then the flags it does not take.
+# The stage-2 design values are constants of acf, stats, pipeline and
+# baselines, stage 1 selects preprocess.K_BEST features, and every command
+# cuts the one session window, SESSION_SECS; each command's required flags,
+# then the flags it does not take.
 REMOVED_FLAGS = {
     "evaluate": (["--features", "f.csv", "--model-file", "m.json"],
                  ["--sample-t", "--peak-frac", "--gap-var", "--payload-cutoff",
@@ -201,8 +202,8 @@ REMOVED_FLAGS = {
     "baseline": (["--trace", "t.trace"], ["--gamma", "--sample-t", "--payload-cutoff"]),
     "simulate": (["--out", "c"], ["--session-secs"]),
     "featurize": (["--corpus", "c", "--out", "f.csv"], ["--session-secs"]),
-    "train": (["--features", "f.csv", "--out", "m.json"], ["--session-secs"]),
-    "run-pipeline": (["--workdir", "w"], ["--session-secs"]),
+    "train": (["--features", "f.csv", "--out", "m.json"], ["--session-secs", "--k-best"]),
+    "run-pipeline": (["--workdir", "w"], ["--session-secs", "--k-best"]),
 }
 
 
@@ -321,12 +322,17 @@ def test_policy_apply_bad_infected_list_and_name_map_exit_2(workspace, tmp_path,
     assert "infected_devices must be a list of strings" in capsys.readouterr().err
 
 
-def test_detect_model_with_unknown_feature_exits_2(workspace, tmp_path, capsys):
-    doc = json.loads((workspace / "model.json").read_text())
+def _first_split(doc):
+    """The first tree's deepest split down its left branches."""
     node = doc["params"]["trees"][0]
     while "leaf" not in node["l"]:
         node = node["l"]
-    node["f"] = 99
+    return node
+
+
+def test_detect_model_with_unknown_feature_exits_2(workspace, tmp_path, capsys):
+    doc = json.loads((workspace / "model.json").read_text())
+    _first_split(doc)["f"] = 99
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
@@ -334,22 +340,63 @@ def test_detect_model_with_unknown_feature_exits_2(workspace, tmp_path, capsys):
     assert f"model file {model}: a tree splits on feature 99 of 6" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", ["-1", "0", "9"])
-def test_train_k_best_out_of_range_exits_2(workspace, tmp_path, capsys, k):
+@pytest.fixture(scope="module")
+def gnb_model(workspace):
+    model = workspace / "gnb.json"
+    assert main(["train", "--features", str(workspace / "features.csv"), "--model", "gnb",
+                 "--cv-folds", "4", "--out", str(model)]) == 0
+    return model
+
+
+# values save_model cannot write: indices, labels, n_features and the seed are
+# JSON integers, the selected features distinct, and every other number an int
+# or a float
+@pytest.mark.parametrize("kind, edit, message", [
+    ("forest", lambda d: d.update(selected="012345"), "selected feature: '0' is not an integer"),
+    ("forest", lambda d: d.update(selected=[1.5, 2, 3, 4, 5, 6]),
+     "selected feature: 1.5 is not an integer"),
+    ("forest", lambda d: d.update(selected=[True, 1, 2, 3, 4, 5]),
+     "selected feature: True is not an integer"),
+    ("forest", lambda d: d.update(selected=[0] * 6),
+     "selected features [0, 0, 0, 0, 0, 0] repeat a feature"),
+    ("forest", lambda d: _first_split(d)["l"].update(leaf=True),
+     "leaf label: True is not an integer"),
+    ("forest", lambda d: _first_split(d)["l"].update(leaf="1"),
+     "leaf label: '1' is not an integer"),
+    ("forest", lambda d: _first_split(d).update(f=True),
+     "a tree split feature: True is not an integer"),
+    ("forest", lambda d: _first_split(d).update(t="0.5"),
+     "a tree threshold: '0.5' is not a number"),
+    ("forest", lambda d: d["params"].update(seed=1e300), "seed: 1e+300 is not an integer"),
+    ("forest", lambda d: d["params"].update(n_features=6.0), "n_features: 6.0 is not an integer"),
+    ("forest", lambda d: d.update(session_secs="900"), "session_secs: '900' is not a number"),
+    ("forest", lambda d: d["scaler"]["mins"].__setitem__(0, "0"),
+     "the scaler: '0' is not a number"),
+    ("forest", lambda d: d["scaler"]["maxs"].__setitem__(7, True),
+     "the scaler: True is not a number"),
+    ("forest", lambda d: d["scaler"]["mins"].__setitem__(0, 10 ** 400),
+     "int too large to convert to float"),
+    ("gnb", lambda d: d["params"]["theta"][1].__setitem__(0, "0.5"),
+     "the GNB parameters: '0.5' is not a number"),
+    ("gnb", lambda d: d["params"]["priors"].__setitem__(0, False),
+     "the GNB parameters: False is not a number"),
+    ("gnb", lambda d: d["params"].update(var_smoothing="0.001"),
+     "the GNB parameters: '0.001' is not a number"),
+], ids=["selected-string", "selected-float", "selected-bool", "selected-repeated",
+        "leaf-bool", "leaf-string", "feature-bool", "threshold-string", "seed-float",
+        "n-features-float", "session-secs-string", "scaler-string", "scaler-bool",
+        "scaler-huge-int", "gnb-string", "gnb-bool", "var-smoothing-string"])
+def test_model_value_save_model_cannot_write_exits_2(workspace, gnb_model, tmp_path, capsys,
+                                                     kind, edit, message):
+    source = gnb_model if kind == "gnb" else workspace / "model.json"
+    doc = json.loads(source.read_text())
+    edit(doc)
     model = tmp_path / "model.json"
-    assert main(["train", "--features", str(workspace / "features.csv"), "--k-best", k,
-                 "--cv-folds", "4", "--out", str(model)]) == 2
-    assert f"k={k} is outside 1..8" in capsys.readouterr().err
-    assert not model.exists()
-
-
-@pytest.mark.parametrize("k", ["-1", "0", "9"])
-def test_run_pipeline_k_best_out_of_range_exits_2(tmp_path, capsys, k):
-    workdir = tmp_path / "w"
-    assert main(["run-pipeline", "--workdir", str(workdir), "--n-benign", "2",
-                 "--n-malicious", "2", "--k-best", k]) == 2
-    assert f"k={k} is outside 1..8" in capsys.readouterr().err
-    assert not workdir.exists()  # refused before the corpus is simulated
+    model.write_text(json.dumps(doc))
+    trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
+    assert main(["detect", "--trace", str(trace), "--model-file", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert f"model file {model}: " in err and message in err
 
 
 def _run_pipeline_digest(workdir, *flags) -> str:
@@ -707,3 +754,28 @@ def test_readme_cli_lines_parse():
             build_parser().parse_args(argv)
     commands = next(a.choices for a in build_parser()._actions if a.dest == "command_name")
     assert {argv[0] for argv in lines} == set(commands)
+
+
+# Every option of the botgate command and of each subcommand. Each one is a
+# value that tests and benchmarks must cover; a new flag edits this table.
+CLI_OPTIONS = {
+    "botgate": ["--version"],
+    "simulate": ["--out", "--seed", "--n-benign", "--n-malicious", "--jitter"],
+    "featurize": ["--corpus", "--out"],
+    "train": ["--features", "--model", "--seed", "--cv-folds", "--out"],
+    "evaluate": ["--features", "--model-file", "--traces"],
+    "detect": ["--trace", "--model-file", "--out"],
+    "baseline": ["--trace"],
+    "policy": ["--store", "--apply", "--name-map"],
+    "run-pipeline": ["--workdir", "--seed", "--n-benign", "--n-malicious", "--model"],
+}
+
+
+def test_cli_options_are_pinned():
+    def options(parser):
+        return [s for a in parser._actions if a.dest != "help" for s in a.option_strings]
+
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command_name")
+    assert {"botgate": options(parser),
+            **{name: options(p) for name, p in commands.items()}} == CLI_OPTIONS

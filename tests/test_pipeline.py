@@ -36,7 +36,7 @@ def model():
     X, y = np.array(rows), np.array(y)
     scaler = scaler_fit(X)
     Xs = scaler_transform(scaler, X)
-    selected = select_k_best(chi2_scores(Xs, y), 6)
+    selected = select_k_best(chi2_scores(Xs, y))
     forest = forest_fit(Dataset(Xs[:, selected], y), seed=3)
     return TrainedModel(forest, scaler, selected)
 

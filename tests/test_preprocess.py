@@ -49,15 +49,15 @@ def test_scaler_empty_error():
 
 def test_shuffle_split_deterministic_and_sized():
     data = Dataset(np.arange(20).reshape(10, 2), np.arange(10) % 2)
-    a_train, a_test = shuffle_split(data, 0.7, seed=42)
-    b_train, b_test = shuffle_split(data, 0.7, seed=42)
+    a_train, a_test = shuffle_split(data, seed=42)
+    b_train, b_test = shuffle_split(data, seed=42)
     assert np.array_equal(a_train.X, b_train.X)
     assert np.array_equal(a_test.y, b_test.y)
-    assert a_train.X.shape[0] == 7 and a_test.X.shape[0] == 3
-    c_train, _ = shuffle_split(data, 0.7, seed=43)
+    assert a_train.X.shape[0] == 8 and a_test.X.shape[0] == 2  # TRAIN_FRACTION 0.8
+    c_train, _ = shuffle_split(data, seed=43)
     assert not np.array_equal(a_train.X, c_train.X)
     with pytest.raises(DataError):
-        shuffle_split(data, 1.0, seed=0)
+        shuffle_split(Dataset(np.zeros((1, 2)), [0]), seed=0)
 
 
 def test_chi2_two_sample_example():
@@ -95,12 +95,9 @@ def test_chi2_matches_brute_force_property(X, y):
 
 
 def test_select_k_best_order_and_ties():
-    scores = np.array([3.0, 1.0, 3.0, 5.0])
-    assert select_k_best(scores, 3) == [3, 0, 2]  # tie breaks to the lower index
-    assert select_k_best(scores, 4) == [3, 0, 2, 1]
-    for k in (5, 0, -1):
-        with pytest.raises(DataError, match=f"k={k} is outside 1..4"):
-            select_k_best(scores, k)
+    scores = np.array([3.0, 1.0, 3.0, 5.0, 0.5, 2.0, 1.0, 0.0])
+    # K_BEST = 6 of 8; ties break to the lower index
+    assert select_k_best(scores) == [3, 0, 2, 5, 1, 6]
 
 
 def test_select_k6_drops_the_two_length_extremes():
@@ -108,6 +105,6 @@ def test_select_k6_drops_the_two_length_extremes():
     # max/min columns carry no signal
     scores = np.array([146.088020, 77.313488, 79.5, 8.317776,
                        165.130937, 0.0, 0.0, 13.700322])
-    selected = select_k_best(scores, 6)
+    selected = select_k_best(scores)
     assert set(selected) == {0, 1, 2, 3, 4, 7}
     assert selected == [4, 0, 2, 1, 7, 3]

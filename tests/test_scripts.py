@@ -18,7 +18,7 @@ def test_stage1_eval(capsys, monkeypatch):
     out = _run(capsys, monkeypatch, "stage1_eval.py",
                "--n-benign", "10", "--n-malicious", "10", "--cv-folds", "2")
     assert out[0].startswith("corpus: 20 sessions in ")
-    assert sum(line.endswith(" *") for line in out) == 6  # --k-best 6 of 8 features
+    assert sum(line.endswith(" *") for line in out) == 6  # K_BEST 6 of 8 features
     header = out.index("model     accuracy  precision   recall       f1  cv mean   cv std")
     rows = [line.split() for line in out[header + 1:]]
     assert [r[0] for r in rows] == ["gnb", "forest"]
@@ -40,11 +40,11 @@ def test_stage2_eval(capsys, monkeypatch):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--n-traces", "0", "--n-traces must be at least 1, got 0"),
-    ("--duration", "5", "--duration: duration 5.0 shorter than sampling interval 10.0"),
-    ("--gamma", "0", "--gamma must be in (0, 1), got 0.0"),
-    ("--gamma", "1.5", "--gamma must be in (0, 1), got 1.5"),
     ("--seed", "-1", "--seed must be non-negative, got -1"),
-], ids=["no-traces", "shorter-than-a-bin", "gamma-zero", "gamma-above-one", "negative-seed"])
+    # the study bins over SESSION_SECS and the baseline tests at baselines.GAMMA
+    ("--duration", "900", "unrecognized arguments: --duration 900"),
+    ("--gamma", "0.1", "unrecognized arguments: --gamma 0.1"),
+], ids=["no-traces", "negative-seed", "duration-removed", "gamma-removed"])
 def test_stage2_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message):
     with pytest.raises(SystemExit) as exc:
         _run(capsys, monkeypatch, "stage2_eval.py", flag, value)
@@ -53,7 +53,7 @@ def test_stage2_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--k-best", "0", "--k-best: k=0 is outside 1..8, the feature count"),
+    ("--k-best", "6", "unrecognized arguments: --k-best 6"),  # preprocess.K_BEST
     ("--cv-folds", "1", "--cv-folds must be at least 2, got 1"),
     ("--n-benign", "-1", "--n-benign must be non-negative, got -1"),
     ("--seed", "-1", "--seed must be non-negative, got -1"),
@@ -61,7 +61,7 @@ def test_stage2_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message
                         "positive, got 0 and 2"),
     ("--n-malicious", "1", "corpus too small to train and cross-validate: need at least 10 rows "
                            "for 10-fold CV"),
-], ids=["no-features", "one-fold", "negative-count", "negative-seed", "one-class",
+], ids=["k-best-removed", "one-fold", "negative-count", "negative-seed", "one-class",
         "too-few-rows"])
 def test_stage1_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message):
     with pytest.raises(SystemExit) as exc:
