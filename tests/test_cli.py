@@ -13,6 +13,7 @@ from botgate.baselines import walker_test
 from botgate.cli import _parse_policy_argv, build_parser, main
 from botgate.pipeline import analyze_devices
 from botgate.policy import PolicyStore
+from botgate.preprocess import K_BEST
 from botgate.sessions import SESSION_SECS
 from botgate.synth import gen_cnc_beacon
 from botgate.trace import PacketTable, Trace, load_trace, parse_ip, save_trace
@@ -397,6 +398,53 @@ def test_model_value_save_model_cannot_write_exits_2(workspace, gnb_model, tmp_p
     assert main(["detect", "--trace", str(trace), "--model-file", str(model)]) == 2
     err = capsys.readouterr().err
     assert f"model file {model}: " in err and message in err
+
+
+# A model's selection of its K_BEST features, put out of range by k: feature
+# -1 first (numpy would read the last column), no feature at all, or feature 9
+# of the 8 last
+K_OUT_OF_RANGE = {
+    -1: (lambda s: [-1, *s[1:]], "are not all below 8"),
+    0: (lambda s: [], "forest has 6 features, 0 selected"),
+    9: (lambda s: [*s[:-1], 9], "are not all below 8"),
+}
+
+
+def _with_selection_out_of_range(source, model, k):
+    doc = json.loads(source.read_text())
+    assert len(doc["selected"]) == K_BEST
+    doc["selected"] = K_OUT_OF_RANGE[k][0](doc["selected"])
+    model.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("k", K_OUT_OF_RANGE)
+def test_train_k_best_out_of_range_exits_2(workspace, tmp_path, capsys, k):
+    model = tmp_path / "model.json"
+    _with_selection_out_of_range(workspace / "model.json", model, k)
+    assert main(["evaluate", "--features", str(workspace / "features.csv"),
+                 "--model-file", str(model)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"model file {model}: " in err and K_OUT_OF_RANGE[k][1] in err
+
+
+@pytest.fixture(scope="module")
+def pipeline_workdir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("pipeline") / "w"
+    assert main(["run-pipeline", "--workdir", str(workdir), "--seed", "0",
+                 "--n-benign", "2", "--n-malicious", "3"]) == 0
+    return workdir
+
+
+@pytest.mark.parametrize("k", K_OUT_OF_RANGE)
+def test_run_pipeline_k_best_out_of_range_exits_2(pipeline_workdir, tmp_path, capsys, k):
+    model, report = tmp_path / "model.json", tmp_path / "report.json"
+    _with_selection_out_of_range(pipeline_workdir / "model.json", model, k)
+    trace = pipeline_workdir / "corpus" / "session_00002.trace"  # the first malicious
+    assert main(["detect", "--trace", str(trace), "--model-file", str(model),
+                 "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"model file {model}: " in err and K_OUT_OF_RANGE[k][1] in err
+    assert not report.exists()
 
 
 def _run_pipeline_digest(workdir, *flags) -> str:

@@ -41,10 +41,12 @@ def test_stage2_eval(capsys, monkeypatch):
 @pytest.mark.parametrize("flag, value, message", [
     ("--n-traces", "0", "--n-traces must be at least 1, got 0"),
     ("--seed", "-1", "--seed must be non-negative, got -1"),
-    # the study bins over SESSION_SECS and the baseline tests at baselines.GAMMA
+    # the study bins over SESSION_SECS and the baseline tests at baselines.GAMMA:
+    # no gamma, in (0, 1) or not, is a flag
     ("--duration", "900", "unrecognized arguments: --duration 900"),
-    ("--gamma", "0.1", "unrecognized arguments: --gamma 0.1"),
-], ids=["no-traces", "negative-seed", "duration-removed", "gamma-removed"])
+    ("--gamma", "0", "unrecognized arguments: --gamma 0"),
+    ("--gamma", "1.5", "unrecognized arguments: --gamma 1.5"),
+], ids=["no-traces", "negative-seed", "duration-removed", "gamma-zero", "gamma-above-one"])
 def test_stage2_eval_refuses_bad_flags(capsys, monkeypatch, flag, value, message):
     with pytest.raises(SystemExit) as exc:
         _run(capsys, monkeypatch, "stage2_eval.py", flag, value)
