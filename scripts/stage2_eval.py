@@ -8,7 +8,7 @@ Usage:
 """
 import argparse
 
-from botgate.acf import Verdict, cnc_candidates, detect_periodicity
+from botgate.acf import Verdict, cnc_candidates, detect_periodicity, encode
 from botgate.baselines import WalkerVerdict, walker_test
 from botgate.sessions import SESSION_SECS
 from botgate.synth import gen_cnc_beacon, gen_memoryless_noise
@@ -19,9 +19,9 @@ def rates(period, jitter, n, seed):
     for i in range(n):
         packets = gen_cnc_beacon(period, jitter, SESSION_SECS,
                                  [seed, int(period), int(jitter * 10), i])
-        res = detect_periodicity(packets.ts[cnc_candidates(packets)], SESSION_SECS)
-        acf_hits += res.verdict is Verdict.PERIOD_DETECTED
-        walker_hits += walker_test(res.sequence).verdict is WalkerVerdict.DETECTED
+        arrivals = packets.ts[cnc_candidates(packets)]
+        acf_hits += detect_periodicity(arrivals, SESSION_SECS).verdict is Verdict.PERIOD_DETECTED
+        walker_hits += walker_test(encode(arrivals, SESSION_SECS)).verdict is WalkerVerdict.DETECTED
     return acf_hits / n, walker_hits / n
 
 

@@ -36,7 +36,6 @@ class Verdict(str, Enum):
 @dataclass
 class PeriodicityResult:
     verdict: Verdict
-    sequence: np.ndarray = field(repr=False, compare=False)
     peak_lags: list[int] = field(default_factory=list)
     gap_variance: float | None = None
     n_candidates: int = 0
@@ -119,10 +118,9 @@ def detect_periodicity(arrivals, duration: float) -> PeriodicityResult:
     arrival times over ``duration``, then run the ACF peak and gap-variance
     test. Degenerate sequences yield PERIOD_NOT_DETECTED with a diagnostic
     reason; a duration ``encode`` refuses raises its ConfigError. The result
-    keeps the sequence, for the confidence score."""
+    keeps no sequence: a caller that scores it encodes it again."""
     e = encode(arrivals, duration)
-    result = PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED, sequence=e,
-                               n_candidates=len(arrivals))
+    result = PeriodicityResult(verdict=Verdict.PERIOD_NOT_DETECTED, n_candidates=len(arrivals))
     max_lag = int(math.floor(len(e) * MAX_LAG_FRAC))
     if max_lag < 2:
         result.reason = "sequence too short for peak analysis"

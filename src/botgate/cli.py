@@ -3,8 +3,8 @@
 Subcommands: simulate, featurize, train, evaluate, detect, baseline, policy,
 run-pipeline. Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
 Every command cuts traces into the one session window, ``SESSION_SECS``.
-Stage 2 (``evaluate --traces``, ``detect``, ``baseline``) analyzes each trace
-through ``pipeline.analyze_devices``, over the trace's whole session windows.
+Stage 2 (``evaluate --traces``, ``detect``, ``baseline``) reads each trace's
+devices through ``pipeline.stage2_input``, over its whole session windows.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .acf import encode
 from .baselines import walker_test
 from .classifiers import (
     TrainedModel, cross_validate, cv_folds, forest_fit, gnb_fit, load_model, save_model,
@@ -26,7 +27,7 @@ from .errors import BotgateError, DataError, PolicyError
 from .features import (
     BENIGN, FEATURE_NAMES, MALICIOUS, extract_features, read_feature_csv, write_feature_csv,
 )
-from .pipeline import DetectionReport, analyze_devices, run_pipeline
+from .pipeline import DetectionReport, detect_iot_bots, run_pipeline, stage2_input
 from .policy import PolicyStore, apply_policies, load_store, save_store
 from .preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, select_k_best
 from .sessions import sessionize
@@ -132,7 +133,7 @@ def cmd_evaluate(args) -> int:
         entries = [e for e in _read_manifest(Path(args.traces)) if e["label"] == MALICIOUS]
         detected = 0
         for entry in entries:
-            infected, _ = analyze_devices(load_trace(entry["file"]))
+            infected, _ = detect_iot_bots(*stage2_input(load_trace(entry["file"])))
             detected += bool(infected)
         dr = detected / len(entries) if entries else 0.0
         out["stage2"] = {"n_malicious_traces": len(entries), "DR": dr, "MDR": 1.0 - dr}
@@ -153,12 +154,12 @@ def cmd_detect(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    """Walker's test on each device's sequence from the stage-2 pass that
-    ``detect`` makes."""
+    """Walker's test, in place of the ACF test, on each device's sequence as
+    ``detect`` encodes it."""
     out = {}
-    _, results = analyze_devices(load_trace(args.trace))
-    for ip, res in results.items():
-        walker = walker_test(res.sequence)
+    devices, span = stage2_input(load_trace(args.trace))
+    for ip, arrivals in devices.items():
+        walker = walker_test(encode(arrivals, span))
         out[ip] = {"verdict": walker.verdict.value, "statistic": walker.statistic,
                    "threshold": walker.threshold}
     print(json.dumps(out, indent=2, sort_keys=True))

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .acf import PeriodicityResult, Verdict, check_bins, detect_periodicity
+from .acf import PeriodicityResult, Verdict, check_bins, detect_periodicity, encode
 from .classifiers import LABEL_MALICIOUS, TrainedModel
 from .errors import DataError
 from .features import BENIGN, MALICIOUS, extract_features
@@ -72,20 +72,20 @@ def averaged_verdict(verdict_window: list[str]) -> str:
 def detect_iot_bots(devices: dict[str, np.ndarray],
                     duration: float) -> tuple[list[str], dict[str, PeriodicityResult]]:
     """Stage 2: one periodicity test per device's candidate arrival times, in
-    the order given. Each result keeps its sequence."""
+    the order given. No result keeps its sequence, so one is alive at a time."""
     results = {ip: detect_periodicity(arrivals, duration) for ip, arrivals in devices.items()}
     infected = [ip for ip, res in results.items() if res.verdict is Verdict.PERIOD_DETECTED]
     return infected, results
 
 
-def analyze_devices(trace: Trace) -> tuple[list[str], dict[str, PeriodicityResult]]:
-    """Stage 2 on a whole trace: ``detect_iot_bots`` over the span of the
-    trace's whole session windows, the windows stage 1 classifies. Too many
-    bins is wrong for every device alike, so the span is refused once, before
-    the sweep."""
-    analyzed = window_count(trace) * SESSION_SECS
-    check_bins(analyzed)
-    return detect_iot_bots(split_by_device(trace), analyzed)
+def stage2_input(trace: Trace) -> tuple[dict[str, np.ndarray], float]:
+    """Stage 2's input on a whole trace: each device's candidate arrival times
+    and the span to encode them over, the trace's whole session windows, the
+    windows stage 1 classifies. Too many bins is wrong for every device alike,
+    so the span is refused once, before the split."""
+    span = window_count(trace) * SESSION_SECS
+    check_bins(span)
+    return split_by_device(trace), span
 
 
 def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
@@ -119,7 +119,8 @@ def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
         return report
 
     report.stage2_ran = True
-    infected, results = analyze_devices(trace)
+    devices, span = stage2_input(trace)
+    infected, results = detect_iot_bots(devices, span)
     infected_probs = []
     for ip, res in results.items():
         diag = {
@@ -129,7 +130,7 @@ def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
             "n_candidates": res.n_candidates,
             "reason": res.reason,
         }
-        prob = period_detection_prob(res.sequence)
+        prob = period_detection_prob(encode(devices[ip], span))
         diag.update(period_prob=prob.prob, q=prob.q, pvalue=prob.pvalue)
         if res.verdict is Verdict.PERIOD_DETECTED:
             infected_probs.append(prob.prob)

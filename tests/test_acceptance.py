@@ -12,7 +12,7 @@ import pytest
 import scipy.integrate
 
 import scalar_reference as ref
-from botgate.acf import Verdict, acf, cnc_candidates, detect_periodicity
+from botgate.acf import Verdict, acf, cnc_candidates, detect_periodicity, encode
 from botgate.baselines import WalkerVerdict, walker_test
 from botgate.classifiers import forest_fit, gnb_fit, predict
 from botgate.cli import main
@@ -116,11 +116,11 @@ def test_criterion_3_beats_baseline_on_jitter(capsys):
     acf_hits = walker_hits = 0
     n = 25
     for i in range(n):
-        res = detect_periodicity(arrivals(gen_cnc_beacon(210.0, 5.0, SESSION_SECS, [13, i])),
-                                 SESSION_SECS)
+        beacon = arrivals(gen_cnc_beacon(210.0, 5.0, SESSION_SECS, [13, i]))
+        res = detect_periodicity(beacon, SESSION_SECS)
         if res.verdict is Verdict.PERIOD_DETECTED:
             acf_hits += 1
-        if walker_test(res.sequence).verdict is WalkerVerdict.DETECTED:
+        if walker_test(encode(beacon, SESSION_SECS)).verdict is WalkerVerdict.DETECTED:
             walker_hits += 1
     acf_dr, walker_dr = acf_hits / n, walker_hits / n
     ok = acf_dr >= walker_dr

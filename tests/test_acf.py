@@ -100,7 +100,7 @@ def test_detect_periodicity_degenerate_and_noise():
     assert res.verdict is Verdict.PERIOD_NOT_DETECTED
     assert "constant" in res.reason
     assert res.n_candidates == 0
-    assert res.sequence.tolist() == [0] * 90
+    assert encode(empty, 900.0).tolist() == [0] * 90
     # a span shorter than one bin cannot be encoded
     with pytest.raises(ConfigError, match="shorter than sampling interval 10.0"):
         detect_periodicity(empty, 5.0)

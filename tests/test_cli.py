@@ -11,7 +11,8 @@ import pytest
 
 from botgate.baselines import walker_test
 from botgate.cli import _parse_policy_argv, build_parser, main
-from botgate.pipeline import analyze_devices
+from botgate.acf import encode
+from botgate.pipeline import stage2_input
 from botgate.policy import PolicyStore
 from botgate.preprocess import K_BEST
 from botgate.sessions import SESSION_SECS
@@ -97,13 +98,14 @@ def test_baseline_tests_the_sequence_detect_encodes(workspace, capsys):
     # a 899.949 s capture: its one whole 900 s window is K = 90 bins of 10 s,
     # where the capture's own span would give 89
     trace = workspace / "corpus" / f"session_{N_BENIGN:05d}.trace"
-    _, results = analyze_devices(load_trace(trace))
+    devices, span = stage2_input(load_trace(trace))
     assert main(["baseline", "--trace", str(trace)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert sorted(out) == sorted(results)
-    for ip, res in results.items():
-        assert len(res.sequence) == 90
-        walker = walker_test(res.sequence)
+    assert sorted(out) == sorted(devices)
+    for ip, arrivals in devices.items():
+        e = encode(arrivals, span)
+        assert len(e) == 90
+        walker = walker_test(e)
         assert (out[ip]["statistic"], out[ip]["verdict"]) == \
             (walker.statistic, walker.verdict.value), ip
 

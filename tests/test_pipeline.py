@@ -1,29 +1,33 @@
 """Two-stage pipeline: verdict averaging, the device sweep and reports."""
 import importlib
+import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scalar_reference as ref
-from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, Verdict
-from botgate.classifiers import TrainedModel, forest_fit
+from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, Verdict, encode
+from botgate.classifiers import ForestModel, TrainedModel, forest_fit
+from botgate.cli import main
 from botgate.errors import DataError
-from botgate.features import BENIGN, MALICIOUS, extract_features
+from botgate.features import BENIGN, FEATURE_NAMES, MALICIOUS, extract_features
 from botgate.pipeline import (
     DetectionReport, averaged_verdict, classify_sessions,
     detect_iot_bots, run_pipeline,
 )
-from botgate.preprocess import Dataset, chi2_scores, scaler_fit, scaler_transform, \
-    select_k_best
+from botgate.preprocess import K_BEST, Dataset, MinMaxScaler, chi2_scores, scaler_fit, \
+    scaler_transform, select_k_best
 from botgate.sessions import TrafficSession, split_by_device
 from botgate.synth import (
     SynthConfig, gen_cnc_beacon, gen_dataset, gen_memoryless_noise, gen_scanning,
     gen_session,
 )
-from botgate.trace import PacketTable, Trace
+from botgate.trace import PROTO_UDP, PacketTable, Trace, parse_ip, save_trace
 
 CFG = SynthConfig(seed=5)
+N_DEVICES = 1000
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +86,10 @@ def test_detect_iot_bots_matches_scalar_reference():
         res = results[ip]
         hit, peaks = ref.detect_periodicity(list(packets), 900.0)
         assert (res.verdict is Verdict.PERIOD_DETECTED, res.peak_lags) == (hit, peaks)
-        assert res.sequence.dtype == np.int8
-        assert res.sequence.tolist() == ref.encode(
+        assert "sequence" not in vars(res)  # the confidence score encodes again
+        e = encode(devices[ip], 900.0)
+        assert e.dtype == np.int8
+        assert e.tolist() == ref.encode(
             ref.filter_cnc_candidates(list(packets), PAYLOAD_CUTOFF),
             SAMPLE_T, 900.0).tolist()
     assert detect_iot_bots({}, 900.0) == ([], {})
@@ -158,3 +164,44 @@ def test_benchmark_hooks_read_the_stage2_results(monkeypatch):
     assert sweep["candidates"] == sum(len(ref.filter_cnc_candidates(rows, PAYLOAD_CUTOFF))
                                       for rows in expected.values())
     assert 1 <= sweep["reached"] <= sweep["swept"]
+
+
+def _many_devices() -> Trace:
+    """24 h (K = 8640 bins) in which each of N_DEVICES addresses in a /16
+    sends two 4-byte UDP packets to one outside host."""
+    dev = parse_ip("10.1.0.1") + np.arange(N_DEVICES)
+    ts = np.concatenate((np.linspace(0.0, 43000.0, N_DEVICES),
+                         np.linspace(43400.0, 86400.0, N_DEVICES)))
+    packets = PacketTable.from_columns(ts, np.concatenate((dev, dev)), parse_ip("8.8.8.8"),
+                                       40000, 53, PROTO_UDP, 0, 32, 4)
+    return Trace(packets, "10.1.0.0/16")
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated under tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# One K-byte sequence per device would hold N_DEVICES x 8640 bytes (8.6 MB) at
+# once; a sequence alive only while its device is tested keeps stage 2 far below.
+
+def test_baseline_memory_does_not_grow_with_devices(tmp_path, capsys):
+    path = tmp_path / "many.trace"
+    save_trace(_many_devices(), path)
+    rc, peak = _traced_peak(main, ["baseline", "--trace", str(path)])
+    assert rc == 0 and len(json.loads(capsys.readouterr().out)) == N_DEVICES
+    assert peak < 4e6
+
+
+def test_run_pipeline_memory_does_not_grow_with_devices():
+    n_features = len(FEATURE_NAMES)
+    flag_every_window = TrainedModel(ForestModel([{"leaf": 1}], K_BEST, 0),
+                                     MinMaxScaler(np.zeros(n_features), np.ones(n_features)),
+                                     list(range(K_BEST)))
+    report, peak = _traced_peak(run_pipeline, _many_devices(), flag_every_window)
+    assert report.stage2_ran and len(report.device_diagnostics) == N_DEVICES
+    assert peak < 4e6

@@ -26,16 +26,19 @@ def test_stage1_eval(capsys, monkeypatch):
 
 
 def test_stage2_eval(capsys, monkeypatch):
+    # the whole table at seed 0: both tests' rates are pinned, not only its layout
     out = _run(capsys, monkeypatch, "stage2_eval.py", "--n-traces", "2")
-    assert out[0].split() == ["period", "jitter", "ACF", "DR", "ACF", "MDR", "baseline", "DR"]
-    rows = [line.split() for line in out[1:7]]
-    assert [(r[0], r[1]) for r in rows] == [
-        (p, j) for p in ("60", "210") for j in ("0.0", "2.0", "5.0")]
-    for r in rows:
-        dr, mdr, base = map(float, r[2:])
-        assert dr + mdr == pytest.approx(1.0) and 0.0 <= base <= 1.0
-    assert out[-1].startswith("noise false-positive rate: ")
-    assert out[-1].endswith("/4 traces)")
+    assert out == [
+        " period  jitter   ACF DR  ACF MDR  baseline DR",
+        "     60     0.0     1.00     0.00         1.00",
+        "     60     2.0     0.00     1.00         1.00",
+        "     60     5.0     0.00     1.00         1.00",
+        "    210     0.0     1.00     0.00         0.00",
+        "    210     2.0     0.00     1.00         0.00",
+        "    210     5.0     0.00     1.00         0.00",
+        "",
+        "noise false-positive rate: 0.000 (0/4 traces)",
+    ]
 
 
 @pytest.mark.parametrize("flag, value, message", [
