@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .preprocess import Dataset
-from .sessions import TrafficSession
+from .sessions import TrafficSession, distinct
 from .trace import ACK, PROTO_TCP, SYN, PacketTable
 
 BENIGN = "BENIGN"
@@ -71,7 +71,7 @@ def extract_features(session: TrafficSession) -> list:
         return [0, 0, 0, 0.0, 0, 0, 0, 0.0]
     per_dst = np.unique(packets.dst, return_counts=True)[1]
     return [
-        len(np.unique(packets.dst[_syn_only(packets.flags)])),
+        len(distinct(packets.dst[_syn_only(packets.flags)])),
         int(per_dst.max()),
         int(per_dst.min()),
         # means are Python int / int, not np.mean: the CSV bytes depend on it

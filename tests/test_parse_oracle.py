@@ -1,7 +1,11 @@
 """The byte-level trace parser against the token-level parser it replaced
 (scalar_reference.parse_trace): the same table, or the same error message."""
+import os
+import sys
+import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +14,10 @@ import scalar_reference as ref
 from botgate import trace as trace_module
 from botgate.errors import TraceParseError
 from botgate.synth import SynthConfig, gen_dataset
-from botgate.trace import PacketRecord, Proto, Trace, format_ip, parse_trace, write_trace
+from botgate.trace import (
+    PROTO_OTHER, PROTO_TCP, PacketRecord, PacketTable, Proto, Trace, format_ip, parse_trace,
+    write_trace,
+)
 
 HEADER = "#trace v1 subnet=192.168.1.0/24 epoch=7"
 ROW = "1.000 192.168.1.10 8.8.8.8 40000 80 TCP 0x02 40 0"
@@ -282,3 +289,136 @@ def test_blank_lines_cost_no_rows():
     assert peak <= 3.5 * len(body)
     assert len(packets) == 1
     assert all(column.base is None for column in packets.columns())
+
+
+# A body of 1 MiB or more is read in two parts at once, the second on a worker
+# thread, on a machine with two CPUs. These tests run the parse as on one CPU
+# or two (os.sched_getaffinity) and count the other threads that ran it.
+def parse_on(cpus: int, text):
+    """The outcome of parsing ``text`` on ``cpus`` CPUs, and the number of
+    threads other than this one that ran Python code during the parse."""
+    workers = set()
+
+    def first_call(frame, event, arg):  # in each thread started during the parse
+        workers.add(threading.get_ident())
+        sys.setprofile(None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        threading.setprofile(first_call)
+        try:
+            result = outcome(parse_trace, text)
+        finally:
+            threading.setprofile(None)
+    return result, len(workers)
+
+
+def random_trace(rows: int) -> str:
+    """A canonical trace of ``rows`` random valid rows, ~60 bytes each."""
+    rng = np.random.default_rng(rows)
+    proto = rng.integers(0, 3, rows)
+    ip_len = rng.integers(0, 1 << 16, rows)
+    packets = PacketTable.from_columns(
+        np.sort(rng.integers(0, 86_400_000, rows)) / 1000,
+        rng.integers(0, 1 << 32, rows), rng.integers(0, 1 << 32, rows),
+        *rng.integers(0, 1 << 16, (2, rows)) * (proto != PROTO_OTHER), proto,
+        rng.integers(0, 256, rows) * (proto == PROTO_TCP), ip_len, rng.integers(0, ip_len + 1))
+    return write_trace(Trace(packets=packets, internal_subnet="192.168.1.0/24"))
+
+
+def large_lines() -> list[str]:
+    """The lines of a 1.7 MB trace with 400 blank lines early in its first
+    half, so that the first part keeps fewer rows than it has lines."""
+    lines = random_trace(25_000).split("\n")
+    lines[100:100] = [""] * 400
+    return lines
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_large_trace_reads_the_same_in_two_parts(newline):
+    text = newline.join(large_lines())
+    assert len(text) > 1 << 20
+    one, one_workers = parse_on(1, text)
+    two, two_workers = parse_on(2, text)
+    assert (one_workers, two_workers) == (0, 1)
+    assert two == one
+    assert len(two[2]) == 25_000
+
+
+@pytest.mark.parametrize("bad", [{5_000: BAD_CANONICAL}, {20_000: SHORT_ROW},
+                                 {5_000: BAD_TOKEN, 20_000: BAD_CANONICAL}],
+                         ids=["first-part", "second-part", "both-parts"])
+def test_first_bad_row_in_file_order_across_parts(bad):
+    lines = large_lines()
+    for i, row in bad.items():
+        lines[i] = row
+    first = min(bad)
+    message = {BAD_CANONICAL: "payload_len 41 > ip_len 40", SHORT_ROW: "expected 9 fields, got 8",
+               BAD_TOKEN: "bad timestamp 'x2.0'"}[bad[first]]
+    text = "\n".join(lines)
+    assert parse_on(2, text) == (f"line {first + 1}: {message}", 1)
+    assert parse_on(1, text) == (f"line {first + 1}: {message}", 0)
+
+
+def test_mostly_blank_body_takes_one_part():
+    """Lines that could not all be rows keep the small blocks of one part,
+    whose temporaries test_blank_lines_cost_no_rows bounds."""
+    text = f"{HEADER}\n" + "\n" * 2_000_000 + f"{ROW}\n"
+    result, workers = parse_on(2, text)
+    assert workers == 0
+    assert len(result[2]) == 1
+
+
+@pytest.mark.parametrize("bad_line", [None, 2, 24_000], ids=["good", "first-part", "second-part"])
+def test_no_thread_outlives_the_parse(bad_line):
+    """The worker is joined before the parse returns or raises, also when the
+    first part fails long before the second is read."""
+    lines = large_lines()
+    if bad_line:
+        lines[bad_line - 1] = BAD_CANONICAL
+    before = threading.active_count()
+    result, workers = parse_on(2, "\n".join(lines))
+    assert threading.active_count() == before
+    assert workers == 1
+    assert isinstance(result, str) == bool(bad_line)
+
+
+def test_two_part_parse_peak_memory():
+    """Both parts' block temporaries are alive at once: beyond the body and
+    the table they must stay under 5 MB on a 17 MB trace."""
+    text = random_trace(250_000).encode()
+    assert len(text) > 15e6
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        tracemalloc.start()
+        try:
+            packets = parse_trace(text).packets
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    table = sum(column.nbytes for column in packets.columns())
+    assert peak - table < 5e6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(records(), min_size=1, max_size=40), st.sampled_from(["\n", "\r\n"]),
+       st.data())
+def test_parse_matches_reference_in_two_parts(pkts, newline, data):
+    """With the two-part threshold lowered to any body: rows out of order,
+    blank lines, and maybe bad rows anywhere, so in either part or both."""
+    header, *rows = write_trace(Trace(packets=pkts, internal_subnet="192.168.1.0/24")).splitlines()
+    lines = [header]
+    for row in data.draw(st.permutations(rows)):
+        lines += data.draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=1)) + [row]
+    for bad in data.draw(st.lists(st.sampled_from([BAD_CANONICAL, BAD_TOKEN, SHORT_ROW]),
+                                  max_size=2)):
+        lines.insert(data.draw(st.integers(1, len(lines))), bad)
+    text = newline.join(lines) + newline
+    body = "\n".join(lines[1:]) + "\n"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "_PARALLEL_MIN", 0)
+        expected = outcome(ref.parse_trace, text)
+        result, workers = parse_on(2, text)
+    assert result == expected
+    # every line may be a row (18 bytes at least), else one part
+    assert workers == (len(body) + 1 >= 18 * (body.count("\n") + 1))

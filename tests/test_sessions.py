@@ -1,5 +1,8 @@
 """Session windowing, filtering and device splitting."""
-from botgate.sessions import sessionize, split_by_device
+import numpy as np
+import pytest
+
+from botgate.sessions import distinct, sessionize, split_by_device
 from botgate.trace import ACK, PSH, SYN, PacketRecord, Proto, Trace
 
 
@@ -50,3 +53,17 @@ def test_split_by_device_subnet_mask():
         tcp(3.0, src="10.1.2.3", dst="11.1.2.3"),
     ], subnet="10.0.0.0/8")
     assert list(split_by_device(trace)) == ["10.0.0.0", "10.1.2.3", "10.255.255.255"]
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], np.uint32),
+    np.array([7], np.uint32),
+    np.full(50, 3, np.uint32),
+    np.random.default_rng(0).integers(0, 2**32, 5000, dtype=np.uint32),
+    np.random.default_rng(1).integers(0, 40, 5000, dtype=np.uint32),  # many repeats
+], ids=["empty", "one", "all-equal", "random-uint32", "repeats"])
+def test_distinct_is_np_unique(values):
+    expected = np.unique(values)
+    result = distinct(values)
+    assert result.dtype == expected.dtype
+    np.testing.assert_array_equal(result, expected)
