@@ -117,7 +117,7 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, max_features: int,
                rng: np.random.Generator) -> dict:
-    if len(np.unique(y)) == 1:
+    if y.size and (y == y[0]).all():  # one label (np.unique hashes); an empty y draws features
         return {"leaf": _majority(y)}
     d = X.shape[1]
     features = rng.choice(d, size=min(max_features, d), replace=False)

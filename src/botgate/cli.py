@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from .classifiers import (
     TrainedModel, cross_validate, cv_folds, forest_fit, gnb_fit, load_model, save_model,
     stage1_metrics,
 )
-from .errors import BotgateError, DataError, PolicyError
+from .errors import BotgateError, DataError, PolicyError, read_text
 from .features import (
     BENIGN, FEATURE_NAMES, MALICIOUS, extract_features, read_feature_csv, write_feature_csv,
 )
@@ -52,7 +53,7 @@ def _write_corpus(outdir: Path, config: SynthConfig, n_benign: int, n_malicious:
 def _read_manifest(corpus_dir: Path) -> list[dict]:
     path = corpus_dir / MANIFEST_NAME
     entries = []
-    with open(path) as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:  # lines end at \n, \r\n or \r
         header = fh.readline()
         if not header.startswith("index\t"):
             raise BotgateError(f"bad manifest header in {path}")

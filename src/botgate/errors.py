@@ -1,4 +1,5 @@
-"""Shared exception types, and the file write that leaves no torn file."""
+"""Shared exception types, the file write that leaves no torn file, and the
+text read that names the line of a byte that is not UTF-8."""
 import os
 from pathlib import Path
 
@@ -42,3 +43,15 @@ def write_text_atomic(path, text: str) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; DataError naming the file and
+    the line of the first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # the lines before the byte end at \n, \r\n or \r, as in text mode and csv
+        lineno = len(data[:exc.start + 1].splitlines())
+        raise DataError(f"{path} line {lineno}: {exc}") from None

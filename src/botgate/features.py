@@ -7,12 +7,13 @@ max/min/mean. Computed from TCP headers only.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .preprocess import Dataset
 from .sessions import TrafficSession, distinct
 from .trace import ACK, PROTO_TCP, SYN, PacketTable
@@ -111,7 +112,7 @@ def read_feature_csv(path) -> Dataset:
     MALICIOUS); DataError naming the file, and the line, for any other
     header or row, and for a file with no rows."""
     X, y = [], []
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -42,7 +42,7 @@ HEADER_PREFIX = "#trace v1"
 N_FIELDS = 9
 MAX_LEN = 0xFFFFFFFF  # lengths are stored as uint32
 
-_PARSE_BLOCK = 96 << 10  # body bytes a block; temporaries ~0.55 KB a row, ~0.67 KB on the line path
+_PARSE_BLOCK = 96 << 10  # body bytes a block; layout temporaries ~0.55 KB a row
 # Bodies of _PARALLEL_MIN bytes or more are read in _PARTS parts at once if the process may use
 # _PARTS CPUs. Seed-1 `day` trace (15.5 MB, 2-vCPU Xeon), two parts against one, medians of 12
 # rounds: 0.94x in 96 KiB blocks, since the threads trade the GIL between short numpy calls.
@@ -390,38 +390,42 @@ def _parse_block(block: memoryview, lineno: int, out: list[np.ndarray]) -> tuple
     written and of lines read.
 
     A block whose every line has the canonical layout is cut into fields at
-    its separators. In any other block blank lines are skipped, and field
-    counts are checked per line before any value is read, so a short row
-    cannot borrow fields from its neighbour."""
+    its separators. Any other block is read one line at a time."""
     n = len(block)
     b = np.empty(n + 1 + _LOAD, np.uint8)  # the block between two newlines, then spaces:
     b[0] = b[n + 1] = 0x0A                  # every line is bounded and every token has an
     b[n + 2:] = 0x20                        # edge on each side and room for an 8-byte load
     b[1:n + 1] = np.frombuffer(block, np.uint8)
-    if fields := _layout_fields(b[:n + 1 if block[-1] == 0x0A else n + 2]):
-        rows = fields[0].shape[1]
-        _parse_rows(b, *fields, lineno + np.arange(rows), out)
-        return rows, rows
-    space = b == 0x20
-    space |= b - np.uint8(0x09) < 5  # \t \n \v \f \r: what bytes.split() splits on
-    # token starts and ends, alternating, as offsets into b
-    edges = np.flatnonzero(space[1:] != space[:-1]).astype(np.int32 if len(b) < 2**31 else np.intp)
-    edges += 1
-    del space
-    # fields per line: a token lies wholly between the newlines around its line
-    tokens_before = np.searchsorted(edges, np.flatnonzero(b == 0x0A), "right") // 2
-    counts = tokens_before[1:] - tokens_before[:-1]
-    rows = np.flatnonzero(counts)
-    misfit = np.flatnonzero(counts[rows] != N_FIELDS)
-    n_rows = int(misfit[0]) if misfit.size else len(rows)
-    # rows before the first misfit are parsed first: an earlier bad value wins
-    tokens = edges[:2 * N_FIELDS * n_rows].reshape(n_rows, N_FIELDS, 2)
-    _parse_rows(b, *_token_fields(b, tokens), lineno + rows[:n_rows], out)
-    if misfit.size:
-        row = rows[n_rows]
-        raise TraceParseError(
-            f"line {lineno + row}: expected {N_FIELDS} fields, got {counts[row]}")
-    return n_rows, len(counts) - 1  # counts has an entry per newline of the block, and one more
+    if not (fields := _layout_fields(b[:n + 1 if block[-1] == 0x0A else n + 2])):
+        return _read_lines(bytes(block), lineno, out)
+    starts, lengths = fields
+    rows = starts.shape[1]
+    values, canonical = _canonical_values(b, starts, lengths)
+    # the other rows one token at a time, from the first field's start to the end of field 13
+    other = np.flatnonzero(~canonical)
+    ends = starts[13, other] + lengths[13, other]
+    read = [_token_row(b[s:e].tobytes()) for s, e in zip(starts[0, other].tolist(), ends.tolist())]
+    _write_rows(values, other, read, lineno + np.arange(rows), out)
+    return rows, rows
+
+
+def _read_lines(block: bytes, lineno: int, out: list[np.ndarray]) -> tuple[int, int]:
+    """``_parse_block`` of a block off the layout, one line at a time: blank
+    lines are skipped, and a line without nine fields ends the block after
+    the rows before it, so that an earlier bad value wins."""
+    read, linenos, misfit = [], [], None
+    for i, line in enumerate(block.split(b"\n"), lineno):
+        if (count := line and len(line.split())) == N_FIELDS:  # b"" makes no list
+            read.append(_token_row(line))
+            linenos.append(i)
+        elif count:
+            misfit = f"line {i}: expected {N_FIELDS} fields, got {count}"
+            break
+    values = [np.empty(len(read), np.int64 if k else np.float64) for k in range(N_FIELDS)]
+    _write_rows(values, np.arange(len(read)), read, linenos, out)
+    if misfit:
+        raise TraceParseError(misfit)
+    return len(read), block.count(b"\n")
 
 
 def _layout_fields(head: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -463,7 +467,7 @@ def _token_row(line: bytes) -> tuple[list, str | None]:
     what is wrong with the first token that its field's converter rejects or
     its column cannot hold, if any."""
     values = [0] * N_FIELDS
-    for k, token in enumerate(line.split()):  # the tokens the byte tokenizer sees
+    for k, token in enumerate(line.split()):  # at ASCII whitespace, not at bytes 0x1C-0x1F
         token = token.decode()
         try:
             value = _CONVERTERS[k](token)
@@ -475,18 +479,12 @@ def _token_row(line: bytes) -> tuple[list, str | None]:
     return values, None
 
 
-def _parse_rows(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray, linenos: np.ndarray,
-                out: list[np.ndarray]) -> None:
-    """Write into the starts of the ``out`` columns the rows whose 16 fields
-    start at ``starts`` and have ``lengths`` (field, row; offsets into
-    ``b``). Rows in canonical shape are read from the bytes; the others one
-    token at a time. The first bad row raises TraceParseError with its line
-    number before anything is written."""
-    values, canonical = _canonical_values(b, starts, lengths)
-    other = np.flatnonzero(~canonical)
-    # a row's text runs from its first field's start to the end of its last (field 13)
-    ends = starts[13, other] + lengths[13, other]
-    read = [_token_row(b[s:e].tobytes()) for s, e in zip(starts[0, other].tolist(), ends.tolist())]
+def _write_rows(values: list[np.ndarray], other: np.ndarray, read: list, linenos,
+               out: list[np.ndarray]) -> None:
+    """Write into the starts of the ``out`` columns the rows of the wide
+    columns ``values``, once the rows at ``other`` hold what ``_token_row``
+    ``read`` of them. The first bad row raises TraceParseError with its line
+    number (``linenos``: one a row) before anything is written."""
     for k, column in enumerate(values):
         column[other] = [row[k] for row, _ in read]
     token_errors = {i: error for i, (_, error) in zip(other.tolist(), read) if error}
@@ -506,13 +504,9 @@ def _parse_rows(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray, linenos:
 # Its 16 fields are read in this order: the 14 decimal ones (ts integer part
 # and fraction, the 4 + 4 octets, the two ports and the two lengths), then
 # protocol and flags; _TEXT_FIELDS maps them to their order in the text.
-# Each of the nine tokens starts a field and ends one; each of a row's 7
-# dots ends one field and starts the next.
+# A row's 7 dots cut its nine tokens into the 16 fields.
 _TEXT_FIELDS = [*range(12), 14, 15, 12, 13]
 _LAYOUT = np.frombuffer(b". ... ... " + b" " * 5 + b"\n", np.uint8)  # a line's separators
-_TOKEN_STARTS, _TOKEN_ENDS = [0, 2, 6, 10, 11, 14, 15, 12, 13], [1, 5, 9, 10, 11, 14, 15, 12, 13]
-_BEFORE_DOT, _AFTER_DOT = [0, 2, 3, 4, 6, 7, 8], [1, 3, 4, 5, 7, 8, 9]
-_SEVEN = np.arange(7)[:, None]
 _OCTET_SHIFTS = np.array([24, 16, 8, 0])[:, None]
 _PROTO_WORDS = [(int.from_bytes(p.value.encode(), "little"), len(p.value), code)
                 for p, code in _PROTO_CODE.items()]
@@ -520,26 +514,6 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(_LOAD + 1)], np.uint64)
 _HEX_PREFIX = int.from_bytes(b"0x", "little")
 _HEX_DIGIT = np.full(256, -256)  # value of each hex digit character, negative for the rest
 _HEX_DIGIT[list(b"0123456789abcdef")] = _HEX_DIGIT[list(b"0123456789ABCDEF")] = np.arange(16)
-
-
-def _token_fields(b: np.ndarray, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (field, row) starts and lengths of the 16 fields of rows of nine
-    tokens (``tokens``: row, token, start/end as offsets into ``b``), cut at
-    each row's first 7 dots. A row with more dots has one inside a field, and
-    a row with fewer gives its last octet a negative length: neither reads
-    as canonical."""
-    # one dot past the end, so that the array is never empty
-    dots = np.append(np.flatnonzero(b == 0x2E), len(b))
-    dot = dots.take(np.searchsorted(dots, tokens[:, 0, 0]) + _SEVEN, mode="clip")
-    starts = np.empty((16, len(tokens)), np.intp)
-    starts[_TOKEN_STARTS] = tokens[..., 0].T
-    starts[_AFTER_DOT] = dot + 1
-    lengths = np.empty(starts.shape, tokens.dtype)
-    lengths[_TOKEN_ENDS] = tokens[..., 1].T
-    lengths[_BEFORE_DOT] = dot
-    lengths -= starts
-    np.minimum(starts, len(b) - _LOAD, out=starts)  # rows short of dots
-    return starts, lengths
 
 
 def _canonical_values(b: np.ndarray, starts: np.ndarray,

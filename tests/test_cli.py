@@ -253,16 +253,22 @@ def test_session_count_bound_exits_2(workspace, tmp_path, capsys, ts, message):
     assert message in err and "MAX_SESSIONS = 32768" in err
 
 
-@pytest.mark.parametrize("row, message", [
-    ("0\tBENIGN\tsession_00000.trace", "line 3: expected 4 tab-separated fields, got 3"),
-    ("x\tBENIGN\tsession_00000.trace\t", "line 3: bad index 'x'"),
-    ("1\tWHATEVER\tsession_00001.trace\t", "line 3: bad label 'WHATEVER'"),
-], ids=["short-row", "bad-index", "unknown-label"])
-def test_malformed_manifest_row_exits_2(workspace, tmp_path, capsys, row, message):
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+
+
+@pytest.mark.parametrize("lineno, row, message", [
+    (3, b"0\tBENIGN\tsession_00000.trace", "line 3: expected 4 tab-separated fields, got 3"),
+    (3, b"x\tBENIGN\tsession_00000.trace\t", "line 3: bad index 'x'"),
+    (3, b"1\tWHATEVER\tsession_00001.trace\t", "line 3: bad label 'WHATEVER'"),
+    (1, b"index\tlabel\xff\tfile\tingredients", f"line 1: {NOT_UTF8} in position 11"),
+    (3, b"1\tBENIGN\tsession_00001.trace\t\xff", f"line 3: {NOT_UTF8}"),
+], ids=["short-row", "bad-index", "unknown-label", "header-not-utf8", "row-not-utf8"])
+def test_malformed_manifest_row_exits_2(workspace, tmp_path, capsys, lineno, row, message):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    lines = (workspace / "corpus" / "manifest.tsv").read_text().splitlines()
-    (corpus / "manifest.tsv").write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
+    lines = (workspace / "corpus" / "manifest.tsv").read_bytes().splitlines()
+    lines[lineno - 1] = row
+    (corpus / "manifest.tsv").write_bytes(b"\n".join(lines) + b"\n")
     manifest = corpus / "manifest.tsv"
     assert main(["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "f.csv")]) == 2
     assert f"{manifest} {message}" in capsys.readouterr().err

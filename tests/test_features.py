@@ -137,12 +137,18 @@ def test_csv_rejects_foreign_header(tmp_path):
     # a negative value used to pass and reach the model file's scaler mins
     ("-7,2,1,1.5,0,60,40,50.0,BENIGN", "line 3: column n_uniq_syn_dst: negative value '-7'"),
     ("3,2,1,-2.5,0,60,40,50.0,BENIGN", "line 3: column pkts_mean: negative value '-2.5'"),
+    # a byte that is not UTF-8 on line 2, or on line 302, past the first 8 KiB
+    (b"\xff", "line 2: 'utf-8' codec can't decode byte 0xff in position 118"),
+    (b"\n3,2,1,1.5,0,60,40,50.0,MALICIOUS" * 300 + b"\xff",
+     "line 302: 'utf-8' codec can't decode byte 0xff in position 10018"),
 ], ids=["short", "not-a-number", "infinite-count", "nan-count", "nan-mean", "infinite-mean",
-        "unknown-label", "empty-label", "fractional-count", "negative-count", "negative-mean"])
+        "unknown-label", "empty-label", "fractional-count", "negative-count", "negative-mean",
+        "not-utf8-line-2", "not-utf8-past-8k"])
 def test_csv_bad_row_names_file_and_line(tmp_path, row, message):
+    """A str ``row`` is line 3, after a good row; bytes go on at the good row's end."""
     path = tmp_path / "bad.csv"
-    good = "3,2,1,1.5,0,60,40,50.0,MALICIOUS"
-    path.write_text("\n".join([",".join(CSV_HEADER), good, row]) + "\n")
+    head = "\n".join([",".join(CSV_HEADER), "3,2,1,1.5,0,60,40,50.0,MALICIOUS"]).encode()
+    path.write_bytes(head + (row if isinstance(row, bytes) else f"\n{row}\n".encode()))
     with pytest.raises(DataError, match=f"{path} {message}"):
         read_feature_csv(path)
 

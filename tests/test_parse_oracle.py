@@ -21,8 +21,8 @@ from botgate.trace import (
 
 HEADER = "#trace v1 subnet=192.168.1.0/24 epoch=7"
 ROW = "1.000 192.168.1.10 8.8.8.8 40000 80 TCP 0x02 40 0"
-# outside the canonical shape: an exponent, a sign and a one-digit hex flag
-FALLBACK_ROW = "1e-05 192.168.1.10 8.8.8.8 +5 80 TCP 0x2 40 0"
+# outside the canonical shape but with its separators: a sign and a one-digit hex flag
+FALLBACK_ROW = "0.500 192.168.1.10 8.8.8.8 +5 80 TCP 0x2 40 0"
 
 
 def outcome(parse, text):
@@ -140,7 +140,7 @@ def test_parse_matches_reference_across_small_blocks(pkts, block, newline, data)
 def test_canonical_and_fallback_rows_in_one_block(body, token_path_rows):
     _, _, packets = assert_same_as_reference(f"{HEADER}\n{body}")
     assert token_path_rows == [FALLBACK_ROW.encode()]
-    assert [(p.ts, p.src_port, p.tcp_flags) for p in packets] == [(1e-05, 5, 2), (1.0, 40000, 2)]
+    assert [(p.ts, p.src_port, p.tcp_flags) for p in packets] == [(0.5, 5, 2), (1.0, 40000, 2)]
 
 
 BAD_CANONICAL = "2.000 192.168.1.10 8.8.8.8 1 2 TCP 0x02 40 41"
@@ -231,7 +231,7 @@ def blocks_by_path(monkeypatch):
     """Counts the blocks read at their separators ("layout": each one tried
     there first) and those read line by line ("lines")."""
     counts = {"layout": 0, "lines": 0}
-    for name, path in ("_layout_fields", "layout"), ("_token_fields", "lines"):
+    for name, path in ("_layout_fields", "layout"), ("_read_lines", "lines"):
         def counting(*args, path=path, function=getattr(trace_module, name)):
             counts[path] += 1
             return function(*args)
@@ -250,16 +250,24 @@ def test_canonical_blocks_are_read_at_their_separators(block, blocks_by_path, mo
     assert blocks_by_path["lines"] == 0
 
 
+def all_tabs(lines):
+    lines[1:] = [line.replace(" ", "\t") for line in lines[1:]]
+
+
 @pytest.mark.parametrize("edit", [
     lambda lines: lines.insert(5, ""),
     lambda lines: lines.__setitem__(5, lines[5].replace(" ", "\t", 1)),
-], ids=["blank-line", "tab"])
+    all_tabs,
+], ids=["blank-line", "tab", "all-tabs"])
 def test_other_blocks_are_read_line_by_line(edit, blocks_by_path, monkeypatch):
     monkeypatch.setattr(trace_module, "_PARSE_BLOCK", 4096)
-    lines = malicious_capture().decode().split("\n")
+    canonical = malicious_capture()
+    lines = canonical.decode().split("\n")
     edit(lines)
-    assert_same_as_reference("\n".join(lines))
-    assert blocks_by_path["lines"] == 1
+    _, _, packets = assert_same_as_reference("\n".join(lines))
+    assert packets == ref.parse_trace(canonical).packets
+    # the block that holds the edit, or every block
+    assert blocks_by_path["lines"] == (blocks_by_path["layout"] if edit is all_tabs else 1)
 
 
 def test_parse_peak_memory():
