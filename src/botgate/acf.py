@@ -9,6 +9,7 @@ the constants below.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +27,10 @@ SAMPLE_T = 10.0             # bin width in seconds (0.1 Hz sampling)
 PAYLOAD_CUTOFF = 10         # largest command-channel payload, in bytes
 PEAK_HEIGHT_FRAC = 0.7      # of the tallest ACF peak past lag 0
 GAP_VARIANCE_THRESH = 0.01  # inter-peak gap variance below it is periodic (lags^2)
+
+# A lookup table of the lengths 2^a 3^b 5^c up to 2 * MAX_BINS, on which numpy's FFT is fast.
+_FFT_SIZES = tuple(sorted(2 ** a * 3 ** b * 5 ** c for a in range(19) for b in range(12)
+                          for c in range(8) if 2 ** a * 3 ** b * 5 ** c <= 2 * MAX_BINS))
 
 
 class Verdict(str, Enum):
@@ -77,8 +82,9 @@ def acf(e, max_lag: int) -> np.ndarray:
     """Unbiased autocorrelation of a 0/1 sequence at lags 0..max_lag:
     R(l) = K/(K-l) * sum_{i}(e_i - mean)(e_{i+l} - mean) / sum_i (e_i - mean)^2
 
-    Exact: with S = sum e, lag products C_l from one zero-padded FFT rounded
-    to integers, and sums A_l, B_l of e over [0, K-l) and [l, K),
+    Exact: with S = sum e, lag products C_l from one FFT zero-padded to the least
+    2^a 3^b 5^c >= K + max_lag (so none wraps) rounded to integers, and sums
+    A_l, B_l of e over [0, K-l) and [l, K),
     R(l) = (K^2 C_l - K S (A_l + B_l) + (K-l) S^2) / ((K-l) S (K-S)), one
     division of integers below 2^53 (for K <= MAX_BINS): correctly rounded.
     """
@@ -92,9 +98,10 @@ def acf(e, max_lag: int) -> np.ndarray:
     S = int(e.sum())
     if S == 0 or S == K:
         raise DegenerateSignalError("constant sequence has no autocorrelation")
-    spectrum = np.fft.rfft(e, 2 * K)
+    n = _FFT_SIZES[bisect.bisect_left(_FFT_SIZES, K + max_lag)] if K <= MAX_BINS else 2 * K
+    spectrum = np.fft.rfft(e, n)
     lags = np.arange(max_lag + 1)
-    C = np.rint(np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, 2 * K)[: max_lag + 1])
+    C = np.rint(np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, n)[: max_lag + 1])
     cum = np.concatenate(([0], np.cumsum(e)))
     A, B = cum[K - lags], S - cum[lags]
     num = K * K * C.astype(np.int64) - K * S * (A + B) + (K - lags) * S * S

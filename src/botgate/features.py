@@ -39,6 +39,11 @@ def _syn_only(flags: np.ndarray) -> np.ndarray:
     return (flags & SYN != 0) & (flags & ACK == 0)
 
 
+def _group_starts(ranked: np.ndarray) -> np.ndarray:
+    """True at each element of a sorted, non-empty array that differs from the one before."""
+    return np.concatenate(([True], ranked[1:] != ranked[:-1]))
+
+
 def count_half_open(packets: PacketTable) -> int:
     """Count connections opened by a SYN the initiator never ACKed.
 
@@ -48,18 +53,21 @@ def count_half_open(packets: PacketTable) -> int:
     that first SYN does not complete it.
     """
     n = len(packets)
-    initiator = np.unique((packets.src.astype(np.uint64) << 16) | packets.sport,
-                          return_inverse=True)[1]
-    responder = np.unique((packets.dst.astype(np.uint64) << 16) | packets.dport,
-                          return_inverse=True)[1]
-    key = np.unique(initiator * n + responder, return_inverse=True)[1]
-    rows = np.arange(n)
-    first_syn = np.full(n, n)
-    last_ack = np.full(n, -1)
-    syn = _syn_only(packets.flags)
-    ack = packets.flags & ACK != 0
-    np.minimum.at(first_syn, key[syn], rows[syn])
-    np.maximum.at(last_ack, key[ack], rows[ack])
+    syn, ack = _syn_only(packets.flags), packets.flags & ACK != 0
+    rows = np.flatnonzero(syn | ack)  # no other row opens or completes a connection
+    if not len(rows):
+        return 0
+    # rows grouped by connection in two sorts, by (src, dst), then by (pair number, sport,
+    # dport); neither need be stable, as a min or max of row numbers ignores the order of ties
+    pairs = (packets.src[rows].astype(np.uint64) << 32) | packets.dst[rows]
+    order = np.argsort(pairs)
+    rows, pairs = rows[order], pairs[order]
+    conns = ((np.cumsum(_group_starts(pairs)) << 32)
+             | (packets.sport[rows].astype(np.int64) << 16) | packets.dport[rows])
+    order = np.argsort(conns)
+    rows, starts = rows[order], np.flatnonzero(_group_starts(conns[order]))
+    first_syn = np.minimum.reduceat(np.where(syn[rows], rows, n), starts)
+    last_ack = np.maximum.reduceat(np.where(ack[rows], rows, -1), starts)
     return int(np.count_nonzero((first_syn < n) & (last_ack < first_syn)))
 
 

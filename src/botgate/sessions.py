@@ -52,8 +52,8 @@ def sessionize(trace: Trace) -> list[TrafficSession]:
     windows. Each session's packets are a view of the trace's columns."""
     n_sessions = window_count(trace)
     packets = trace.packets
-    # window numbers rise with ts, since a trace is in timestamp order
-    bounds = np.searchsorted(packets.ts // SESSION_SECS, np.arange(n_sessions + 1))
+    # exact in a ts-ordered trace: ts // SESSION_SECS >= i if and only if ts >= i * SESSION_SECS
+    bounds = np.searchsorted(packets.ts, np.arange(n_sessions + 1) * SESSION_SECS)
     return [TrafficSession(index=i, packets=packets[bounds[i]:bounds[i + 1]])
             for i in range(n_sessions)]
 
@@ -72,7 +72,9 @@ def split_by_device(trace: Trace) -> dict[str, np.ndarray]:
     ends = np.column_stack((packets.src, packets.dst)).ravel()
     internal = (ends & mask) == prefix
     devices = distinct(ends[internal])
-    kept = np.flatnonzero(internal & np.repeat(cnc_candidates(packets), 2))
-    kept = kept[np.argsort(ends[kept], kind="stable")]  # by device, then row
-    times = np.split(packets.ts[kept // 2], np.searchsorted(ends[kept], devices[1:]))
+    kept = np.flatnonzero(internal & np.repeat(cnc_candidates(packets), 2)).astype(np.uint64)
+    # by device, then row, in one sort of device << 32 | position (< 2^32 below 2^31 rows)
+    words = np.sort((ends[kept].astype(np.uint64) << 32) | kept)
+    times = np.split(packets.ts[(words & 0xFFFFFFFF) // 2],
+                     np.searchsorted(words, devices[1:].astype(np.uint64) << 32))
     return dict(zip(map(format_ip, devices.tolist()), times))

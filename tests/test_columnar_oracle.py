@@ -2,14 +2,17 @@
 per-packet reference implementations in scalar_reference.py."""
 import ipaddress
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
 from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, encode
 from botgate.features import count_half_open, extract_features
-from botgate.sessions import SESSION_SECS, sessionize, split_by_device
-from botgate.trace import ACK, FIN, PSH, RST, SYN, PacketRecord, Proto, Trace, quantize_ts
+from botgate.sessions import MAX_SESSIONS, SESSION_SECS, sessionize, split_by_device
+from botgate.trace import (
+    ACK, FIN, PROTO_TCP, PSH, RST, SYN, PacketRecord, PacketTable, Proto, Trace, quantize_ts,
+)
 
 SUBNET = "192.168.1.0/24"
 INTERNAL = ["192.168.1.10", "192.168.1.11", "192.168.1.200", "192.168.1.9"]
@@ -95,3 +98,46 @@ def test_columnar_matches_scalar_reference(case):
         assert devices[ip].tolist() == want_arrivals
         assert encode(devices[ip], span).tolist() == \
             ref.encode(want_arrivals, SAMPLE_T, span).tolist()
+
+
+@st.composite
+def wide_tcp_tables(draw):
+    """TCP rows whose keys span the full column ranges, with any flag byte.
+    The addresses are the four joins of two 16-bit halves, and the ports the
+    four joins of two octets, so that a key packed with a wrong shift merges
+    two connections; each row draws its four endpoints from them, so a
+    (src, dst) pair carries several connections."""
+    def joins(width):
+        parts = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=2, max_size=2,
+                              unique=True))
+        return st.sampled_from([hi << width | lo for hi in parts for lo in parts])
+
+    addresses, ports = joins(16), joins(8)
+    # SYN-only and ACK rows are a quarter and a half of all flag bytes; drawn
+    # more often, they open and complete more of the merged connections
+    flags = st.one_of(st.sampled_from([SYN, ACK]), st.integers(0, 0xFF))
+    rows = draw(st.lists(st.tuples(addresses, addresses, ports, ports, flags), max_size=60))
+    src, dst, sport, dport, flags = np.array(rows, np.int64).reshape(-1, 5).T
+    return PacketTable.from_columns(np.arange(len(rows), dtype=float), src, dst, sport, dport,
+                                    PROTO_TCP, flags, 40, 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_tcp_tables())
+def test_count_half_open_matches_scalar_reference_over_wide_values(packets):
+    assert count_half_open(packets) == ref.count_half_open(list(packets))
+
+
+def test_sessionize_matches_scalar_reference_at_window_edges():
+    # every window boundary i*SESSION_SECS that window_count allows, and the
+    # floats just below and above it: the bounds must cut where ts // SESSION_SECS does
+    edges = np.arange(MAX_SESSIONS + 1) * SESSION_SECS
+    ts = np.sort(np.concatenate((edges, np.nextafter(edges[1:], 0), np.nextafter(edges, np.inf))))
+    trace = Trace(packets=PacketTable.from_columns(ts, 1, 2, 0, 0, PROTO_TCP, 0, 40, 0),
+                  internal_subnet=SUBNET)
+    rows = list(trace.packets)
+    expected = ref.sessionize(rows, SESSION_SECS, max(rows[-1].ts, SESSION_SECS))
+    assert len(expected) == MAX_SESSIONS
+    sessions = sessionize(trace)
+    assert [s.index for s in sessions] == list(range(MAX_SESSIONS))
+    assert [s.packets.ts.tolist() for s in sessions] == [[p.ts for p in want] for want in expected]
