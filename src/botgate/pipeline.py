@@ -99,7 +99,7 @@ def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
     # averages malicious (the last, possibly shorter window uses what it has)
     window_verdicts = [
         averaged_verdict(verdicts[i:i + WINDOW]) for i in range(0, len(verdicts), WINDOW)
-    ] if verdicts else []
+    ]
     overall = MALICIOUS if MALICIOUS in window_verdicts else BENIGN
 
     report = DetectionReport(

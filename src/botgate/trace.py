@@ -18,7 +18,6 @@ from __future__ import annotations
 import ipaddress
 import os
 import socket
-import threading
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -43,12 +42,12 @@ N_FIELDS = 9
 MAX_LEN = 0xFFFFFFFF  # lengths are stored as uint32
 
 _PARSE_BLOCK = 96 << 10  # body bytes a block; layout temporaries ~0.55 KB a row
-# Bodies of _PARALLEL_MIN bytes or more are read in _PARTS parts at once if the process may use
-# _PARTS CPUs. Seed-1 `day` trace (15.5 MB, 2-vCPU Xeon), two parts against one, medians of 12
-# rounds: 0.94x in 96 KiB blocks, since the threads trade the GIL between short numpy calls.
-_PARTS = 2               # the main thread and one worker: 1.44x at 192 KiB, 1.55x at 512 KiB
+# Bodies of _PARALLEL_MIN bytes or more are read in two parts at once if the process may use two
+# CPUs. Seed-1 `day` trace (15.5 MB, 2-vCPU Xeon), two parts against one, medians of 12 rounds:
+# 0.94x in 96 KiB blocks, since the threads trade the GIL between short numpy calls.
 _PARALLEL_MIN = 1 << 20  # a 0.4 MB capture (7.5 ms) keeps 96 KiB blocks and a 1.15 MB peak
-_PART_BLOCK = 256 << 10  # 1.60x, parse peak 8.5 -> 12.4 MB; 384 KiB: 1.66x for 2.3 MB more
+# 1.60x, parse peak 8.5 -> 12.4 MB; 192 KiB: 1.44x, 384 KiB: 1.66x for 2.3 MB more, 512 KiB: 1.55x
+_PART_BLOCK = 256 << 10
 _LOAD = 8                # bytes the parser reads at once from the start of a field
 _ROW_BLOCK = 8192        # rows per pass of the writer and of row iteration: bounds their temporaries
 
@@ -338,8 +337,19 @@ def parse_trace(text: str | bytes) -> Trace:
     columns = [np.empty(capacity, dtype) for dtype in _DTYPES]
     # two parts only if every line may be a row: blank lines keep the small blocks
     if (capacity > lines and len(data) - body >= _PARALLEL_MIN
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= _PARTS):
-        n_rows = _parse_halves(data, (body, cut), first_lines, columns)
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        # imported here: with the logging it pulls in, 5-8 ms that no 15-minute capture pays
+        from concurrent.futures import ThreadPoolExecutor
+        # the first error in file order wins: leaving the block joins the worker, and result()
+        # raises the second part's error only once the first part has read without one
+        with ThreadPoolExecutor(1) as worker:
+            second = worker.submit(_parse_part, data, cut, len(data), 2 + first_lines,
+                                   [c[first_lines:] for c in columns], _PART_BLOCK)
+            n_rows = _parse_part(data, body, cut, 2, columns, _PART_BLOCK)
+            rows = second.result()
+        for c in columns:  # close a gap of blank lines in the first part; else numpy copies nothing
+            c[n_rows:n_rows + rows] = c[first_lines:first_lines + rows]
+        n_rows += rows
     else:
         n_rows = _parse_part(data, body, len(data), 2, columns, _PARSE_BLOCK)
     # a table far smaller than its columns is copied, so the Trace holds no slack
@@ -365,31 +375,6 @@ def _parse_part(data: bytes, start: int, stop: int, lineno: int, out: list[np.nd
         rows, lines = _parse_block(memoryview(data)[start:end], lineno, [c[n_rows:] for c in out])
         n_rows, lineno, start = n_rows + rows, lineno + lines, end
     return n_rows
-
-
-def _parse_halves(data: bytes, cuts: tuple[int, int], first_lines: int, columns: list) -> int:
-    """Parse the body before and after ``cuts[1]`` at once, the second part on a worker from row
-    ``first_lines`` on; raise the first error in file order. Returns the rows, moved together."""
-    second = []  # the second part's row count, or its error
-
-    def read_second():
-        try:
-            second.append(_parse_part(data, cuts[1], len(data), 2 + first_lines,
-                                      [c[first_lines:] for c in columns], _PART_BLOCK))
-        except BaseException as exc:  # raised below, unless the first part raises
-            second.append(exc)
-
-    worker = threading.Thread(target=read_second)
-    worker.start()
-    try:
-        n_rows = _parse_part(data, *cuts, 2, columns, _PART_BLOCK)
-    finally:
-        worker.join()
-    if isinstance(rows := second[0], BaseException):
-        raise rows
-    for c in columns:  # close a gap of blank lines in the first part; else numpy copies nothing
-        c[n_rows:n_rows + rows] = c[first_lines:first_lines + rows]
-    return n_rows + rows
 
 
 def _parse_block(block: memoryview, lineno: int, out: list[np.ndarray]) -> tuple[int, int]:
@@ -516,8 +501,7 @@ def _write_rows(values: list[np.ndarray], other: np.ndarray, read: list, linenos
 _TEXT_FIELDS = [*range(12), 14, 15, 12, 13]
 _LAYOUT = np.frombuffer(b". ... ... " + b" " * 5 + b"\n", np.uint8)  # a line's separators
 _OCTET_SHIFTS = np.array([24, 16, 8, 0])[:, None]
-_PROTO_WORDS = [(int.from_bytes(p.value.encode(), "little"), len(p.value), code)
-                for p, code in _PROTO_CODE.items()]
+_PROTO_WORDS = [(int.from_bytes(p.encode(), "little"), i) for i, p in enumerate(_PROTO_NAMES)]
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(_LOAD + 1)], np.uint64)
 _HEX_PREFIX = int.from_bytes(b"0x", "little")
 _HEX_DIGIT = np.full(256, -256)  # value of each hex digit character, negative for the rest
@@ -533,12 +517,12 @@ def _canonical_values(b: np.ndarray, starts: np.ndarray,
     # would first copy the whole unaligned view
     words = np.ndarray((len(b) - _LOAD + 1,), "<u8", b, strides=(1,))
     fields = words[starts]
-    # protocol: the token's bytes as one little-endian word, and its length
-    name_len = lengths[14]
-    name = fields[14] & _LOW_BYTES.take(name_len.clip(0, _LOAD))
+    # protocol: the token's bytes as one little-endian word; a token holds no NUL (every byte up
+    # to 0x20 is a separator), so the word equals a name's only at that name's length
+    name = fields[14] & _LOW_BYTES.take(lengths[14].clip(0, _LOAD))
     proto = np.full(name.shape, -1)
-    for word, length, code in _PROTO_WORDS:
-        proto[(name == word) & (name_len == length)] = code
+    for word, code in _PROTO_WORDS:
+        proto[name == word] = code
     # flags: "0x" and two hex digits
     flags_word = fields[15]
     flags = (_HEX_DIGIT.take((flags_word >> 16 & 0xFF).astype(np.intp)) * 16

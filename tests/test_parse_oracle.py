@@ -1,6 +1,7 @@
 """The byte-level trace parser against the token-level parser it replaced
 (scalar_reference.parse_trace): the same table, or the same error message."""
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -377,18 +378,58 @@ def test_mostly_blank_body_takes_one_part():
     assert len(result[2]) == 1
 
 
-@pytest.mark.parametrize("bad_line", [None, 2, 24_000], ids=["good", "first-part", "second-part"])
-def test_no_thread_outlives_the_parse(bad_line):
+@pytest.mark.parametrize("bad_line, failing", [
+    (None, ()), (2, ()), (24_000, ()), (None, (2,)), (None, (1, 2)),
+], ids=["good", "first-part", "second-part", "runtime-second-part", "runtime-both-parts"])
+def test_no_thread_outlives_the_parse(bad_line, failing, monkeypatch):
     """The worker is joined before the parse returns or raises, also when the
-    first part fails long before the second is read."""
+    first part fails long before the second is read. An error that is not a
+    parse error (a RuntimeError in each part of ``failing``) crosses from the
+    worker as well, and the first part's still wins."""
     lines = large_lines()
     if bad_line:
         lines[bad_line - 1] = BAD_CANONICAL
+    parse_block, caller, parts = trace_module._parse_block, threading.get_ident(), set()
+
+    def parse_or_fail(block, lineno, out):
+        part = 1 if threading.get_ident() == caller else 2
+        parts.add(part)
+        if part in failing:
+            raise RuntimeError(f"part {part}")
+        return parse_block(block, lineno, out)
+
+    monkeypatch.setattr(trace_module, "_parse_block", parse_or_fail)
     before = threading.active_count()
-    result, workers = parse_on(2, "\n".join(lines))
+    if failing:
+        with pytest.raises(RuntimeError, match=f"^part {failing[0]}$"):
+            parse_on(2, "\n".join(lines))
+    else:
+        result, workers = parse_on(2, "\n".join(lines))
+        assert workers == 1
+        assert isinstance(result, str) == bool(bad_line)
     assert threading.active_count() == before
-    assert workers == 1
-    assert isinstance(result, str) == bool(bad_line)
+    assert parts == {1, 2}
+
+
+def test_thread_pool_is_imported_only_for_two_parts():
+    """The executor's module, and the logging it imports, cost every process
+    that loads it a few ms: the CLI and a one-part parse must not load it."""
+    child = f"""
+import os, sys
+import botgate.cli
+from botgate.trace import parse_trace
+row = "\\n{ROW}"
+parse_trace("{HEADER}" + row * 1_000)
+print("concurrent.futures" in sys.modules)
+os.sched_getaffinity = lambda pid: {{0, 1}}
+parse_trace("{HEADER}" + row * 25_000)  # 1.2 MB
+print("concurrent.futures" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(trace_module.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_two_part_parse_peak_memory():
