@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, read_text
 from .preprocess import Dataset
-from .sessions import TrafficSession, distinct
+from .sessions import TrafficSession, distinct, group_starts
 from .trace import ACK, PROTO_TCP, SYN, PacketTable
 
 BENIGN = "BENIGN"
@@ -39,11 +39,6 @@ def _syn_only(flags: np.ndarray) -> np.ndarray:
     return (flags & SYN != 0) & (flags & ACK == 0)
 
 
-def _group_starts(ranked: np.ndarray) -> np.ndarray:
-    """True at each element of a sorted, non-empty array that differs from the one before."""
-    return np.concatenate(([True], ranked[1:] != ranked[:-1]))
-
-
 def count_half_open(packets: PacketTable) -> int:
     """Count connections opened by a SYN the initiator never ACKed.
 
@@ -62,10 +57,10 @@ def count_half_open(packets: PacketTable) -> int:
     pairs = (packets.src[rows].astype(np.uint64) << 32) | packets.dst[rows]
     order = np.argsort(pairs)
     rows, pairs = rows[order], pairs[order]
-    conns = ((np.cumsum(_group_starts(pairs)) << 32)
+    conns = ((np.cumsum(group_starts(pairs)) << 32)
              | (packets.sport[rows].astype(np.int64) << 16) | packets.dport[rows])
     order = np.argsort(conns)
-    rows, starts = rows[order], np.flatnonzero(_group_starts(conns[order]))
+    rows, starts = rows[order], np.flatnonzero(group_starts(conns[order]))
     first_syn = np.minimum.reduceat(np.where(syn[rows], rows, n), starts)
     last_ack = np.maximum.reduceat(np.where(ack[rows], rows, -1), starts)
     return int(np.count_nonzero((first_syn < n) & (last_ack < first_syn)))

@@ -94,50 +94,31 @@ def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
     sessions = sessionize(trace)
     classified = classify_sessions(sessions, model)
     verdicts = [v for v, _ in classified]
-
     # consecutive windows of WINDOW sessions; the trace is flagged when any window
     # averages malicious (the last, possibly shorter window uses what it has)
-    window_verdicts = [
-        averaged_verdict(verdicts[i:i + WINDOW]) for i in range(0, len(verdicts), WINDOW)
-    ]
-    overall = MALICIOUS if MALICIOUS in window_verdicts else BENIGN
-
-    report = DetectionReport(
-        session_verdicts=[
-            {"index": s.index, "verdict": v, "confidence": c}
-            for s, (v, c) in zip(sessions, classified)
-        ],
-        averaged_verdict=overall,
+    stage2 = MALICIOUS in [averaged_verdict(verdicts[i:i + WINDOW])
+                           for i in range(0, len(verdicts), WINDOW)]
+    infected, diagnostics = [], {}
+    if stage2:
+        devices, span = stage2_input(trace)
+        infected, results = detect_iot_bots(devices, span)
+        for ip, res in results.items():
+            prob = period_detection_prob(encode(devices[ip], span))
+            diagnostics[ip] = {
+                "verdict": res.verdict.value, "peak_lags": res.peak_lags,
+                "gap_variance": res.gap_variance, "n_candidates": res.n_candidates,
+                "reason": res.reason, "period_prob": prob.prob, "q": prob.q,
+                "pvalue": prob.pvalue,
+            }
+    return DetectionReport(
+        session_verdicts=[{"index": s.index, "verdict": v, "confidence": c}
+                          for s, (v, c) in zip(sessions, classified)],
+        averaged_verdict=MALICIOUS if stage2 else BENIGN,
         window=WINDOW,
-        stage2_ran=False,
-        infected_devices=[],
-        device_diagnostics={},
-        bdcs_score=None,
-        stage1_false_positive=False,
+        stage2_ran=stage2,
+        infected_devices=infected,
+        device_diagnostics=diagnostics,
+        # confidence in the detections actually made; empty product stays 1.0
+        bdcs_score=bdcs([diagnostics[ip]["period_prob"] for ip in infected]) if stage2 else None,
+        stage1_false_positive=stage2 and not infected,
     )
-    if overall != MALICIOUS:
-        return report
-
-    report.stage2_ran = True
-    devices, span = stage2_input(trace)
-    infected, results = detect_iot_bots(devices, span)
-    infected_probs = []
-    for ip, res in results.items():
-        diag = {
-            "verdict": res.verdict.value,
-            "peak_lags": [int(l) for l in res.peak_lags],
-            "gap_variance": res.gap_variance,
-            "n_candidates": res.n_candidates,
-            "reason": res.reason,
-        }
-        prob = period_detection_prob(encode(devices[ip], span))
-        diag.update(period_prob=prob.prob, q=prob.q, pvalue=prob.pvalue)
-        if res.verdict is Verdict.PERIOD_DETECTED:
-            infected_probs.append(prob.prob)
-        report.device_diagnostics[ip] = diag
-
-    report.infected_devices = infected
-    # confidence in the detections actually made; empty product stays 1.0
-    report.bdcs_score = bdcs(infected_probs)
-    report.stage1_false_positive = not infected
-    return report

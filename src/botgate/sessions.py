@@ -25,15 +25,20 @@ class TrafficSession:
     packets: PacketTable
 
 
+def group_starts(ranked: np.ndarray) -> np.ndarray:
+    """True at each element of a sorted array that differs from the one before."""
+    first = np.ones(len(ranked), bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return first
+
+
 def distinct(values: np.ndarray) -> np.ndarray:
     """The distinct integers of ``values``, sorted, as ``np.unique(values)``
     gives them. numpy 2 finds those by hashing, which on 50,000 distinct
     uint32 values took 8.4 ms against 0.17 ms for this sort and neighbour
     compare (numpy 2.4.6)."""
     values = np.sort(values)
-    first = np.ones(len(values), bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
+    return values[group_starts(values)]
 
 
 def window_count(trace: Trace) -> int:

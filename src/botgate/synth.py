@@ -169,7 +169,7 @@ def gen_scanning(config: SynthConfig, seed, device_ip: str) -> PacketTable:
     no handshake ever completes. Targets come at exponential inter-arrivals;
     each gets its count of probes 0.3 s apart, of one length, from one port."""
     if config.scan.rate_pps <= 0:
-        return PacketTable.from_records(())
+        return PacketTable.concat([])
     rng = np.random.default_rng(seed)
     gap = (SCAN_PROBES_MIN + SCAN_PROBES_MAX) / 2 / config.scan.rate_pps
     starts = _arrivals(rng.exponential(gap), lambda n: rng.exponential(gap, n),

@@ -224,7 +224,7 @@ class PacketTable:
     @classmethod
     def concat(cls, tables: list[PacketTable]) -> PacketTable:
         if not tables:
-            return cls.from_records(())
+            return cls(*(np.empty(0, dtype) for dtype in _DTYPES))
         return cls(*(np.concatenate(cols) for cols in zip(*map(PacketTable.columns, tables))))
 
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -342,10 +342,15 @@ def parse_trace(text: str | bytes) -> Trace:
         from concurrent.futures import ThreadPoolExecutor
         # the first error in file order wins: leaving the block joins the worker, and result()
         # raises the second part's error only once the first part has read without one
+        halt = []  # the first part failed: the worker starts no further block
         with ThreadPoolExecutor(1) as worker:
             second = worker.submit(_parse_part, data, cut, len(data), 2 + first_lines,
-                                   [c[first_lines:] for c in columns], _PART_BLOCK)
-            n_rows = _parse_part(data, body, cut, 2, columns, _PART_BLOCK)
+                                   [c[first_lines:] for c in columns], _PART_BLOCK, halt)
+            try:
+                n_rows = _parse_part(data, body, cut, 2, columns, _PART_BLOCK)
+            except BaseException:
+                halt.append(True)
+                raise
             rows = second.result()
         for c in columns:  # close a gap of blank lines in the first part; else numpy copies nothing
             c[n_rows:n_rows + rows] = c[first_lines:first_lines + rows]
@@ -366,11 +371,12 @@ def _count_lines(data: bytes, start: int, stop: int) -> int:
 
 
 def _parse_part(data: bytes, start: int, stop: int, lineno: int, out: list[np.ndarray],
-                block: int) -> int:
+                block: int, halt=()) -> int:
     """Parse ``data[start:stop]``, whole lines from line ``lineno``, in ``block``-byte views
-    into the starts of the ``out`` columns. Returns the number of rows written."""
+    into the starts of the ``out`` columns, until ``halt`` is non-empty. Returns the number
+    of rows written."""
     n_rows = 0
-    while start < stop:
+    while start < stop and not halt:
         end = data.find(b"\n", start + block, stop) + 1 or stop
         rows, lines = _parse_block(memoryview(data)[start:end], lineno, [c[n_rows:] for c in out])
         n_rows, lineno, start = n_rows + rows, lineno + lines, end

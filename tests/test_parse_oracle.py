@@ -411,6 +411,28 @@ def test_no_thread_outlives_the_parse(bad_line, failing, monkeypatch):
     assert parts == {1, 2}
 
 
+def test_second_part_stops_once_the_first_fails(monkeypatch):
+    """Once the first part raises, the worker starts no further block: with
+    a bad line 2 it reads fewer than half of its part's blocks, where a good
+    body reads them all."""
+    lines = random_trace(100_000).split("\n")
+    parse_block, caller, blocks = trace_module._parse_block, threading.get_ident(), []
+
+    def counted(block, lineno, out):
+        if threading.get_ident() != caller:
+            blocks.append(lineno)
+        return parse_block(block, lineno, out)
+
+    monkeypatch.setattr(trace_module, "_parse_block", counted)
+    text = "\n".join(lines)
+    assert len(text) >= 4 << 20
+    assert len(parse_on(2, text)[0][2]) == 100_000
+    part_blocks, blocks[:] = len(blocks), []
+    lines[1] = BAD_CANONICAL
+    assert parse_on(2, "\n".join(lines)) == ("line 2: payload_len 41 > ip_len 40", 1)
+    assert len(blocks) < part_blocks / 2
+
+
 def test_thread_pool_is_imported_only_for_two_parts():
     """The executor's module, and the logging it imports, cost every process
     that loads it a few ms: the CLI and a one-part parse must not load it."""

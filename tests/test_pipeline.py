@@ -1,4 +1,5 @@
 """Two-stage pipeline: verdict averaging, the device sweep and reports."""
+import hashlib
 import importlib
 import json
 import tracemalloc
@@ -95,6 +96,11 @@ def test_detect_iot_bots_matches_scalar_reference():
     assert detect_iot_bots({}, 900.0) == ([], {})
 
 
+def _digest(report: DetectionReport) -> str:
+    """The sha256 of the report's bytes, which pins every field and its form."""
+    return hashlib.sha256(report.to_text().encode()).hexdigest()
+
+
 def test_run_pipeline_malicious(model):
     rec = gen_session(CFG, 400, "fast")
     report = run_pipeline(rec.trace, model)
@@ -107,6 +113,7 @@ def test_run_pipeline_malicious(model):
     assert diag["verdict"] == "PERIOD_DETECTED"
     assert diag["gap_variance"] == 0.0
     assert diag["period_prob"] == 1.0
+    assert _digest(report) == "05cdd8772e21225bb3943e9520605e81ae1aa167b759fd086eac223e57608182"
 
 
 def test_run_pipeline_benign(model):
@@ -116,6 +123,7 @@ def test_run_pipeline_benign(model):
     assert not report.stage2_ran
     assert report.infected_devices == []
     assert report.bdcs_score is None
+    assert _digest(report) == "48acd452b337af2607f619fb4f32c3275d1697231f8608916a2ea26214f6483a"
 
 
 def test_run_pipeline_scan_only_is_stage1_false_positive(model):
@@ -129,6 +137,7 @@ def test_run_pipeline_scan_only_is_stage1_false_positive(model):
     assert report.infected_devices == []
     assert report.stage1_false_positive
     assert report.bdcs_score == 1.0  # vacuous product: no detection was made
+    assert _digest(report) == "ed5012c489ed4c370991599616e90cf7059db80bf5b003e46c9279d62724106c"
 
 
 def test_report_round_trip(model):

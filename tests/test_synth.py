@@ -40,9 +40,11 @@ def test_scanning_shape():
     assert all(0 <= p.ts < cfg.duration_s for p in pkts)
     # roughly rate_pps * duration probes
     assert 0.5 * 3.0 * 900 < len(pkts) < 2.0 * 3.0 * 900
-    # zero rate means no overlay at all
+    # zero rate means no overlay at all, in the columns' stored types
     off = SynthConfig(seed=2, scan=ScanProfile(rate_pps=0.0))
-    assert len(gen_scanning(off, [2, 0], "192.168.1.10")) == 0
+    empty = gen_scanning(off, [2, 0], "192.168.1.10")
+    assert len(empty) == 0
+    assert [c.dtype for c in empty.columns()] == [c.dtype for c in pkts.columns()]
 
 
 def test_beacon_counts_and_shape():
