@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, read_text
 from .preprocess import Dataset
-from .sessions import TrafficSession, distinct, group_starts
+from .sessions import TrafficSession, group_starts
 from .trace import ACK, PROTO_TCP, SYN, PacketTable
 
 BENIGN = "BENIGN"
@@ -69,21 +69,26 @@ def count_half_open(packets: PacketTable) -> int:
 def extract_features(session: TrafficSession) -> list:
     """The 8 scanning features, in FEATURE_NAMES order, as Python ints and
     floats; an empty session maps to all zeros."""
-    packets = session.packets[session.packets.proto == PROTO_TCP]
-    n = len(packets)
+    packets = session.packets
+    tcp = packets.proto == PROTO_TCP
+    ip_len = packets.ip_len[tcp]
+    n = len(ip_len)
     if not n:
         return [0, 0, 0, 0.0, 0, 0, 0, 0.0]
-    per_dst = np.unique(packets.dst, return_counts=True)[1]
+    # one sort of dst << 1 | syn_only groups the rows by destination, and its
+    # distinct odd keys are the SYN-only destinations
+    keys = np.sort((packets.dst[tcp].astype(np.int64) << 1) | _syn_only(packets.flags[tcp]))
+    per_dst = np.diff(np.flatnonzero(group_starts(keys >> 1)), append=n)
     return [
-        len(distinct(packets.dst[_syn_only(packets.flags)])),
+        int(np.count_nonzero(keys[group_starts(keys)] & 1)),
         int(per_dst.max()),
         int(per_dst.min()),
         # means are Python int / int, not np.mean: the CSV bytes depend on it
         n / len(per_dst),
-        count_half_open(packets),
-        int(packets.ip_len.max()),
-        int(packets.ip_len.min()),
-        int(packets.ip_len.sum(dtype=np.int64)) / n,
+        count_half_open(packets),  # only TCP rows carry flags, so the whole window
+        int(ip_len.max()),
+        int(ip_len.min()),
+        int(ip_len.sum(dtype=np.int64)) / n,
     ]
 
 

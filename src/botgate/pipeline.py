@@ -3,6 +3,7 @@ the per-device stage-2 pass and report assembly."""
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -88,28 +89,45 @@ def stage2_input(trace: Trace) -> tuple[dict[str, np.ndarray], float]:
     return split_by_device(trace), span
 
 
+def _stage2(trace: Trace) -> tuple[list[str], dict[str, dict]]:
+    """The device sweep and each device's confidence score: the infected
+    devices and every device's diagnostics."""
+    devices, span = stage2_input(trace)
+    infected, results = detect_iot_bots(devices, span)
+    diagnostics = {}
+    for ip, res in results.items():
+        prob = period_detection_prob(encode(devices[ip], span))
+        diagnostics[ip] = {
+            "verdict": res.verdict.value, "peak_lags": res.peak_lags,
+            "gap_variance": res.gap_variance, "n_candidates": res.n_candidates,
+            "reason": res.reason, "period_prob": prob.prob, "q": prob.q,
+            "pvalue": prob.pvalue,
+        }
+    return infected, diagnostics
+
+
 def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
-    """Stage 1 on the trace's session windows; stage 2 (device sweep +
-    confidence score) only when the averaged stage-1 verdict is malicious."""
+    """Stage 1 on the trace's session windows; stage 2 (device sweep + confidence
+    score) only when the averaged stage-1 verdict is malicious. On two CPUs a first
+    window that averages malicious starts it on a worker beside stage 1's later windows."""
     sessions = sessionize(trace)
-    classified = classify_sessions(sessions, model)
+    classified = classify_sessions(sessions[:WINDOW], model)
+    early = None
+    if (len(sessions) > WINDOW and averaged_verdict([v for v, _ in classified]) == MALICIOUS
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        # imported here as in trace.parse_trace; leaving the block joins the worker
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as worker:
+            early = worker.submit(_stage2, trace)
+            classified += classify_sessions(sessions[WINDOW:], model)
+    else:
+        classified += classify_sessions(sessions[WINDOW:], model)
     verdicts = [v for v, _ in classified]
     # consecutive windows of WINDOW sessions; the trace is flagged when any window
     # averages malicious (the last, possibly shorter window uses what it has)
     stage2 = MALICIOUS in [averaged_verdict(verdicts[i:i + WINDOW])
                            for i in range(0, len(verdicts), WINDOW)]
-    infected, diagnostics = [], {}
-    if stage2:
-        devices, span = stage2_input(trace)
-        infected, results = detect_iot_bots(devices, span)
-        for ip, res in results.items():
-            prob = period_detection_prob(encode(devices[ip], span))
-            diagnostics[ip] = {
-                "verdict": res.verdict.value, "peak_lags": res.peak_lags,
-                "gap_variance": res.gap_variance, "n_candidates": res.n_candidates,
-                "reason": res.reason, "period_prob": prob.prob, "q": prob.q,
-                "pvalue": prob.pvalue,
-            }
+    infected, diagnostics = (early.result() if early else _stage2(trace)) if stage2 else ([], {})
     return DetectionReport(
         session_verdicts=[{"index": s.index, "verdict": v, "confidence": c}
                           for s, (v, c) in zip(sessions, classified)],

@@ -2,6 +2,10 @@
 import hashlib
 import importlib
 import json
+import math
+import os
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -9,10 +13,11 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from botgate.acf import PAYLOAD_CUTOFF, SAMPLE_T, Verdict, encode
+from botgate import pipeline
+from botgate.acf import MAX_BINS, PAYLOAD_CUTOFF, SAMPLE_T, Verdict, encode
 from botgate.classifiers import ForestModel, TrainedModel, forest_fit
 from botgate.cli import main
-from botgate.errors import DataError
+from botgate.errors import ConfigError, DataError
 from botgate.features import BENIGN, FEATURE_NAMES, MALICIOUS, extract_features
 from botgate.pipeline import (
     DetectionReport, averaged_verdict, classify_sessions,
@@ -20,12 +25,12 @@ from botgate.pipeline import (
 )
 from botgate.preprocess import K_BEST, Dataset, MinMaxScaler, chi2_scores, scaler_fit, \
     scaler_transform, select_k_best
-from botgate.sessions import TrafficSession, split_by_device
+from botgate.sessions import SESSION_SECS, TrafficSession, split_by_device
 from botgate.synth import (
     SynthConfig, gen_cnc_beacon, gen_dataset, gen_memoryless_noise, gen_scanning,
     gen_session,
 )
-from botgate.trace import PROTO_UDP, PacketTable, Trace, parse_ip, save_trace
+from botgate.trace import PROTO_TCP, PROTO_UDP, SYN, PacketTable, Trace, parse_ip, save_trace
 
 CFG = SynthConfig(seed=5)
 N_DEVICES = 1000
@@ -214,3 +219,111 @@ def test_run_pipeline_memory_does_not_grow_with_devices():
     report, peak = _traced_peak(run_pipeline, _many_devices(), flag_every_window)
     assert report.stage2_ran and len(report.device_diagnostics) == N_DEVICES
     assert peak < 4e6
+
+
+# On two CPUs, a trace of more than WINDOW sessions whose first window averages
+# malicious runs stage 2 on a worker thread while stage 1 classifies the later
+# windows. These tests run the pipeline as on one CPU and on two
+# (os.sched_getaffinity) and count the other threads that ran it.
+
+def _one_tree(tree: dict) -> TrainedModel:
+    """A one-tree forest over the raw features (``x[0]`` is n_uniq_syn_dst)."""
+    n_features = len(FEATURE_NAMES)
+    return TrainedModel(ForestModel([tree], K_BEST, 0),
+                        MinMaxScaler(np.zeros(n_features), np.ones(n_features)),
+                        list(range(K_BEST)))
+
+
+FLAG_EVERY_WINDOW = _one_tree({"leaf": 1})
+FLAG_NO_WINDOW = _one_tree({"leaf": 0})
+FLAG_SYN_WINDOWS = _one_tree({"f": 0, "t": 0.5, "l": {"leaf": 0}, "r": {"leaf": 1}})
+
+
+def _with_packets(trace: Trace, ts, flags=SYN) -> Trace:
+    """``trace`` and one TCP packet from its first device at each of ``ts``."""
+    extra = PacketTable.from_columns(np.asarray(ts, float), parse_ip("10.1.0.1"),
+                                     parse_ip("8.8.4.4"), 40001, 23, PROTO_TCP, flags, 40, 0)
+    return Trace(PacketTable.concat([trace.packets, extra]), trace.internal_subnet)
+
+
+def run_on(cpus: int, trace: Trace, model: TrainedModel):
+    """The report text of ``run_pipeline`` on ``cpus`` CPUs, or the message of
+    the ConfigError it raised, and the number of threads other than this one
+    that ran Python code during it. No thread outlives the call."""
+    workers = set()
+
+    def first_call(frame, event, arg):  # in each thread started during the call
+        workers.add(threading.get_ident())
+        sys.setprofile(None)
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        threading.setprofile(first_call)
+        try:
+            result = run_pipeline(trace, model).to_text()
+        except ConfigError as exc:
+            result = str(exc)
+        finally:
+            threading.setprofile(None)
+    assert threading.active_count() == before
+    return result, len(workers)
+
+
+# case: (trace, model, whether stage 1 flags the trace, a worker on two CPUs,
+# the sha256 of the report, taken before stage 2 could start early)
+OVERLAP_CASES = {
+    "flagged": (_many_devices, FLAG_EVERY_WINDOW, True, True,
+                "3b12558943ab5d52d89d65df8088ca48fedfcec261b2f85af5befbf0011b2993"),
+    "benign": (_many_devices, FLAG_NO_WINDOW, False, False,
+               "cb3f537ec272b24f144447cad62b94abaf3529456de56d301f005872bedff68d"),
+    # windows 5-7 of the second averaging window hold a SYN each; the first five none
+    "first-window-benign": (lambda: _with_packets(_many_devices(), [4510.0, 5410.0, 6310.0]),
+                            FLAG_SYN_WINDOWS, True, False,
+                            "af02322d3530e16fe060d6e1a46e00777176a49a94ca728260d142bfbf610ebb"),
+}
+
+
+@pytest.mark.parametrize("case", OVERLAP_CASES)
+def test_stage2_on_a_worker_gives_the_same_report(case):
+    make, model, flagged, overlaps, digest = OVERLAP_CASES[case]
+    trace = make()
+    one, workers_one = run_on(1, trace, model)
+    two, workers_two = run_on(2, trace, model)
+    assert two == one
+    assert hashlib.sha256(one.encode()).hexdigest() == digest
+    report = json.loads(one)
+    assert report["stage2_ran"] is flagged and len(report["session_verdicts"]) == 96
+    assert (workers_one, workers_two) == (0, int(overlaps))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stage2_span_error_is_the_same_on_a_worker(cpus):
+    """A span beyond the bin bound is refused with one message, whether stage 2
+    ran after stage 1 or on a worker beside it."""
+    windows = math.ceil((MAX_BINS + 1) * SAMPLE_T / SESSION_SECS)
+    trace = _with_packets(_many_devices(), [windows * SESSION_SECS], flags=0)
+    message, workers = run_on(cpus, trace, FLAG_EVERY_WINDOW)
+    assert message == (f"duration {windows * SESSION_SECS} s at sampling interval "
+                       f"{SAMPLE_T} s needs more than {MAX_BINS} bins")
+    assert workers == cpus - 1
+
+
+def test_stage1_error_waits_for_stage2_on_the_worker(monkeypatch):
+    """A stage-1 error on the later windows is raised only after the worker's
+    stage 2 has finished, and leaves no thread behind."""
+    stage2, classify, finished = pipeline._stage2, pipeline.classify_sessions, []
+
+    def classify_or_fail(sessions, model):
+        if sessions[0].index:  # the later windows: stage 2 is on the worker
+            raise DataError("stage 1 failed")
+        return classify(sessions, model)
+
+    monkeypatch.setattr(pipeline, "_stage2", lambda trace: finished.append(stage2(trace)))
+    monkeypatch.setattr(pipeline, "classify_sessions", classify_or_fail)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    before = threading.active_count()
+    with pytest.raises(DataError, match="^stage 1 failed$"):
+        run_pipeline(_many_devices(), FLAG_EVERY_WINDOW)
+    assert len(finished) == 1
+    assert threading.active_count() == before
