@@ -31,10 +31,11 @@ def walker_test(sequence: np.ndarray) -> WalkerResult:
     K = len(e)
     if K < 8:
         raise DataError(f"need at least 8 samples, got {K}")
-    d = e - e.mean()
-    var = float(d @ d) / K
+    S = e.sum()
+    var = (K * float(e @ e) - S * S) / (K * K)  # on a 0/1 sequence, one division of exact integers
     if var == 0.0:
         return WalkerResult(WalkerVerdict.NOT_DETECTED)  # a constant sequence
+    d = e - S / K
     M = (K - 1) // 2
     spectrum = np.fft.fft(d)
     periodogram = np.abs(spectrum[1 : M + 1]) ** 2 / K

@@ -3,7 +3,6 @@ the per-device stage-2 pass and report assembly."""
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -15,7 +14,7 @@ from .errors import DataError
 from .features import BENIGN, MALICIOUS, extract_features
 from .sessions import SESSION_SECS, TrafficSession, sessionize, split_by_device, window_count
 from .stats import bdcs, period_detection_prob
-from .trace import Trace
+from .trace import Trace, _two_cpus
 
 WINDOW = 5  # sessions per verdict-averaging window
 
@@ -114,7 +113,7 @@ def run_pipeline(trace: Trace, model: TrainedModel) -> DetectionReport:
     classified = classify_sessions(sessions[:WINDOW], model)
     early = None
     if (len(sessions) > WINDOW and averaged_verdict([v for v, _ in classified]) == MALICIOUS
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+            and _two_cpus()):
         # imported here as in trace.parse_trace; leaving the block joins the worker
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(1) as worker:

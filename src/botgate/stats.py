@@ -10,80 +10,49 @@ import numpy as np
 
 from .errors import DataError, DegenerateSignalError
 
-_MAX_ITER = 500
-_TINY = 1e-300
 ALPHA = 0.05  # p-value below which a device scores 1.0
 LAGS = 20     # lags in the Q statistic, capped at K-2
 
 
 def ljung_box_q(sequence: np.ndarray, h: int) -> float:
     """Q = K(K+2) * sum_{k=1}^{h} rho_k^2 / (K-k) with the biased sample
-    autocorrelation (denominator K, no unbiasing factor)."""
+    autocorrelation (denominator K, no unbiasing factor), from raw sums: with
+    S = sum e, lag products C_k and sums A_k, B_k of e over [0, K-k) and [k, K),
+    rho_k = (K^2 C_k - K S (A_k + B_k) + (K-k) S^2) / (K (K sum e^2 - S^2)).
+    On a 0/1 sequence every sum is an integer below 2^53, exact in any order."""
     e = np.asarray(sequence, dtype=float)
     K = len(e)
     if h > K - 2:
         raise DataError(f"h={h} too large for sequence length {K}")
-    d = e - e.mean()
-    denom = float(d @ d)
-    if denom == 0.0:
+    S = float(e.sum())
+    denom = K * (K * float(e @ e) - S * S)
+    if not denom > 0.0:
         raise DegenerateSignalError("constant sequence")
-    q = 0.0
-    for k in range(1, h + 1):
-        rho = float(d[: K - k] @ d[k:]) / denom
+    q, A_plus_B = 0.0, 2 * S
+    for k, ends in enumerate((e[:h] + e[: -h - 1 : -1]).tolist(), 1):
+        A_plus_B -= ends  # e_{k-1} leaves [k, K), e_{K-k} leaves [0, K-k)
+        rho = (K * K * float(e[: K - k] @ e[k:]) - K * S * A_plus_B + (K - k) * S * S) / denom
         q += rho * rho / (K - k)
     return K * (K + 2) * q
 
 
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) by series, for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) by Lentz's continued
-    fraction, for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    f = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return f * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def chi2_sf(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-square distribution."""
+    """Upper-tail probability of the chi-square distribution with integer df,
+    in closed form: with y = x/2 and a = 0 for even df, 1/2 for odd df,
+    erfc(sqrt(y)) (odd df only) + sum_{i < df//2} y^(i+a) e^-y / Gamma(i+a+1),
+    each term taken in log space so that it stays finite where e^-y underflows."""
     if x < 0:
         raise DataError(f"chi-square statistic must be non-negative, got {x}")
-    if df < 1:
-        raise DataError(f"degrees of freedom must be >= 1, got {df}")
+    if not (df >= 1 and df % 1 == 0):
+        raise DataError(f"degrees of freedom must be a positive integer, got {df}")
     if x == 0:
         return 1.0
-    a = df / 2.0
-    half_x = x / 2.0
-    if half_x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, half_x)
-    return _gamma_q_contfrac(a, half_x)
+    y, a = x / 2.0, 0.5 * (df % 2)
+    log_y = math.log(y)
+    tail = math.erfc(math.sqrt(y)) if a else 0.0
+    tail += sum(math.exp((i + a) * log_y - y - math.lgamma(i + a + 1))
+                for i in range(int(df) // 2))
+    return min(tail, 1.0)  # for small x the rounded terms can sum a few ulps past 1
 
 
 @dataclass

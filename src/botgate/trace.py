@@ -311,6 +311,11 @@ def _parse_header(line: str) -> tuple[str, int]:
         raise TraceParseError(f"line 1: bad epoch {keys['epoch']!r}") from exc
 
 
+def _two_cpus() -> bool:
+    """Whether this process may run on at least two CPUs (False where the OS cannot say)."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
 def parse_trace(text: str | bytes) -> Trace:
     """Parse the canonical text format into a Trace.
 
@@ -336,8 +341,7 @@ def parse_trace(text: str | bytes) -> Trace:
     capacity = min(lines + 1, (len(data) + 1 - body) // 18)
     columns = [np.empty(capacity, dtype) for dtype in _DTYPES]
     # two parts only if every line may be a row: blank lines keep the small blocks
-    if (capacity > lines and len(data) - body >= _PARALLEL_MIN
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+    if capacity > lines and len(data) - body >= _PARALLEL_MIN and _two_cpus():
         # imported here: with the logging it pulls in, 5-8 ms that no 15-minute capture pays
         from concurrent.futures import ThreadPoolExecutor
         # the first error in file order wins: leaving the block joins the worker, and result()

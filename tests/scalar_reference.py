@@ -105,12 +105,13 @@ def encode(arrivals, T, duration):
 
 
 def acf_float(e, max_lag):
-    """The float per-lag loop: K/(K-l) * sum(d_i d_{i+l}) / sum(d_i^2)."""
+    """The float per-lag loop: K/(K-l) * sum(d_i d_{i+l}) / sum(d_i^2), each
+    sum numpy's pairwise sum, whose order no BLAS kernel choice changes."""
     d = np.asarray(e, dtype=float)
     d = d - d.mean()
     K = len(d)
-    denom = float(d @ d)
-    return np.array([(K / (K - l)) * float(d[: K - l] @ d[l:]) / denom
+    denom = float(np.sum(d * d))
+    return np.array([(K / (K - l)) * float(np.sum(d[: K - l] * d[l:])) / denom
                      for l in range(max_lag + 1)])
 
 

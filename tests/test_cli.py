@@ -469,7 +469,7 @@ def test_run_pipeline_workdir_digest(tmp_path, capsys):
     # criterion 8's run
     assert _run_pipeline_digest(tmp_path / "w", "--seed", "0", "--n-benign", "6",
                                 "--n-malicious", "6") == \
-        "0e3d97a0105f83fa4ae601f2783a0e8062320ef1c8fa495cf711f8afacc008f5"
+        "4bd5cecb5e3f4705cbe41256a436f7cfc20da8b15a467652b0735dc7d5d0d629"
     capsys.readouterr()
 
 
@@ -477,7 +477,7 @@ def test_run_pipeline_gnb_workdir_digest(tmp_path, capsys):
     # the GNB model file carries the kind and var_smoothing bytes
     assert _run_pipeline_digest(tmp_path / "w", "--seed", "2", "--model", "gnb",
                                 "--n-benign", "6", "--n-malicious", "6") == \
-        "95a23c86e8caff8972b43d1567b35846cd553ba20c7930819b62af69dfe3c8f7"
+        "4d030ee9a71d84ee0b4472f575ba9d20b13acc4fd6735e383378307915b68b45"
     capsys.readouterr()
 
 
@@ -512,7 +512,7 @@ def test_stage2_outputs_digest(workspace, tmp_path, capsys):
     assert main(["evaluate", "--features", str(workspace / "features.csv"),
                  "--model-file", model, "--traces", str(corpus)]) == 0
     h.update(capsys.readouterr().out.encode())
-    assert h.hexdigest() == "67cf812cfb988bf0c16834063c91db1a5f1d4abe3df85fa62f3b802e34adab27"
+    assert h.hexdigest() == "0d757c15a5e44b4d07d3814726e266fd9d8bd73e6a478862134ef36ac9c801f7"
 
 
 def test_policy_command_sequence_digest(tmp_path, capsys):

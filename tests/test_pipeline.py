@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 import scalar_reference as ref
 from botgate import pipeline
 from botgate.acf import MAX_BINS, PAYLOAD_CUTOFF, SAMPLE_T, Verdict, encode
-from botgate.classifiers import ForestModel, TrainedModel, forest_fit
+from botgate.classifiers import ForestModel, TrainedModel, forest_fit, save_model
 from botgate.cli import main
 from botgate.errors import ConfigError, DataError
 from botgate.features import BENIGN, FEATURE_NAMES, MALICIOUS, extract_features
@@ -118,7 +119,7 @@ def test_run_pipeline_malicious(model):
     assert diag["verdict"] == "PERIOD_DETECTED"
     assert diag["gap_variance"] == 0.0
     assert diag["period_prob"] == 1.0
-    assert _digest(report) == "05cdd8772e21225bb3943e9520605e81ae1aa167b759fd086eac223e57608182"
+    assert _digest(report) == "f8d832ef66e13f99f4301ae40bca09f60d37c27a60afd1e492df1d1b0878d491"
 
 
 def test_run_pipeline_benign(model):
@@ -274,13 +275,13 @@ def run_on(cpus: int, trace: Trace, model: TrainedModel):
 # the sha256 of the report, taken before stage 2 could start early)
 OVERLAP_CASES = {
     "flagged": (_many_devices, FLAG_EVERY_WINDOW, True, True,
-                "3b12558943ab5d52d89d65df8088ca48fedfcec261b2f85af5befbf0011b2993"),
+                "63e20b682834bf25011c21898fc1e27bb407316c9cab9fb5039f9c1b2b2376ff"),
     "benign": (_many_devices, FLAG_NO_WINDOW, False, False,
                "cb3f537ec272b24f144447cad62b94abaf3529456de56d301f005872bedff68d"),
     # windows 5-7 of the second averaging window hold a SYN each; the first five none
     "first-window-benign": (lambda: _with_packets(_many_devices(), [4510.0, 5410.0, 6310.0]),
                             FLAG_SYN_WINDOWS, True, False,
-                            "af02322d3530e16fe060d6e1a46e00777176a49a94ca728260d142bfbf610ebb"),
+                            "0003157821f873ce279856fc2d5b7357bb7dee32472fe8a756d9c4afdda20cff"),
 }
 
 
@@ -327,3 +328,28 @@ def test_stage1_error_waits_for_stage2_on_the_worker(monkeypatch):
         run_pipeline(_many_devices(), FLAG_EVERY_WINDOW)
     assert len(finished) == 1
     assert threading.active_count() == before
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "1.26.0"  # show_config's mode
+                    or "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
+                    ["blas"]["name"], reason="forces OpenBLAS kernels")
+def test_report_bytes_do_not_depend_on_the_blas_kernel(tmp_path, capsys):
+    """OpenBLAS picks its dot-product kernel by CPU, and each kernel adds in its
+    own order. The detect report and baseline output of the many-devices trace
+    are the same bytes under each kernel, forced in a child, one child at a time."""
+    trace, model = tmp_path / "many.trace", tmp_path / "model.json"
+    save_trace(_many_devices(), trace)
+    save_model(FLAG_EVERY_WINDOW, model)
+    commands = [["detect", "--trace", str(trace), "--model-file", str(model)],
+                ["baseline", "--trace", str(trace)]]
+    for argv in commands:
+        assert main(argv) == 0
+    expected = capsys.readouterr().out
+    child = "import json, sys\nfrom botgate.cli import main\n" \
+            "sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))"
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    for kernel in ("Haswell", "Sandybridge", "Nehalem"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel}
+        out = subprocess.run([sys.executable, "-c", child, json.dumps(commands)], env=env,
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        assert out == expected, kernel

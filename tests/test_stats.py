@@ -48,10 +48,12 @@ def test_chi2_sf_df2_closed_form():
 
 
 def test_chi2_sf_against_scipy():
+    # past x = 1490 e^(-x/2) underflows, and only the log-space terms keep the tail above 0
     for df in range(1, 31):
-        for x in np.linspace(0.0, 50.0, 21):
+        for x in np.concatenate((np.linspace(0.0, 50.0, 21), np.linspace(75.0, 1500.0, 20))):
+            expected = scipy.stats.chi2.sf(x, df)
             assert chi2_sf(float(x), df) == pytest.approx(
-                scipy.stats.chi2.sf(x, df), abs=1e-10)
+                expected, rel=1e-12, abs=0.0 if expected > 1e-290 else 1e-290)
 
 
 def test_chi2_sf_edges():
@@ -61,6 +63,11 @@ def test_chi2_sf_edges():
         chi2_sf(-1.0, 2)
     with pytest.raises(DataError):
         chi2_sf(1.0, 0)
+    with pytest.raises(DataError):
+        chi2_sf(1.0, 2.5)
+    # a p-value is a probability even where its rounded terms sum past 1
+    assert max(chi2_sf(float(x), df)
+               for df in range(1, 31) for x in np.geomspace(1e-6, 8.0, 40)) <= 1.0
 
 
 def test_period_detection_prob_branches():
